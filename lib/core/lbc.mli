@@ -52,7 +52,10 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
     When [ws] is omitted a fresh workspace is created for the call, so
     workspace-less calls are reentrant and domain-safe; hot loops should
-    still pass a reused [ws] to stay allocation-free.
+    still pass a reused [ws].  With one, a call allocates only a few
+    words per BFS round plus its verdict: paths are blocked straight
+    from the BFS parent arrays, and the certificate list is built only
+    for a [Yes].
 
     Every call reports to the telemetry layer (unless {!Obs.set_enabled}
     is off): counters [lbc.calls], [lbc.yes], [lbc.no] and

@@ -19,6 +19,12 @@ let verify_sampled ?(trials = 12) rng sel ~mode ~k ~f =
   in
   ok1 && ok2
 
+let with_temp suffix fn =
+  let file = Filename.temp_file "ftspan_bench" suffix in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () -> fn file)
+
 (* ------------------------------------------------------------------ *)
 (* E1 (Theorem 4): LBC gap correctness and O((m+n) alpha) running time *)
 
@@ -694,7 +700,14 @@ let e16 () =
     (fun m ->
       let n = m / 4 in
       let g = Generators.gnm rng ~n ~m in
-      let g32 = Graph.with_backend Csr.Int32_bigarray g in
+      (* The binary load is the int32 copy: that layout comes only from
+         a mapped .ftsb file. *)
+      with_temp ".graph" @@ fun text_file ->
+      with_temp ".ftsb" @@ fun bin_file ->
+      Graph_io.save g text_file;
+      Graph_io.save g bin_file;
+      let _, t_text = time (fun () -> Graph_io.load text_file) in
+      let g32, t_bin = time (fun () -> Graph_io.load bin_file) in
       let sweep gr () =
         let acc = ref 0 in
         for s = 0 to 9 do
@@ -706,21 +719,6 @@ let e16 () =
       let sum_int, bfs_int = time (sweep g) in
       let sum_i32, bfs_i32 = time (sweep g32) in
       assert (sum_int = sum_i32);
-      let t_text, t_bin =
-        let tmp suffix fn =
-          let file = Filename.temp_file "ftspan_e16" suffix in
-          Fun.protect
-            ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-            (fun () -> fn file)
-        in
-        tmp ".graph" @@ fun text_file ->
-        tmp ".ftsb" @@ fun bin_file ->
-        Graph_io.save g text_file;
-        Graph_io.save g bin_file;
-        let _, t_text = time (fun () -> Graph_io.load text_file) in
-        let _, t_bin = time (fun () -> Graph_io.load bin_file) in
-        (t_text, t_bin)
-      in
       row "  %9d %11d %11d %7.2f s %7.2f s %7.2f s %7.2f s" m
         (Graph.resident_bytes g)
         (Graph.resident_bytes g32)
@@ -985,12 +983,6 @@ let dk11_parallel () =
     "  iterations draw from streams pre-split before the fan-out, so the \
      selection is bit-identical at every jobs count"
 
-let with_temp suffix fn =
-  let file = Filename.temp_file "ftspan_bench" suffix in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () -> fn file)
-
 let file_bytes file = (Unix.stat file).Unix.st_size
 
 (* The io-load gate of the storage PR: a million-edge graph must survive
@@ -1047,7 +1039,11 @@ let bfs_hotpath_int32 () =
   let rng = Rng.create ~seed in
   let n = 20_000 in
   let g = Generators.connected_gnp rng ~n ~p:(10. /. float_of_int n) in
-  let g32 = Graph.with_backend Csr.Int32_bigarray g in
+  let g32 =
+    with_temp ".ftsb" @@ fun file ->
+    Graph_io.save g file;
+    Graph_io.load file
+  in
   let sweep gr =
     let acc = ref 0 in
     for s = 0 to 49 do

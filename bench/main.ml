@@ -29,7 +29,7 @@ let usage oc =
   output_string oc
     "usage: main.exe [--json FILE] [--trace FILE[,chrome][,sample=S][,seed=N]] \
      [--metrics-stream FILE[,SECONDS][,ops=K]] [--smoke] \
-     [--match SUBSTR] [--jobs N] [--backend int|int32] [e1..e17|micro]...\n";
+     [--match SUBSTR] [--jobs N] [e1..e17|micro]...\n";
   output_string oc "experiments:\n";
   List.iter (fun (name, _) -> Printf.fprintf oc "  %s\n" name) Experiments.by_name;
   output_string oc "smoke subset (also run by --smoke):\n";
@@ -83,15 +83,6 @@ let parse_args args =
     | Ok n -> Exec.set_default_jobs n
     | Error msg -> bad_usage "%s" msg
   in
-  (* Storage backend for every graph the jobs build ([Graph.create]
-     reads it back via [Csr.default_backend]).  Counters are
-     bit-identical either way; only wall time and resident bytes move,
-     so the checked-in baseline holds for both. *)
-  let set_backend value =
-    match Cli_flags.parse_backend value with
-    | Ok b -> Csr.set_default_backend b
-    | Error msg -> bad_usage "%s" msg
-  in
   let opt_with_value name set = function
     | value :: rest ->
         set value;
@@ -107,7 +98,6 @@ let parse_args args =
     | "--match" :: rest ->
         go (opt_with_value "--match" (fun s -> filter := Some s) rest)
     | ("--jobs" | "-j") :: rest -> go (opt_with_value "--jobs" set_jobs rest)
-    | "--backend" :: rest -> go (opt_with_value "--backend" set_backend rest)
     | "--smoke" :: rest ->
         smoke := true;
         go rest
@@ -126,9 +116,6 @@ let parse_args args =
         go rest
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
         set_jobs (String.sub arg 7 (String.length arg - 7));
-        go rest
-    | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--backend=" ->
-        set_backend (String.sub arg 10 (String.length arg - 10));
         go rest
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
         bad_usage "unknown option %S" arg

@@ -37,10 +37,9 @@ let graph_arg =
   let doc = "Input graph file (see ftspan generate for the format)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
 
-(* The execution/observability flag grammar (--jobs, --backend, --chaos,
+(* The execution/observability flag grammar (--jobs, --chaos,
    --trace, --metrics-stream, --metrics) is shared with bench/main.exe
    through Cli_flags, so every front end parses and errors identically. *)
-let backend_arg = Cli_flags.backend_arg
 let jobs_arg = Cli_flags.jobs_arg
 let shard_arg = Cli_flags.shard_arg
 let resolve_jobs = Cli_flags.resolve_jobs
@@ -56,8 +55,8 @@ let chaos_arg = Cli_flags.chaos_arg
 (* Binary-format failures carry their own exit-code contract (exit 2
    when the file is not an ftspan graph at all, exit 1 when it is one
    but unusable) — report directly, like trace analyze does. *)
-let load_graph ?backend file =
-  try Ok (Graph_io.load ?backend file) with
+let load_graph file =
+  try Ok (Graph_io.load file) with
   | Failure msg -> Error (`Msg msg)
   | Sys_error msg -> Error (`Msg msg)
   | Graph_binio.Not_a_graph msg ->
@@ -162,7 +161,7 @@ let generate_cmd =
 (* ----------------------------- info ---------------------------------- *)
 
 let info_cmd =
-  let run backend file =
+  let run file =
     Result.map
       (fun g ->
         Printf.printf "%s\n" (Format.asprintf "%a" Stats.pp (Stats.compute g));
@@ -173,9 +172,9 @@ let info_cmd =
         match Girth.girth g with
         | Some girth -> Printf.printf "girth: %d\n" girth
         | None -> Printf.printf "girth: none (forest)\n")
-      (load_graph ?backend file)
+      (load_graph file)
   in
-  let term = Term.(term_result (const run $ backend_arg $ graph_arg)) in
+  let term = Term.(term_result (const run $ graph_arg)) in
   Cmd.v (Cmd.info "info" ~doc:"Print statistics of a graph file.") term
 
 (* ----------------------------- build ---------------------------------- *)
@@ -219,7 +218,7 @@ let save_selection sel file =
       List.iter (fun id -> output_string oc (string_of_int id ^ "\n")) (Selection.ids sel))
 
 let build_cmd =
-  let run seed k f mode algo jobs shard batch backend metrics trace stream file
+  let run seed k f mode algo jobs shard batch metrics trace stream file
       out dot =
     match (resolve_jobs jobs, batch) with
     | Error _ as e, _ -> e
@@ -265,14 +264,14 @@ let build_cmd =
                   (Graph_io.to_dot ~highlight:sel.Selection.selected g));
             Printf.printf "dot rendering written to %s\n" file)
           dot)
-      (load_graph ?backend file)
+      (load_graph file)
   in
   let term =
     Term.(
       term_result
         (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ algo_arg $ jobs_arg
-       $ shard_arg $ batch_arg $ backend_arg $ metrics_arg $ trace_arg
-       $ stream_arg $ graph_arg $ spanner_out_arg $ dot_out_arg))
+       $ shard_arg $ batch_arg $ metrics_arg $ trace_arg $ stream_arg
+       $ graph_arg $ spanner_out_arg $ dot_out_arg))
   in
   Cmd.v (Cmd.info "build" ~doc:"Construct a fault-tolerant spanner.") term
 
@@ -637,7 +636,7 @@ let parse_ops_file ~mode file =
       List.rev !items)
 
 let dynamic_cmd =
-  let run k f mode jobs backend metrics trace stream ops_file graph_file out
+  let run k f mode jobs metrics trace stream ops_file graph_file out
       out_graph =
     match resolve_jobs jobs with
     | Error _ as e -> e
@@ -649,8 +648,8 @@ let dynamic_cmd =
               Printf.eprintf
                 "ftspan dynamic: %s declares n but --graph was given\n" ops_file;
               exit 2
-          | Some file, _ -> Result.map (fun g -> (g, items)) (load_graph ?backend file)
-          | None, Dyn_n n :: rest -> Ok (Graph.create ?backend n, rest)
+          | Some file, _ -> Result.map (fun g -> (g, items)) (load_graph file)
+          | None, Dyn_n n :: rest -> Ok (Graph.create n, rest)
           | None, _ ->
               Printf.eprintf
                 "ftspan dynamic: no initial graph: pass --graph or start %s \
@@ -759,8 +758,8 @@ let dynamic_cmd =
   let term =
     Term.(
       term_result
-        (const run $ k_arg $ f_arg $ mode_arg $ jobs_arg $ backend_arg
-       $ metrics_arg $ trace_arg $ stream_arg $ ops_file_arg $ init_graph_arg
+        (const run $ k_arg $ f_arg $ mode_arg $ jobs_arg $ metrics_arg
+       $ trace_arg $ stream_arg $ ops_file_arg $ init_graph_arg
        $ spanner_out_arg $ out_graph_arg))
   in
   Cmd.v

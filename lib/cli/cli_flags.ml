@@ -46,28 +46,6 @@ let shard_arg =
   in
   Arg.(value & flag & info [ "shard" ] ~doc)
 
-(* ----------------------------- backend ----------------------------- *)
-
-let backend_arg =
-  let doc =
-    "Adjacency storage backend: $(b,int) (native word arrays) or \
-     $(b,int32) (compact int32 Bigarrays — half the resident bytes, and \
-     the layout binary $(b,.ftsb) graphs map into near-zero-copy).  \
-     Defaults to int for text graphs and int32 for $(b,.ftsb) files.  \
-     Selections and counters are bit-identical across backends; only \
-     wall time and resident memory move."
-  in
-  let backend_conv =
-    Arg.enum [ ("int", Csr.Int_array); ("int32", Csr.Int32_bigarray) ]
-  in
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~docv:"B" ~doc)
-
-let parse_backend = function
-  | "int" -> Ok Csr.Int_array
-  | "int32" -> Ok Csr.Int32_bigarray
-  | other ->
-      Error (Printf.sprintf "--backend must be int or int32 (got %S)" other)
-
 (* ------------------------------ chaos ------------------------------ *)
 
 let chaos_arg =

@@ -2,7 +2,7 @@
 
     [ftspan build], [ftspan verify], [ftspan local], [ftspan congest],
     [ftspan dynamic] and [bench/main.exe] all speak the same execution
-    dialect — [--jobs], [--backend], [--chaos], [--trace],
+    dialect — [--jobs], [--chaos], [--trace],
     [--metrics-stream], [--metrics] — and historically each front end
     re-declared it.  This module parses each flag {e once}: the cmdliner
     terms serve the [ftspan] subcommands, the plain-string parsers serve
@@ -42,17 +42,6 @@ val with_jobs : int -> (Exec.Pool.t option -> 'a) -> 'a
     construction ({!Shard_build} for the greedy algorithms, the pooled
     {!Dk11} path for dk11). *)
 val shard_arg : bool Cmdliner.Term.t
-
-(** {1 Storage backend ([--backend])} *)
-
-(** [--backend int|int32]: adjacency storage backend; [None] lets the
-    loader pick per file format. *)
-val backend_arg : Csr.backend option Cmdliner.Term.t
-
-(** [parse_backend s] maps ["int"]/["int32"] to the backend, anything
-    else to the shared ["--backend must be int or int32 (got %S)"]
-    error. *)
-val parse_backend : string -> (Csr.backend, string) result
 
 (** {1 Chaos injection ([--chaos])} *)
 

@@ -45,9 +45,3 @@ val build :
   batch:int ->
   Graph.t ->
   result
-
-(** The historical [build_parallel ~domains] wrapper (deprecated since
-    the executor landed) is gone: create an {!Exec.Pool.t} once —
-    [Exec.Pool.with_pool ~domains] for a scoped one — and pass it to
-    {!build}, or go through {!Spanner.options}[ ?pool ?batch] at the
-    facade level. *)

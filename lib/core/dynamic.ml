@@ -8,16 +8,15 @@ type opts = {
   k : int;
   f : int;
   pool : Exec.Pool.t option;
-  shed : bool;
 }
 
-let default_opts = { mode = Fault.VFT; k = 2; f = 1; pool = None; shed = true }
+let default_opts = { mode = Fault.VFT; k = 2; f = 1; pool = None }
 
 let opts ?(mode = default_opts.mode) ?(k = default_opts.k)
-    ?(f = default_opts.f) ?pool ?(shed = default_opts.shed) () =
+    ?(f = default_opts.f) ?pool () =
   if k < 1 then invalid_arg "Dynamic.opts: k must be >= 1";
   if f < 0 then invalid_arg "Dynamic.opts: f must be >= 0";
-  { mode; k; f; pool; shed }
+  { mode; k; f; pool }
 
 (* Live-edge store.  [Graph.t] is insert-only, so the handle owns the
    authoritative edge records and materializes graphs from them: the
@@ -262,58 +261,56 @@ let repair t acc ~seeds =
   (* Add-only pass: re-admit candidates the lost edges may have been
      covering (first [decide] re-materializes the spanner). *)
   recheck_region t acc region;
-  if t.o.shed then begin
-    refresh_spanner t;
-    (* Shed probe, heaviest first: a NO on [H \ e] means the spanner
-       keeps alpha+1 short detours without [e] — the edge is redundant
-       (the repair may have restored coverage the deleted edges used to
-       provide).  One pass, no cascade; [exclude] accumulates so later
-       probes see earlier sheds without re-materializing. *)
-    let kept_anchored =
-      List.filter
-        (fun idx ->
-          let e = t.edges.(idx) in
-          e.alive && e.kept)
-        (List.sort_uniq compare
-           (List.concat_map (fun x -> t.adj.(x)) region))
-      |> List.map (fun idx -> (t.edges.(idx).ew, idx))
-      |> List.sort (fun a b -> compare b a)
-      |> List.map snd
-    in
-    let excluded = ref [] in
-    let shed_seeds = ref [] in
-    List.iter
+  refresh_spanner t;
+  (* Shed probe, heaviest first: a NO on [H \ e] means the spanner
+     keeps alpha+1 short detours without [e] — the edge is redundant
+     (the repair may have restored coverage the deleted edges used to
+     provide).  One pass, no cascade; [exclude] accumulates so later
+     probes see earlier sheds without re-materializing. *)
+  let kept_anchored =
+    List.filter
       (fun idx ->
         let e = t.edges.(idx) in
-        match Graph.find_edge t.spanner e.eu e.ev with
-        | None -> ()
-        | Some gid -> (
-            match
-              Lbc.decide ~ws:t.ws ~exclude:(gid :: !excluded) ~mode:t.o.mode
-                t.spanner ~u:e.eu ~v:e.ev ~t:depth ~alpha:t.o.f
-            with
-            | Lbc.No _ ->
-                e.kept <- false;
-                t.kept_n <- t.kept_n - 1;
-                excluded := gid :: !excluded;
-                shed_seeds := e.eu :: e.ev :: !shed_seeds;
-                acc.a_shed <- acc.a_shed + 1;
-                Obs.Counter.incr m_shed_c
-            | Lbc.Yes _ -> ()))
-      kept_anchored;
-    if !shed_seeds <> [] then begin
-      (* Shedding can invalidate NO verdicts of edges whose detours used
-         a shed edge; those live within [depth] old-spanner hops of it.
-         One final add-only re-check restores the invariant (adds never
-         invalidate other verdicts, so this terminates). *)
-      let region2 = affected_region t ~seeds:!shed_seeds ~depth in
-      let touched2 = List.length region2 in
-      acc.a_touched <- acc.a_touched + touched2;
-      Obs.Counter.add m_touched touched2;
-      Obs.Histogram.observe_int h_region touched2;
-      t.spanner_dirty <- true;
-      recheck_region t acc region2
-    end
+        e.alive && e.kept)
+      (List.sort_uniq compare
+         (List.concat_map (fun x -> t.adj.(x)) region))
+    |> List.map (fun idx -> (t.edges.(idx).ew, idx))
+    |> List.sort (fun a b -> compare b a)
+    |> List.map snd
+  in
+  let excluded = ref [] in
+  let shed_seeds = ref [] in
+  List.iter
+    (fun idx ->
+      let e = t.edges.(idx) in
+      match Graph.find_edge t.spanner e.eu e.ev with
+      | None -> ()
+      | Some gid -> (
+          match
+            Lbc.decide ~ws:t.ws ~exclude:(gid :: !excluded) ~mode:t.o.mode
+              t.spanner ~u:e.eu ~v:e.ev ~t:depth ~alpha:t.o.f
+          with
+          | Lbc.No _ ->
+              e.kept <- false;
+              t.kept_n <- t.kept_n - 1;
+              excluded := gid :: !excluded;
+              shed_seeds := e.eu :: e.ev :: !shed_seeds;
+              acc.a_shed <- acc.a_shed + 1;
+              Obs.Counter.incr m_shed_c
+          | Lbc.Yes _ -> ()))
+    kept_anchored;
+  if !shed_seeds <> [] then begin
+    (* Shedding can invalidate NO verdicts of edges whose detours used
+       a shed edge; those live within [depth] old-spanner hops of it.
+       One final add-only re-check restores the invariant (adds never
+       invalidate other verdicts, so this terminates). *)
+    let region2 = affected_region t ~seeds:!shed_seeds ~depth in
+    let touched2 = List.length region2 in
+    acc.a_touched <- acc.a_touched + touched2;
+    Obs.Counter.add m_touched touched2;
+    Obs.Histogram.observe_int h_region touched2;
+    t.spanner_dirty <- true;
+    recheck_region t acc region2
   end
 
 let apply t ops =

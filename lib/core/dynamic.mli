@@ -29,12 +29,13 @@
       measure), re-decides exactly the live non-spanner edges anchored
       there in nondecreasing weight order, and re-admits on YES.  No
       full rebuild happens, ever.
-    - {e Shed} (optional, on by default): after repair, spanner edges
-      anchored in the repaired region are probed with
-      [Lbc.decide ~exclude:e] — a NO means [H \ e] already spans the
-      edge's endpoints [alpha+1] ways over, so [e] is redundant and is
-      dropped (heaviest first, one pass, no cascade); a final add-only
-      re-check over the shed neighborhoods restores the invariant.
+    - {e Shed}: after repair, spanner edges anchored in the repaired
+      region are probed with [Lbc.decide ~exclude:e] — a NO means
+      [H \ e] already spans the edge's endpoints [alpha+1] ways over, so
+      [e] is redundant and is dropped (heaviest first, one pass, no
+      cascade); a final add-only re-check over the shed neighborhoods
+      restores the invariant.  The pass promises validity, not size:
+      that re-check may re-admit more edges than were shed.
 
     {2 Weights}
 
@@ -70,21 +71,18 @@ type opts = {
   f : int;  (** faults tolerated *)
   pool : Exec.Pool.t option;
       (** query-plane executor; [None] answers batches sequentially *)
-  shed : bool;  (** run the redundant-edge shed pass after deletions *)
 }
 
-(** [default_opts] is [{mode = VFT; k = 2; f = 1; pool = None;
-    shed = true}]. *)
+(** [default_opts] is [{mode = VFT; k = 2; f = 1; pool = None}]. *)
 val default_opts : opts
 
-(** [opts ?mode ?k ?f ?pool ?shed ()] builds options from
+(** [opts ?mode ?k ?f ?pool ()] builds options from
     {!default_opts}.  Raises [Invalid_argument] if [k < 1] or [f < 0]. *)
 val opts :
   ?mode:Fault.mode ->
   ?k:int ->
   ?f:int ->
   ?pool:Exec.Pool.t ->
-  ?shed:bool ->
   unit ->
   opts
 

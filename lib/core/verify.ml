@@ -106,7 +106,32 @@ let max_stretch_under_fault sel fault =
   done;
   !worst
 
-let max_stretch_many ?pool sel faults =
+(* ------------------------- config surface ------------------------- *)
+
+type config = {
+  pool : Exec.Pool.t option;
+  trials : int;
+  rng : Rng.t option;
+  seed : int;
+  max_sets : float;
+}
+
+let default =
+  { pool = None; trials = 200; rng = None; seed = 0x5eed; max_sets = 2e6 }
+
+let config ?pool ?(trials = default.trials) ?rng ?(seed = default.seed)
+    ?(max_sets = default.max_sets) () =
+  if trials < 1 then invalid_arg "Verify.config: trials must be >= 1";
+  if max_sets <= 0. then invalid_arg "Verify.config: max_sets must be > 0";
+  { pool; trials; rng; seed; max_sets }
+
+(* A shared [rng] in the config threads one stream through successive
+   batteries (the CLI's adversarial -> random -> profile chain); without
+   one, each call derives a fresh deterministic stream from [seed]. *)
+let cfg_rng cfg =
+  match cfg.rng with Some r -> r | None -> Rng.create ~seed:cfg.seed
+
+let stretch_many ?(cfg = default) sel faults =
   let n = Array.length faults in
   let out = Array.make n 1.0 in
   let body ~worker:_ lo hi =
@@ -114,7 +139,7 @@ let max_stretch_many ?pool sel faults =
       out.(i) <- max_stretch_under_fault sel faults.(i)
     done
   in
-  (match pool with
+  (match cfg.pool with
   | None -> if n > 0 then body ~worker:0 0 n
   | Some pool -> Exec.parallel_for pool ~lo:0 ~hi:n body);
   out
@@ -134,8 +159,10 @@ let pp_profile ppf p =
     (if p.worst = infinity then "inf" else Printf.sprintf "%.3f" p.worst)
     p.disconnections
 
-let stretch_profile ?pool rng sel ~mode ~f ~trials =
-  if trials < 1 then invalid_arg "Verify.stretch_profile: trials must be >= 1";
+let profile ?(cfg = default) sel ~mode ~f =
+  let trials = cfg.trials in
+  if trials < 1 then invalid_arg "Verify.profile: trials must be >= 1";
+  let rng = cfg_rng cfg in
   let g = sel.Selection.source in
   (* Faults are drawn sequentially (index order) so the rng stream — and
      with it every profile figure — is identical with and without a
@@ -146,7 +173,7 @@ let stretch_profile ?pool rng sel ~mode ~f ~trials =
       (if i mod 2 = 0 then Fault.random rng mode g ~f
        else Fault.random_adversarial rng mode g ~f)
   done;
-  let values = max_stretch_many ?pool sel faults in
+  let values = stretch_many ~cfg sel faults in
   let disconnections = ref 0 in
   Array.iter (fun s -> if s = infinity then incr disconnections) values;
   Array.sort compare values;
@@ -180,15 +207,14 @@ let run_faults sel ~stretch faults =
    with Exit -> ());
   { checked = !checked; violation = !violation }
 
-let check_exhaustive ?(max_sets = 2e6) sel ~mode ~stretch ~f =
+let exhaustive ?(cfg = default) sel ~mode ~stretch ~f =
   let g = sel.Selection.source in
   let universe = match mode with Fault.VFT -> Graph.n g | Fault.EFT -> Graph.m g in
   let total = Fault.count_subsets ~universe ~f in
-  if total > max_sets then
+  if total > cfg.max_sets then
     invalid_arg
-      (Printf.sprintf
-         "Verify.check_exhaustive: %.3g fault sets exceed the %.3g cap" total
-         max_sets);
+      (Printf.sprintf "Verify.exhaustive: %.3g fault sets exceed the %.3g cap"
+         total cfg.max_sets);
   run_faults sel ~stretch (fun fn -> Fault.enumerate mode g ~f fn)
 
 (* Parallel flavour of [run_faults] for a pre-drawn battery: every fault
@@ -211,8 +237,9 @@ let run_fault_battery pool sel ~stretch faults =
   in
   first 0
 
-let check_sampled ?pool draw rng sel ~stretch ~trials =
-  match pool with
+let check_sampled cfg draw sel ~stretch =
+  let rng = cfg_rng cfg and trials = cfg.trials in
+  match cfg.pool with
   | None -> run_faults sel ~stretch (fun fn -> for _ = 1 to trials do fn (draw rng) done)
   | Some _ when trials < 1 -> { checked = 0; violation = None }
   | Some pool ->
@@ -222,56 +249,12 @@ let check_sampled ?pool draw rng sel ~stretch ~trials =
       done;
       run_fault_battery pool sel ~stretch faults
 
-let check_random ?pool rng sel ~mode ~stretch ~f ~trials =
-  check_sampled ?pool
-    (fun rng -> Fault.random rng mode sel.Selection.source ~f)
-    rng sel ~stretch ~trials
-
-let check_adversarial ?pool rng sel ~mode ~stretch ~f ~trials =
-  check_sampled ?pool
-    (fun rng -> Fault.random_adversarial rng mode sel.Selection.source ~f)
-    rng sel ~stretch ~trials
-
-(* ------------------------- config surface ------------------------- *)
-
-type config = {
-  pool : Exec.Pool.t option;
-  trials : int;
-  rng : Rng.t option;
-  seed : int;
-  max_sets : float;
-}
-
-let default =
-  { pool = None; trials = 200; rng = None; seed = 0x5eed; max_sets = 2e6 }
-
-let config ?pool ?(trials = default.trials) ?rng ?(seed = default.seed)
-    ?(max_sets = default.max_sets) () =
-  if trials < 1 then invalid_arg "Verify.config: trials must be >= 1";
-  if max_sets <= 0. then invalid_arg "Verify.config: max_sets must be > 0";
-  { pool; trials; rng; seed; max_sets }
-
-(* A shared [rng] in the config threads one stream through successive
-   batteries (the CLI's adversarial -> random -> profile chain); without
-   one, each call derives a fresh deterministic stream from [seed]. *)
-let cfg_rng cfg =
-  match cfg.rng with Some r -> r | None -> Rng.create ~seed:cfg.seed
-
 let random ?(cfg = default) sel ~mode ~stretch ~f =
-  check_sampled ?pool:cfg.pool
+  check_sampled cfg
     (fun rng -> Fault.random rng mode sel.Selection.source ~f)
-    (cfg_rng cfg) sel ~stretch ~trials:cfg.trials
+    sel ~stretch
 
 let adversarial ?(cfg = default) sel ~mode ~stretch ~f =
-  check_sampled ?pool:cfg.pool
+  check_sampled cfg
     (fun rng -> Fault.random_adversarial rng mode sel.Selection.source ~f)
-    (cfg_rng cfg) sel ~stretch ~trials:cfg.trials
-
-let exhaustive ?(cfg = default) sel ~mode ~stretch ~f =
-  check_exhaustive ~max_sets:cfg.max_sets sel ~mode ~stretch ~f
-
-let profile ?(cfg = default) sel ~mode ~f =
-  stretch_profile ?pool:cfg.pool (cfg_rng cfg) sel ~mode ~f ~trials:cfg.trials
-
-let stretch_many ?(cfg = default) sel faults =
-  max_stretch_many ?pool:cfg.pool sel faults
+    sel ~stretch

@@ -109,30 +109,6 @@ val random :
 val adversarial :
   ?cfg:config -> Selection.t -> mode:Fault.mode -> stretch:float -> f:int -> report
 
-(** {1 Deprecated labelled entry points}
-
-    Thin wrappers over the {!config}-based batteries, kept for one
-    release. *)
-
-val check_exhaustive :
-  ?max_sets:float ->
-  Selection.t ->
-  mode:Fault.mode ->
-  stretch:float ->
-  f:int ->
-  report
-[@@ocaml.deprecated "Use Verify.exhaustive with a Verify.config."]
-
-val check_random :
-  ?pool:Exec.Pool.t ->
-  Rng.t -> Selection.t -> mode:Fault.mode -> stretch:float -> f:int -> trials:int -> report
-[@@ocaml.deprecated "Use Verify.random with a Verify.config."]
-
-val check_adversarial :
-  ?pool:Exec.Pool.t ->
-  Rng.t -> Selection.t -> mode:Fault.mode -> stretch:float -> f:int -> trials:int -> report
-[@@ocaml.deprecated "Use Verify.adversarial with a Verify.config."]
-
 (** Aggregate stretch statistics over sampled fault sets. *)
 type profile = {
   samples : int;  (** fault sets measured *)
@@ -165,12 +141,3 @@ val max_stretch_under_fault : Selection.t -> Fault.t -> float
     [faults.(i)]'s stretch lands at index [i], so the result is
     independent of the domain count. *)
 val stretch_many : ?cfg:config -> Selection.t -> Fault.t array -> float array
-
-val stretch_profile :
-  ?pool:Exec.Pool.t ->
-  Rng.t -> Selection.t -> mode:Fault.mode -> f:int -> trials:int -> profile
-[@@ocaml.deprecated "Use Verify.profile with a Verify.config."]
-
-val max_stretch_many :
-  ?pool:Exec.Pool.t -> Selection.t -> Fault.t array -> float array
-[@@ocaml.deprecated "Use Verify.stretch_many with a Verify.config."]

@@ -15,10 +15,9 @@ type t = {
   mutable clock : float;
   mutable sent : int;
   (* congestion accumulator: physical message copies per directed slot
-     (2m slots, like Net.edge_round_bits), cumulative over the run *)
-  slot_msgs : int array;
-  (* ... and per 1.0-wide simulated-time window, flushed into the
-     net.edge_window_load histogram when the clock crosses a boundary *)
+     (2m slots, like Net.edge_round_bits) per 1.0-wide simulated-time
+     window, flushed into the net.edge_window_load histogram when the
+     clock crosses a boundary *)
   win_msgs : int array;
   mutable win_touched : int list;
   mutable win_id : int;
@@ -49,7 +48,6 @@ let create rng ?(min_delay = 0.1) ?(max_delay = 1.0) ?chaos g =
     handler_count = 0;
     clock = 0.;
     sent = 0;
-    slot_msgs = Array.make (max 1 (2 * Graph.m g)) 0;
     win_msgs = Array.make (max 1 (2 * Graph.m g)) 0;
     win_touched = [];
     win_id = 0;
@@ -67,13 +65,6 @@ let set_skeleton net mask =
          (Array.length mask) (Graph.m net.g));
   net.skeleton <- Some mask
 
-type hot_edge = Net.hot_edge = {
-  he_edge : int;
-  he_dir : int;
-  he_bits : int;
-  he_rounds : int;
-}
-
 (* Windows are closed lazily, when a send observes the clock past the
    boundary — simulated time only, so the flush schedule replays
    deterministically. *)
@@ -84,22 +75,6 @@ let flush_window net =
       net.win_msgs.(s) <- 0)
     net.win_touched;
   net.win_touched <- []
-
-let hot_edges ?(top = 10) net =
-  if top < 0 then invalid_arg "Async_net.hot_edges: top must be >= 0";
-  let loaded = ref [] in
-  Array.iteri
-    (fun s c -> if c > 0 then loaded := (s, c) :: !loaded)
-    net.slot_msgs;
-  let sorted =
-    List.sort
-      (fun (s1, c1) (s2, c2) ->
-        if c1 <> c2 then compare c2 c1 else compare s1 s2)
-      !loaded
-  in
-  List.filteri (fun i _ -> i < top) sorted
-  |> List.map (fun (s, c) ->
-         { he_edge = s / 2; he_dir = s mod 2; he_bits = c; he_rounds = 0 })
 
 let push_ev net ~time ev =
   if net.handler_count = Array.length net.handlers then begin
@@ -119,11 +94,10 @@ let at net ~time handler =
   if time < net.clock then invalid_arg "Async_net.at: time is in the past";
   push net ~time handler
 
-(* One physical copy on directed slot [s]: the congestion accumulator,
-   the current window and the skeleton attribution (dup copies charge
-   twice, a crashed sender's message never). *)
+(* One physical copy on directed slot [s]: the current window and the
+   skeleton attribution (dup copies charge twice, a crashed sender's
+   message never). *)
 let charge_wire net s =
-  net.slot_msgs.(s) <- net.slot_msgs.(s) + 1;
   let wid = int_of_float net.clock in
   if wid > net.win_id then begin
     flush_window net;

@@ -57,20 +57,6 @@ val transmit : t -> ?cid:int -> src:int -> dst:int -> (unit -> unit) -> int
     [Invalid_argument] on a size mismatch. *)
 val set_skeleton : t -> bool array -> unit
 
-type hot_edge = Net.hot_edge = {
-  he_edge : int;
-  he_dir : int;
-  he_bits : int;  (** here: physical message copies over the run *)
-  he_rounds : int;  (** always [0] — the async plane has no rounds *)
-}
-
-(** [hot_edges ?top net] is the congestion leaderboard: the [top]
-    (default 10) busiest directed slots by physical message copies,
-    busiest first, ties toward the smaller edge id.  Like
-    {!Net.hot_edges} but counting messages; [he_rounds] is [0].
-    Raises [Invalid_argument] on negative [top]. *)
-val hot_edges : ?top:int -> t -> hot_edge list
-
 (** [at net ~time handler] schedules a timer ([time] must not be in the
     past). *)
 val at : t -> time:float -> (unit -> unit) -> unit

@@ -5,12 +5,12 @@
     calls whose costs vary wildly — a [Yes] can return after one BFS, a
     [No] burns [alpha + 1] rounds — so static equal chunks leave domains
     idle behind one expensive chunk, and spawning fresh domains per batch
-    (the old, since-removed [Batch_greedy.build_parallel]) pays domain
-    startup on every round.  This module fixes both: a {!Pool} is a set of worker domains
-    created {e once}, parked on a condition variable between regions, and
-    handed dynamically-chunked index ranges through one shared atomic
-    cursor, so uneven work load-balances by construction and steady-state
-    regions spawn nothing.
+    pays domain startup on every round.  This module fixes both: a
+    {!Pool} is a set of worker domains created {e once}, parked on a
+    condition variable between regions, and handed dynamically-chunked
+    index ranges through one shared atomic cursor, so uneven work
+    load-balances by construction and steady-state regions spawn
+    nothing.
 
     {b Determinism contract.}  {!parallel_for} partitions [\[lo, hi)] into
     chunks and promises only {e that every index is passed to [body]

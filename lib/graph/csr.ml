@@ -51,7 +51,7 @@ let degree t u = t.deg.(u)
 let buffered t = t.buf_len
 
 (* Last-value gauges, one per backend, refreshed at the storage-shape
-   events (create / compact / bulk load / convert): they report the
+   events (create / compact / bulk load): they report the
    resident bytes of the most recently (re)built adjacency so bench
    tables can show the int32 memory win.  [gauge.*] is excluded from the
    regression gate. *)
@@ -80,16 +80,7 @@ let note_bytes t =
   in
   Obs.Gauge.set g (resident_bytes t)
 
-(* Process default, overridable once at startup (bench --backend int32
-   reruns the whole suite on compact storage with identical counters). *)
-let default = Atomic.make Int_array
-let set_default_backend b = Atomic.set default b
-let default_backend () = Atomic.get default
-
-let create ?backend n =
-  let backend =
-    match backend with Some b -> b | None -> Atomic.get default
-  in
+let create ?(backend = Int_array) n =
   if backend = Int32_bigarray && n >= max_half Int32_bigarray then
     invalid_arg "Csr.create: vertex count exceeds the int32 backend's index range";
   let packed =
@@ -321,34 +312,33 @@ let copy t =
     half = t.half;
   }
 
-(* Validation shared by the bulk constructors: offsets must describe a
-   well-formed CSR over [n] vertices and every neighbor must be a valid
-   vertex.  Edge-id semantics (two half-edges per id, ids dense in
-   [0, m)) belong to Graph.of_adjacency. *)
-let check_packed ~what ~n ~half ~len_nbr ~len_eid ~get_off ~get_nbr =
+(* Offsets must describe a well-formed CSR over [n] vertices and every
+   neighbor must be a valid vertex.  Edge-id semantics (two half-edges
+   per id, ids dense in [0, m)) belong to Graph.of_adjacency. *)
+let of_packed_i32 ~off ~nbr ~eid =
+  let what = "Csr.of_packed_i32" in
+  let dim = Bigarray.Array1.dim in
+  let n = dim off - 1 in
+  let get_off u = Int32.to_int (Bigarray.Array1.get off u) in
+  let half = if n >= 0 then get_off n else 0 in
   if n < 0 then invalid_arg (what ^ ": negative vertex count");
-  if len_nbr <> len_eid then invalid_arg (what ^ ": nbr/eid length mismatch");
-  if half <> len_nbr then invalid_arg (what ^ ": off does not cover nbr");
+  if dim nbr <> dim eid then invalid_arg (what ^ ": nbr/eid length mismatch");
+  if half <> dim nbr then invalid_arg (what ^ ": off does not cover nbr");
   if get_off 0 <> 0 then invalid_arg (what ^ ": off must start at 0");
   for u = 0 to n - 1 do
     if get_off (u + 1) < get_off u then
       invalid_arg (what ^ ": off not monotone")
   done;
-  for i = 0 to len_nbr - 1 do
-    let v = get_nbr i in
+  for i = 0 to dim nbr - 1 do
+    let v = Int32.to_int (Bigarray.Array1.get nbr i) in
     if v < 0 || v >= n then invalid_arg (what ^ ": neighbor out of range")
-  done
-
-let finish_packed ~n ~half ~limit ~get_off packed =
-  let deg = Array.make n 0 in
-  for u = 0 to n - 1 do
-    deg.(u) <- get_off (u + 1) - get_off u
   done;
+  let deg = Array.init n (fun u -> get_off (u + 1) - get_off u) in
   let t =
     {
       n;
-      limit;
-      packed;
+      limit = max_half Int32_bigarray;
+      packed = P_i32 { off; nbr; eid };
       buf_head = Array.make n (-1);
       buf_nbr = [||];
       buf_eid = [||];
@@ -360,65 +350,3 @@ let finish_packed ~n ~half ~limit ~get_off packed =
   in
   note_bytes t;
   t
-
-let of_packed_int ~off ~nbr ~eid =
-  let n = Array.length off - 1 in
-  let half = if n >= 0 then off.(n) else 0 in
-  check_packed ~what:"Csr.of_packed_int" ~n ~half ~len_nbr:(Array.length nbr)
-    ~len_eid:(Array.length eid)
-    ~get_off:(fun u -> off.(u))
-    ~get_nbr:(fun i -> nbr.(i));
-  finish_packed ~n ~half ~limit:(max_half Int_array)
-    ~get_off:(fun u -> off.(u))
-    (P_int { off; nbr; eid })
-
-let of_packed_i32 ~off ~nbr ~eid =
-  let dim = Bigarray.Array1.dim in
-  let n = dim off - 1 in
-  let get_off u = Int32.to_int (Bigarray.Array1.get off u) in
-  let half = if n >= 0 then get_off n else 0 in
-  check_packed ~what:"Csr.of_packed_i32" ~n ~half ~len_nbr:(dim nbr)
-    ~len_eid:(dim eid) ~get_off
-    ~get_nbr:(fun i -> Int32.to_int (Bigarray.Array1.get nbr i));
-  finish_packed ~n ~half ~limit:(max_half Int32_bigarray) ~get_off
-    (P_i32 { off; nbr; eid })
-
-let convert b t =
-  let c = copy t in
-  compact c;
-  if backend c = b then c
-  else begin
-    if b = Int32_bigarray && (c.half > max_half b || c.n >= max_half b) then
-      invalid_arg "Csr.convert: graph exceeds the int32 backend's index range";
-    let packed =
-      match c.packed with
-      | P_int { off; nbr; eid } ->
-          let pack src len =
-            let a = i32_create len in
-            for i = 0 to len - 1 do
-              Bigarray.Array1.set a i (Int32.of_int src.(i))
-            done;
-            a
-          in
-          P_i32
-            {
-              off = pack off (c.n + 1);
-              nbr = pack nbr c.half;
-              eid = pack eid c.half;
-            }
-      | P_i32 { off; nbr; eid } ->
-          let unpack src len =
-            Array.init len (fun i ->
-                Int32.to_int (Bigarray.Array1.get src i))
-          in
-          P_int
-            {
-              off = unpack off (c.n + 1);
-              nbr = unpack nbr c.half;
-              eid = unpack eid c.half;
-            }
-    in
-    let t' = { c with limit = max_half b; packed } in
-    note_bytes t';
-    t'
-  end

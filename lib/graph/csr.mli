@@ -33,8 +33,14 @@
     chain first, then the packed slice.  This is exactly the order of
     the historical [(neighbor, id) list] adjacency, which greedy
     verdicts, BFS parents and the checked-in bench counters all depend
-    on; {!compact}, {!convert} and both backends preserve it, so
-    selections are bit-identical whichever backend holds the graph.
+    on; {!compact} and both backends preserve it, so selections are
+    bit-identical whichever backend holds the graph.
+
+    {b Which backend}: a graph's origin picks it.  Graphs built from
+    scratch in memory ({!create} without [~backend]) are [Int_array];
+    binary files loaded through {!Graph_binio} map into
+    [Int32_bigarray]; a graph derived from another (a subgraph, a
+    rebuild) passes its parent's {!backend} through [~backend].
 
     {b Concurrency}: {!iter}, {!scanner}, {!find}, {!degree} never
     mutate; concurrent readers (e.g. the parallel batch decision phase)
@@ -43,7 +49,7 @@
 
 (** Packed-region storage backends. *)
 type backend =
-  | Int_array  (** native [int array]s — the default *)
+  | Int_array  (** native [int array]s — graphs built in memory *)
   | Int32_bigarray  (** [int32] C-layout Bigarrays — half the words *)
 
 (** [backend_name b] is ["int"] or ["int32"] (the CLI/bench spelling). *)
@@ -58,7 +64,7 @@ type t
 (** {1 Construction} *)
 
 (** [create ?backend n] is the empty adjacency over vertices [0 .. n-1].
-    [backend] defaults to {!default_backend}. *)
+    [backend] defaults to [Int_array]. *)
 val create : ?backend:backend -> int -> t
 
 (** [add t u v id] records the half-edge [u -> v] with edge id [id].
@@ -69,30 +75,21 @@ val create : ?backend:backend -> int -> t
     ({!max_half}) instead of wrapping around. *)
 val add : t -> int -> int -> int -> unit
 
-(** [convert b t] is an independent copy of [t] repacked into backend
-    [b] (compacted first; the iteration order, and hence every verdict
-    derived from it, is unchanged).  Raises [Invalid_argument] if [t]
-    does not fit [b]'s index range. *)
-val convert : backend -> t -> t
-
 (** [copy t] is an independent deep copy (same backend). *)
 val copy : t -> t
 
-(** {1 Bulk constructors}
+(** {1 Bulk constructor}
 
-    For loaders ({!Graph_binio}) that already hold a packed layout and
-    must not pay per-edge insertion.  Both validate shape — offsets
-    monotone from 0 and covering [nbr]/[eid], neighbors in range —
-    and raise [Invalid_argument] otherwise; edge-id semantics are
-    checked by [Graph.of_adjacency].  The arrays are adopted, not
-    copied: do not mutate them afterwards. *)
-
-(** [of_packed_int ~off ~nbr ~eid] wraps a packed [Int_array] layout
-    ([off] has [n+1] entries). *)
-val of_packed_int : off:int array -> nbr:int array -> eid:int array -> t
+    For the binary loader ({!Graph_binio}), which already holds a packed
+    layout and must not pay per-edge insertion. *)
 
 (** [of_packed_i32 ~off ~nbr ~eid] wraps a packed [Int32_bigarray]
-    layout — e.g. regions mapped straight from a binary graph file. *)
+    layout ([off] has [n+1] entries) — e.g. regions mapped straight from
+    a binary graph file.  Validates shape — offsets monotone from 0 and
+    covering [nbr]/[eid], neighbors in range — and raises
+    [Invalid_argument] otherwise; edge-id semantics are checked by
+    [Graph.of_adjacency].  The arrays are adopted, not copied: do not
+    mutate them afterwards. *)
 val of_packed_i32 : off:i32 -> nbr:i32 -> eid:i32 -> t
 
 (** {1 Traversal} *)
@@ -139,17 +136,6 @@ val max_half : backend -> int
 
 (** The compaction trigger floor, in buffered half-edges (see {!add}). *)
 val compaction_floor : int
-
-(** {1 Process default}
-
-    [Graph.create] picks {!default_backend} unless told otherwise;
-    [set_default_backend] flips the whole process (the bench harness's
-    [--backend int32] does this once at startup — counters stay
-    bit-identical, only wall time and resident bytes move). *)
-
-val set_default_backend : backend -> unit
-
-val default_backend : unit -> backend
 
 (** {1 Maintenance} *)
 

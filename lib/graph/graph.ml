@@ -91,13 +91,13 @@ let add_edge g u v ~w =
 
 let add_edge_unit g u v = add_edge g u v ~w:1.0
 
-let of_edges ?backend n pairs =
-  let g = create ?backend n in
+let of_edges n pairs =
+  let g = create n in
   List.iter (fun (u, v) -> ignore (add_edge_unit g u v)) pairs;
   g
 
-let of_weighted_edges ?backend n triples =
-  let g = create ?backend n in
+let of_weighted_edges n triples =
+  let g = create n in
   List.iter (fun (u, v, w) -> ignore (add_edge g u v ~w)) triples;
   g
 
@@ -172,15 +172,6 @@ let of_adjacency ?weights adj =
         w
   in
   { size = n; count = m; e_u; e_v; e_w; adj }
-
-let with_backend backend g =
-  {
-    g with
-    e_u = Array.copy g.e_u;
-    e_v = Array.copy g.e_v;
-    e_w = Array.copy g.e_w;
-    adj = Csr.convert backend g.adj;
-  }
 
 let unsafe_edge g id =
   {

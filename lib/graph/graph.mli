@@ -14,10 +14,11 @@
     Adjacency is stored flat ({!Csr}: packed offset/neighbor/edge-id
     slices plus an append buffer for recent insertions), so traversal
     inner loops stream over contiguous memory rather than chasing cons
-    cells.  The packed slices live in a pluggable storage {!Csr.backend}
-    — native [int array]s by default, or compact [int32] Bigarrays
-    ([Graph.create ~backend:Csr.Int32_bigarray], half the resident
-    bytes, the landing zone for {!Graph_binio} binary loads).  Both
+    cells.  The packed slices live in one of two storage
+    {!Csr.backend}s, picked by where the graph comes from: native
+    [int array]s for graphs built from scratch in memory, compact
+    [int32] Bigarrays (half the resident bytes) for {!Graph_binio}
+    binary loads, the parent's layout for derived graphs.  Both
     backends expose the same iteration order, so every selection and
     counter is bit-identical whichever one holds the graph.  This module
     remains the construction and ownership layer: build and mutate
@@ -36,11 +37,9 @@ type t
 (** {1 Construction} *)
 
 (** [create ?backend n] is the edgeless graph on vertices [0..n-1].
-
-    {b Migration note}: [?backend] selects the {!Csr} packed-storage
-    backend and defaults to {!Csr.default_backend} (i.e.
-    [Csr.Int_array] unless the process flipped it), so existing callers
-    are unchanged.  Pass [~backend:Csr.Int32_bigarray] for the compact
+    [backend] selects the {!Csr} packed storage and defaults to
+    [Csr.Int_array]; a graph derived from another (a subgraph, a
+    rebuild) passes its parent's {!backend} so it stays on the same
     layout. *)
 val create : ?backend:Csr.backend -> int -> t
 
@@ -53,10 +52,10 @@ val add_edge : t -> int -> int -> w:float -> int
 val add_edge_unit : t -> int -> int -> int
 
 (** [of_edges n pairs] builds a unit-weight graph from an edge list. *)
-val of_edges : ?backend:Csr.backend -> int -> (int * int) list -> t
+val of_edges : int -> (int * int) list -> t
 
 (** [of_weighted_edges n triples] builds a graph from [(u, v, w)] triples. *)
-val of_weighted_edges : ?backend:Csr.backend -> int -> (int * int * float) list -> t
+val of_weighted_edges : int -> (int * int * float) list -> t
 
 (** [of_adjacency ?weights adj] adopts a pre-built adjacency (typically
     from {!Csr.of_packed_i32} over file-mapped regions) and
@@ -70,11 +69,6 @@ val of_adjacency : ?weights:float array -> Csr.t -> t
 
 (** [copy g] is an independent copy sharing nothing mutable with [g]. *)
 val copy : t -> t
-
-(** [with_backend b g] is an independent copy of [g] with its adjacency
-    repacked into backend [b] — same edge ids, same iteration order,
-    hence bit-identical traversals and selections. *)
-val with_backend : Csr.backend -> t -> t
 
 (** {1 Accessors} *)
 

@@ -112,7 +112,7 @@ let read_i32_swapped ic ~pos ~len : Csr.i32 =
   done;
   a
 
-let load ?(backend = Csr.Int32_bigarray) file =
+let load file =
   let ic = open_in_bin file in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -174,9 +174,6 @@ let load ?(backend = Csr.Int32_bigarray) file =
       let adj =
         try Csr.of_packed_i32 ~off ~nbr ~eid
         with Invalid_argument msg -> corrupt file "invalid adjacency: %s" msg
-      in
-      let adj =
-        if backend = Csr.Int_array then Csr.convert Csr.Int_array adj else adj
       in
       try Graph.of_adjacency ?weights adj
       with Invalid_argument msg -> corrupt file "invalid graph: %s" msg)

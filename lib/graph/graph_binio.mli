@@ -55,10 +55,10 @@ val version : int
     than the int32 layout can index. *)
 val save : Graph.t -> string -> unit
 
-(** [load ?backend file] reads a graph written by {!save}.  [backend]
-    defaults to {!Csr.Int32_bigarray}, the near-zero-copy path (the
-    mapped file regions become the packed adjacency; the mapping is
-    private, so later mutation of the graph never touches the file).
-    Raises {!Not_a_graph} / {!Corrupt} as described above, or
+(** [load file] reads a graph written by {!save} onto the
+    {!Csr.Int32_bigarray} backend, the near-zero-copy path (the mapped
+    file regions become the packed adjacency; the mapping is private, so
+    later mutation of the graph never touches the file).  Raises
+    {!Not_a_graph} / {!Corrupt} as described above, or
     [Sys_error]/[Unix.Unix_error] on I/O failure. *)
-val load : ?backend:Csr.backend -> string -> Graph.t
+val load : string -> Graph.t

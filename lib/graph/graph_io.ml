@@ -13,7 +13,7 @@ let to_string g =
 (* One text record.  [fail] receives the 1-based line number so callers
    can prefix whatever location context they have (file name for [load],
    nothing for [of_string]). *)
-let parse_line ?backend ~fail graph line_no line =
+let parse_line ~fail graph line_no line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then ()
   else
@@ -21,7 +21,7 @@ let parse_line ?backend ~fail graph line_no line =
     | [ "p"; n; _m ] -> (
         if !graph <> None then fail line_no "duplicate p line";
         match int_of_string_opt n with
-        | Some n when n >= 0 -> graph := Some (Graph.create ?backend n)
+        | Some n when n >= 0 -> graph := Some (Graph.create n)
         | _ -> fail line_no "bad vertex count")
     | "e" :: u :: v :: rest -> (
         match !graph with
@@ -40,13 +40,13 @@ let parse_line ?backend ~fail graph line_no line =
             | _ -> fail line_no "bad edge line"))
     | _ -> fail line_no "unrecognized record"
 
-let of_string ?backend s =
+let of_string s =
   let lines = String.split_on_char '\n' s in
   let graph = ref None in
   let fail line_no msg =
     failwith (Printf.sprintf "Graph_io: line %d: %s" line_no msg)
   in
-  List.iteri (fun i line -> parse_line ?backend ~fail graph (i + 1) line) lines;
+  List.iteri (fun i line -> parse_line ~fail graph (i + 1) line) lines;
   match !graph with
   | Some g -> g
   | None -> failwith "Graph_io: missing p line"
@@ -63,8 +63,8 @@ let save g file =
             Printf.fprintf oc "e %d %d %.12g\n" e.Graph.u e.Graph.v e.Graph.w))
   end
 
-let load ?backend file =
-  if Filename.check_suffix file binary_suffix then Graph_binio.load ?backend file
+let load file =
+  if Filename.check_suffix file binary_suffix then Graph_binio.load file
   else begin
     let ic = open_in file in
     Fun.protect
@@ -81,7 +81,7 @@ let load ?backend file =
            while true do
              let line = input_line ic in
              incr line_no;
-             parse_line ?backend ~fail graph !line_no line
+             parse_line ~fail graph !line_no line
            done
          with End_of_file -> ());
         match !graph with

@@ -20,21 +20,22 @@ val binary_suffix : string
 (** [to_string g] serializes [g] as text. *)
 val to_string : Graph.t -> string
 
-(** [of_string s] parses a text graph.  Raises [Failure] with a
-    line-numbered message on malformed input.  [backend] selects the
-    adjacency storage (default {!Csr.default_backend}). *)
-val of_string : ?backend:Csr.backend -> string -> Graph.t
+(** [of_string s] parses a text graph onto the native [Csr.Int_array]
+    layout.  Raises [Failure] with a line-numbered message on malformed
+    input. *)
+val of_string : string -> Graph.t
 
 (** [save g file] writes [g] to [file] — text, streamed edge-by-edge
     (peak memory is one line, not the whole serialization), or binary
     when [file] ends in {!binary_suffix}. *)
 val save : Graph.t -> string -> unit
 
-(** [load ?backend file] reads [file] — text, streamed line-by-line, or
-    binary when [file] ends in {!binary_suffix}.  Text-parse [Failure]
-    messages are prefixed with the file name
-    (["Graph_io: FILE: line N: ..."]). *)
-val load : ?backend:Csr.backend -> string -> Graph.t
+(** [load file] reads [file] — text, streamed line-by-line onto the
+    native [Csr.Int_array] layout, or binary (mapped into
+    [Csr.Int32_bigarray], see {!Graph_binio.load}) when [file] ends in
+    {!binary_suffix}.  Text-parse [Failure] messages are prefixed with
+    the file name (["Graph_io: FILE: line N: ..."]). *)
+val load : string -> Graph.t
 
 (** [to_dot ?highlight g] renders Graphviz source for [g] ([graph { ... }]
     with weights as labels).  Edges whose id is set in [highlight] are

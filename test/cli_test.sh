@@ -18,19 +18,24 @@ fail() { echo "cli_test FAILED: $1" >&2; exit 1; }
 "$BIN" info "$TMP/g.graph" | grep -q "n=60" || fail "info reports n"
 
 # binary container + storage backend: same seed into a .ftsb file, the
-# same spanner out of it, whichever backend holds the adjacency
+# same spanner out of it, although the file lands on the int32 backend
+# and the text graph on int
 "$BIN" generate --family gnp -n 60 -p 0.15 --connect --seed 11 -o "$TMP/g.ftsb" \
   | grep -q "ftspan.graph.v1" || fail "generate .ftsb"
 "$BIN" info "$TMP/g.ftsb" | grep -q "storage: int32 backend" \
   || fail "info on .ftsb reports int32 storage"
+"$BIN" info "$TMP/g.graph" | grep -q "storage: int backend" \
+  || fail "info on text reports int storage"
 "$BIN" build -k 2 -f 1 "$TMP/g.graph" -o "$TMP/sel-a.txt" >/dev/null \
   || fail "build text"
 "$BIN" build -k 2 -f 1 "$TMP/g.ftsb" -o "$TMP/sel-b.txt" >/dev/null \
   || fail "build .ftsb"
-"$BIN" build -k 2 -f 1 --backend int32 "$TMP/g.graph" -o "$TMP/sel-c.txt" \
-  >/dev/null || fail "build --backend int32"
 cmp -s "$TMP/sel-a.txt" "$TMP/sel-b.txt" || fail ".ftsb selection differs"
-cmp -s "$TMP/sel-a.txt" "$TMP/sel-c.txt" || fail "int32 selection differs"
+# the layout follows the file; no flag picks it
+"$BIN" build -k 2 -f 1 --backend int32 "$TMP/g.graph" 2>&1 >/dev/null \
+  | grep -q "unknown option '--backend'" || fail "build --backend must be unknown"
+"$BENCH" --backend int32 >/dev/null 2>&1
+[ $? -eq 2 ] || fail "bench --backend must exit 2"
 printf 'junk\n' > "$TMP/junk.ftsb"
 "$BIN" info "$TMP/junk.ftsb" >/dev/null 2>&1
 [ $? -eq 2 ] || fail "junk .ftsb must exit 2"

@@ -2,8 +2,8 @@
 # Binary graph format gate (dune build @io-check; chained into
 # @refactor-check): generate a graph, round-trip it through the
 # ftspan.graph.v1 binary format, and require the spanner the CLI builds
-# from the binary file — on either storage backend — to be byte-for-byte
-# the selection built from the text file.  Then the failure surface:
+# from the binary file (int32 backend) to be byte-for-byte the selection
+# built from the text file (int backend).  Then the failure surface:
 # not-a-graph files must exit 2, structurally corrupt files must exit 1,
 # matching Graph_binio's two error classes.
 #   $1 = ftspan CLI binary
@@ -21,30 +21,19 @@ GEN="--family gnp -n 300 -p 0.05 --connect --seed 23"
 "$BIN" generate $GEN -o "$TMP/g.ftsb" | grep -q "ftspan.graph.v1" \
   || fail "generate must report the binary format"
 
-# info sees the backend the file landed on, and --backend overrides it
+# info sees the backend each file landed on
 "$BIN" info "$TMP/g.ftsb" | grep -q "storage: int32 backend" \
   || fail "binary load must land on the int32 backend"
-"$BIN" info --backend int "$TMP/g.ftsb" | grep -q "storage: int backend" \
-  || fail "info --backend int"
-"$BIN" info --backend int32 "$TMP/g.graph" | grep -q "storage: int32 backend" \
-  || fail "info --backend int32 on text"
+"$BIN" info "$TMP/g.graph" | grep -q "storage: int backend" \
+  || fail "text load must land on the int backend"
 
-# selection equality: text/int, binary/int32 (default), binary/int,
-# text/int32 must all pick the same edges
+# selection equality: text/int and binary/int32 must pick the same edges
 "$BIN" build -k 2 -f 1 "$TMP/g.graph" -o "$TMP/sel-text.txt" >/dev/null \
   || fail "build from text"
 "$BIN" build -k 2 -f 1 "$TMP/g.ftsb" -o "$TMP/sel-bin.txt" >/dev/null \
   || fail "build from binary"
-"$BIN" build -k 2 -f 1 --backend int "$TMP/g.ftsb" -o "$TMP/sel-bin-int.txt" \
-  >/dev/null || fail "build from binary on int backend"
-"$BIN" build -k 2 -f 1 --backend int32 "$TMP/g.graph" -o "$TMP/sel-text-i32.txt" \
-  >/dev/null || fail "build from text on int32 backend"
 cmp -s "$TMP/sel-text.txt" "$TMP/sel-bin.txt" \
   || fail "text and binary selections differ"
-cmp -s "$TMP/sel-text.txt" "$TMP/sel-bin-int.txt" \
-  || fail "binary/int selection differs"
-cmp -s "$TMP/sel-text.txt" "$TMP/sel-text-i32.txt" \
-  || fail "text/int32 selection differs"
 
 # error class 1: not an ftspan.graph file at all -> exit 2
 printf 'this is not a graph, just bytes\n' > "$TMP/junk.ftsb"

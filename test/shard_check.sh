@@ -4,8 +4,8 @@
 # same graph — the sharded selection must verify as a valid f-FT
 # spanner, must stay within the O(log n) size factor of the sequential
 # selection, and must be byte-identical at --jobs 1/2/4 and across the
-# int/int32 storage backends; dk11 --shard must be byte-identical at
-# every jobs count too.
+# int/int32 storage backends (a text graph and its .ftsb copy); dk11
+# --shard must be byte-identical at every jobs count too.
 #   $1 = ftspan CLI binary
 set -u
 BIN="$1"
@@ -15,6 +15,8 @@ fail() { echo "shard_check FAILED: $1" >&2; exit 1; }
 
 "$BIN" generate --family gnp -n 120 -p 0.08 --connect --seed 9 -o "$TMP/g.graph" \
   > /dev/null || fail "graph generation"
+"$BIN" generate --family gnp -n 120 -p 0.08 --connect --seed 9 -o "$TMP/g.ftsb" \
+  > /dev/null || fail "binary graph generation"
 
 # ---- selection validity: shard build, then ftspan verify ------------
 "$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/g.graph" -o "$TMP/shard.sel" \
@@ -40,9 +42,9 @@ for j in 2 4; do
     || fail "sharded selection differs at --jobs $j"
 done
 
-# ---- backend determinism: int vs int32 ------------------------------
-"$BIN" build --seed 7 -k 2 -f 1 --shard --backend int32 "$TMP/g.graph" \
-  -o "$TMP/shard-i32.sel" > /dev/null || fail "sharded build on int32"
+# ---- backend determinism: int (text) vs int32 (.ftsb) ---------------
+"$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/g.ftsb" \
+  -o "$TMP/shard-i32.sel" > /dev/null || fail "sharded build from .ftsb"
 cmp -s "$TMP/shard.sel" "$TMP/shard-i32.sel" \
   || fail "sharded selection differs across backends"
 

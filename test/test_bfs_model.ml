@@ -99,13 +99,14 @@ let model_greedy ~mode ~k ~f g =
 (* ------------------------------ inputs -------------------------------- *)
 
 (* A random graph on both backends, each with its newest edges still in
-   the append buffer: a base graph is converted (which compacts), then a
-   few more edges are added to both copies in the same order. *)
+   the append buffer: a base graph is reloaded from a binary file (which
+   packs it), then a few more edges are added to both copies in the same
+   order. *)
 let graphs r =
   let n = 2 + Rng.int r 30 in
   let p = 0.05 +. Rng.float r 0.4 in
   let g = Generators.gnp r ~n ~p in
-  let g32 = Graph.with_backend Csr.Int32_bigarray g in
+  let g32 = Int32_graph.of_graph g in
   for _ = 1 to Rng.int r 12 do
     let u = Rng.int r n and v = Rng.int r n in
     if u <> v && not (Graph.mem_edge g u v) then begin

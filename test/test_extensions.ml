@@ -328,9 +328,9 @@ let test_batch_parallel_matches_sequential () =
         (Selection.ids par.Batch_greedy.selection))
     [ (8, 2); (64, 3); (1000, 4) ]
 
-(* The per-call-spawn [build_parallel] wrapper is gone; the facade's
-   [Spanner.options ?pool ?batch] is the supported route to the batched
-   parallel build and must keep producing the sequential selection. *)
+(* The facade's [Spanner.options ?pool ?batch] is the supported route to
+   the batched parallel build and must keep producing the sequential
+   selection. *)
 let test_batch_parallel_via_facade () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:40 ~p:0.3 in

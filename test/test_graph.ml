@@ -804,7 +804,9 @@ let test_binio_round_trip () =
     check Alcotest.string "canonical text identical" (Graph_io.to_string g)
       (Graph_io.to_string h);
     checkb "binary load lands on int32" true
-      (Graph.backend h = Csr.Int32_bigarray)
+      (Graph.backend h = Csr.Int32_bigarray);
+    checkb "int32 adjacency is smaller" true
+      (Graph.resident_bytes h < Graph.resident_bytes g)
   in
   check_graph (sample_weighted ());
   check_graph (Generators.grid ~rows:6 ~cols:7);
@@ -820,15 +822,6 @@ let test_binio_text_binary_text () =
   let gb = Graph_io.load bin_file in
   check Alcotest.string "text -> binary -> text bit-identical"
     (Graph_io.to_string gt) (Graph_io.to_string gb)
-
-let test_binio_backend_choice () =
-  let g = Generators.cycle 9 in
-  with_temp_file ".ftsb" @@ fun file ->
-  Graph_io.save g file;
-  let gi = Graph_io.load ~backend:Csr.Int_array file in
-  checkb "requested int backend" true (Graph.backend gi = Csr.Int_array);
-  check Alcotest.string "same graph either way" (Graph_io.to_string g)
-    (Graph_io.to_string gi)
 
 let test_binio_not_a_graph () =
   let expect_not_a_graph label file =
@@ -896,21 +889,6 @@ let test_binio_corrupt_adjacency () =
     ignore (Graph_binio.load file);
     Alcotest.fail "mismatched adjacency should raise Corrupt"
   with Graph_binio.Corrupt _ -> ()
-
-let test_backend_convert_round_trip () =
-  let g = sample_weighted () in
-  let g32 = Graph.with_backend Csr.Int32_bigarray g in
-  let g_back = Graph.with_backend Csr.Int_array g32 in
-  checkb "backends as requested" true
-    (Graph.backend g = Csr.Int_array
-    && Graph.backend g32 = Csr.Int32_bigarray
-    && Graph.backend g_back = Csr.Int_array);
-  check Alcotest.string "convert round trip text-identical"
-    (Graph_io.to_string g) (Graph_io.to_string g_back);
-  check (Alcotest.array Alcotest.int) "bfs parents identical"
-    (Bfs.distances g 0) (Bfs.distances g32 0);
-  checkb "int32 adjacency is smaller" true
-    (Graph.resident_bytes g32 < Graph.resident_bytes g)
 
 let test_backend_mutation_after_load () =
   (* The mmap is private (copy-on-write): growing a binary-loaded graph
@@ -1126,14 +1104,12 @@ let () =
         [
           Alcotest.test_case "binary round trip" `Quick test_binio_round_trip;
           Alcotest.test_case "text->binary->text" `Quick test_binio_text_binary_text;
-          Alcotest.test_case "backend choice" `Quick test_binio_backend_choice;
           Alcotest.test_case "not a graph" `Quick test_binio_not_a_graph;
           Alcotest.test_case "corrupt files" `Quick test_binio_corrupt;
           Alcotest.test_case "corrupt adjacency" `Quick test_binio_corrupt_adjacency;
         ] );
       ( "backend",
         [
-          Alcotest.test_case "convert round trip" `Quick test_backend_convert_round_trip;
           Alcotest.test_case "mutate after load" `Quick test_backend_mutation_after_load;
           Alcotest.test_case "index limits" `Quick test_csr_limits;
         ] );

@@ -420,15 +420,15 @@ let prop_io_parser_total =
       | exception Failure _ -> true)
 
 let prop_int32_backend_bit_identical =
-  (* The storage seam must be invisible to every algorithm: repacking a
-     graph into the int32 Bigarray backend (and the instances the
-     generators produce directly on it) yields bit-identical BFS
-     parents, Dijkstra distances, and greedy spanner selections,
-     because both backends present half-edges in the same order. *)
+  (* The storage seam must be invisible to every algorithm: the same
+     graph loaded from a binary file onto the int32 Bigarray backend
+     yields bit-identical BFS parents, Dijkstra distances, and greedy
+     spanner selections, because both backends present half-edges in
+     the same order. *)
   QCheck.Test.make ~count:40 ~name:"backends: int32 repack is bit-identical"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
-      let g32 = Graph.with_backend Csr.Int32_bigarray g in
+      let g32 = Int32_graph.of_graph g in
       let bfs_same =
         Bfs.distances g 0 = Bfs.distances g32 0
         && Bfs.hop_bounded_path g ~src:0 ~dst:(Graph.n g - 1)

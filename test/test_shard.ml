@@ -170,7 +170,7 @@ let test_build_bit_identical_across_pool_sizes () =
 
 let test_build_bit_identical_across_backends () =
   let g = Generators.connected_gnp (rng ()) ~n:60 ~p:0.15 in
-  let g32 = Graph.with_backend Csr.Int32_bigarray g in
+  let g32 = Int32_graph.of_graph g in
   let ids g = Selection.ids (shard ~mode:Fault.VFT ~k:2 ~f:1 ~seed:29 g).Shard_build.selection in
   checkil "int vs int32 selections" (ids g) (ids g32)
 

@@ -315,7 +315,7 @@ let e6 () =
       round_points := (float_of_int n, float_of_int res.Local_spanner.total_rounds) :: !round_points;
       row "  %6d %8d %8d %7.1f%% %10d %12.0f %8.3f %6s" n (Graph.m g)
         res.Local_spanner.total_rounds
-        (100. *. Decomposition.coverage res.Local_spanner.decomposition)
+        (100. *. Shard_partition.coverage res.Local_spanner.decomposition)
         sel.Selection.size bound
         (float_of_int sel.Selection.size /. bound)
         (verdict ok))
@@ -767,7 +767,7 @@ let e17 () =
       let r = Rng.create ~seed:s in
       let g = Generators.connected_gnp r ~n:100 ~p:0.08 in
       let d = Decomposition.run r g in
-      let cov = Decomposition.coverage d in
+      let cov = Shard_partition.coverage d in
       total_cov := !total_cov +. cov;
       if cov < !min_cov then min_cov := cov;
       if cov >= 1.0 then incr full)

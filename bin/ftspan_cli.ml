@@ -367,12 +367,12 @@ let local_cmd =
         let res = Local_spanner.build rng ?chaos ~mode ~k ~f g in
         let d = res.Local_spanner.decomposition in
         Printf.printf "partitions: %d, coverage: %.1f%%, max cluster depth: %d\n"
-          (Array.length d.Decomposition.partitions)
-          (100. *. Decomposition.coverage d)
-          d.Decomposition.max_depth;
+          (Array.length d.Shard_partition.partitions)
+          (100. *. Shard_partition.coverage d)
+          d.Shard_partition.max_depth;
         Printf.printf
           "rounds: %d total (%d decomposition + %d announce + %d gather + %d scatter)\n"
-          res.Local_spanner.total_rounds d.Decomposition.rounds
+          res.Local_spanner.total_rounds d.Shard_partition.horizon
           res.Local_spanner.announce_rounds res.Local_spanner.gather_rounds
           res.Local_spanner.scatter_rounds;
         Printf.printf "spanner: %d/%d edges (bound %.0f)\n"

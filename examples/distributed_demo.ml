@@ -21,12 +21,12 @@ let () =
   let d = local.Local_spanner.decomposition in
   Printf.printf "\n[LOCAL]\n";
   Printf.printf "  decomposition: %d partitions, %d rounds, %.1f%% of edges padded\n"
-    (Array.length d.Decomposition.partitions)
-    d.Decomposition.rounds
-    (100. *. Decomposition.coverage d);
+    (Array.length d.Shard_partition.partitions)
+    d.Shard_partition.horizon
+    (100. *. Shard_partition.coverage d);
   Printf.printf "  gather/scatter: %d + %d rounds over trees of depth <= %d\n"
     local.Local_spanner.gather_rounds local.Local_spanner.scatter_rounds
-    d.Decomposition.max_depth;
+    d.Shard_partition.max_depth;
   Printf.printf "  total rounds: %d (paper: O(log n); log2 n = %.1f)\n"
     local.Local_spanner.total_rounds
     (log (float_of_int (Graph.n g)) /. log 2.);

@@ -4,7 +4,7 @@ type result = { selection : Selection.t; batches : int; max_batch : int }
    [h], writing verdicts into [verdicts]; [h] is not mutated, so
    concurrent calls on disjoint ranges are race-free.  The workspace is
    the caller's: sequential builds reuse one across every batch, parallel
-   builds pass each worker its pool-owned workspace — either way the
+   builds pass each worker its own per-build workspace — either way the
    steady-state decide path allocates nothing. *)
 let decide_range ~ws ~mode ~t ~f h edges verdicts lo hi =
   for i = lo to hi - 1 do
@@ -18,25 +18,6 @@ let decide_range ~ws ~mode ~t ~f h edges verdicts lo hi =
 
 let m_batches = Obs.counter "batch_greedy.batches"
 let m_committed = Obs.counter "batch_greedy.edges_committed"
-
-(* Per-pool LBC workspaces, one per worker, keyed by pool id so they
-   survive across builds on the same pool (worker indices bind to fixed
-   domains for a pool's lifetime, so slot [w] is only ever touched by
-   worker [w]).  A pool is expected to outlive many builds; the arrays
-   grow to the largest graph seen and are garbage only after the pool
-   itself is dropped. *)
-let pool_workspaces : (int, Lbc.Workspace.t array) Hashtbl.t = Hashtbl.create 7
-
-let workspaces_for pool =
-  let key = Exec.Pool.id pool in
-  match Hashtbl.find_opt pool_workspaces key with
-  | Some a when Array.length a = Exec.Pool.size pool -> a
-  | _ ->
-      let a =
-        Array.init (Exec.Pool.size pool) (fun _ -> Lbc.Workspace.create ())
-      in
-      Hashtbl.replace pool_workspaces key a;
-      a
 
 let build_impl ?order ~decide ~mode:_ ~k ~f:_ ~batch g =
   if batch < 1 then invalid_arg "Batch_greedy.build: batch must be >= 1";
@@ -80,13 +61,17 @@ let build ?order ?pool ~mode ~k ~f ~batch g =
     | Some pool ->
         (* Parallel: the decision phase of each batch fans out over the
            pool with dynamic chunking, each worker deciding with its own
-           pool-owned workspace.  Verdicts land by index, so the
-           selection is bit-identical to the sequential build whatever
-           the domain count or steal order. *)
-        let workspaces = workspaces_for pool in
+           workspace, created on its first chunk and reused across this
+           build's batches.  Verdicts land by index, so the selection is
+           bit-identical to the sequential build whatever the domain
+           count or steal order. *)
+        let workspaces =
+          Exec.Worker_local.create pool (fun _ -> Lbc.Workspace.create ())
+        in
         fun h edges verdicts lo hi ->
           Exec.parallel_for pool ~lo ~hi (fun ~worker l r ->
-              decide_range ~ws:workspaces.(worker) ~mode ~t ~f h edges
-                verdicts l r)
+              decide_range
+                ~ws:(Exec.Worker_local.get workspaces ~worker)
+                ~mode ~t ~f h edges verdicts l r)
   in
   build_impl ?order ~decide ~mode ~k ~f ~batch g

@@ -31,8 +31,8 @@ type result = {
     pool's domains via {!Exec.parallel_for} with dynamic chunking (the
     partial spanner is read-only during a decision phase, so the LBC
     calls are data-race-free by construction; each worker decides with
-    its own pool-owned {!Lbc.Workspace}, reused across batches and across
-    builds on the same pool).  Verdicts are written by index, so the
+    its own {!Lbc.Workspace}, created for this build via
+    {!Exec.Worker_local} and reused across its batches).  Verdicts are written by index, so the
     selection is {b bit-identical} to the [pool]-less build with the same
     parameters, for every domain count and steal order — the tests assert
     this and the bench counter gate relies on it. *)

@@ -74,19 +74,19 @@ let assign g delta =
   done;
   { center_of; parent_of; depth_of }
 
-let run rng ?(beta = 0.25) ?partitions g =
+type shifts = { beta : float; delta : float array array; horizon : int }
+
+let shifts rng ?(beta = 0.25) ?partitions g =
   if beta <= 0. || beta >= 1. then
-    invalid_arg "Shard_partition.run: beta in (0,1)";
+    invalid_arg "Shard_partition.shifts: beta in (0,1)";
   let n = Graph.n g in
   let ell =
     match partitions with
     | Some p ->
-        if p < 1 then invalid_arg "Shard_partition.run: partitions >= 1";
+        if p < 1 then invalid_arg "Shard_partition.shifts: partitions >= 1";
         p
     | None -> default_partitions n
   in
-  (* Shifts drawn exactly as Decomposition.run draws them, so one seed
-     names one decomposition in both the native and the simulated world. *)
   let delta =
     Array.init ell (fun _ ->
         Array.init n (fun _ -> Rng.exponential rng ~rate:beta))
@@ -94,8 +94,10 @@ let run rng ?(beta = 0.25) ?partitions g =
   let max_delta =
     Array.fold_left (fun acc row -> Array.fold_left max acc row) 0. delta
   in
-  let horizon = int_of_float (ceil max_delta) in
-  let partitions = Array.init ell (fun p -> assign g delta.(p)) in
+  { beta; delta; horizon = int_of_float (ceil max_delta) }
+
+let assemble g sh partitions =
+  let ell = Array.length partitions in
   let max_depth =
     Array.fold_left (fun acc c -> Array.fold_left max acc c.depth_of) 0 partitions
   in
@@ -108,4 +110,8 @@ let run rng ?(beta = 0.25) ?partitions g =
            || scan (p + 1))
       in
       covered.(e.Graph.id) <- scan 0);
-  { partitions; covered; beta; horizon; max_depth }
+  { partitions; covered; beta = sh.beta; horizon = sh.horizon; max_depth }
+
+let run rng ?beta ?partitions g =
+  let sh = shifts rng ?beta ?partitions g in
+  assemble g sh (Array.map (assign g) sh.delta)

@@ -2,16 +2,13 @@ type algorithm =
   | Greedy_poly
   | Greedy_exponential
   | Dinitz_krauthgamer
-  | Baswana_sen_union
 
 let algorithm_name = function
   | Greedy_poly -> "greedy-poly"
   | Greedy_exponential -> "greedy-exp"
   | Dinitz_krauthgamer -> "dk11"
-  | Baswana_sen_union -> "dk11-bs"
 
-let all_algorithms =
-  [ Greedy_poly; Greedy_exponential; Dinitz_krauthgamer; Baswana_sen_union ]
+let all_algorithms = [ Greedy_poly; Greedy_exponential; Dinitz_krauthgamer ]
 
 type params = { k : int; f : int; mode : Fault.mode }
 
@@ -41,7 +38,7 @@ let build_sharded rng ~options ~algorithm params g =
       (Shard_build.build ~rng ~engine ?pool:options.pool ~mode:params.mode
          ~k:params.k ~f:params.f g)
         .Shard_build.selection
-  | Dinitz_krauthgamer | Baswana_sen_union -> (
+  | Dinitz_krauthgamer -> (
       (* Always the pooled (pre-split stream) path, so the selection is
          the same whether --jobs handed us a pool or not. *)
       let run pool =
@@ -69,7 +66,7 @@ let build ?rng ?(algorithm = Greedy_poly) ?(options = default_options) params g
             .Batch_greedy.selection
     | Greedy_exponential ->
         Exp_greedy.build ~mode:params.mode ~k:params.k ~f:params.f g
-    | Dinitz_krauthgamer | Baswana_sen_union ->
+    | Dinitz_krauthgamer ->
         Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f g
 
 type summary = {
@@ -87,7 +84,7 @@ let size_bound algorithm ~k ~f ~n =
   match algorithm with
   | Greedy_poly -> Bounds.poly_greedy_size ~k ~f ~n
   | Greedy_exponential -> Bounds.optimal_size ~k ~f ~n
-  | Dinitz_krauthgamer | Baswana_sen_union -> Bounds.dk11_size ~k ~f ~n
+  | Dinitz_krauthgamer -> Bounds.dk11_size ~k ~f ~n
 
 let summarize ~algorithm params sel =
   let g = sel.Selection.source in

@@ -9,9 +9,6 @@ type algorithm =
   | Greedy_poly  (** Algorithms 3/4 — the paper's contribution (default) *)
   | Greedy_exponential  (** Algorithm 1 — BDPW18/BP19 baseline *)
   | Dinitz_krauthgamer  (** DK11 reduction over Baswana-Sen *)
-  | Baswana_sen_union
-      (** DK11 with explicit Baswana-Sen — alias of [Dinitz_krauthgamer],
-          kept for CLI discoverability *)
 
 val algorithm_name : algorithm -> string
 val all_algorithms : algorithm list
@@ -46,8 +43,8 @@ val stretch : params -> float
     instead (the paper's Theorem 11 run natively — an O(log n) size
     factor for cluster-level parallelism): the greedy algorithms route
     through {!Shard_build} (engine picked by [algorithm]), and
-    [Dinitz_krauthgamer]/[Baswana_sen_union] route through {!Dk11} with
-    its iterations fanned out as [parallel_for] items.  Either way the
+    [Dinitz_krauthgamer] routes through {!Dk11} with its iterations
+    fanned out as [parallel_for] items.  Either way the
     selection is bit-identical at every [pool] size, including no pool
     at all; [order]/[batch] are ignored under [shard]. *)
 type options = {

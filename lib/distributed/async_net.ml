@@ -4,11 +4,10 @@
 type ev = { h : unit -> unit; ev_cid : int; ev_src : int; ev_dst : int }
 
 type t = {
-  g : Graph.t;
   rng : Rng.t;
   min_delay : float;
   max_delay : float;
-  chaos : Chaos.state option;
+  wire : Wire.t;
   queue : Pqueue.t;
   mutable handlers : ev array;
   mutable handler_count : int;
@@ -21,7 +20,6 @@ type t = {
   win_msgs : int array;
   mutable win_touched : int list;
   mutable win_id : int;
-  mutable skeleton : bool array option;
 }
 
 let nop () = ()
@@ -38,32 +36,27 @@ let create rng ?(min_delay = 0.1) ?(max_delay = 1.0) ?chaos g =
   if min_delay < 0. || max_delay < min_delay then
     invalid_arg "Async_net.create: need 0 <= min_delay <= max_delay";
   {
-    g;
     rng;
     min_delay;
     max_delay;
-    chaos;
+    wire =
+      Wire.create ~who:"Async_net" ?chaos ~spanner:m_msgs_spanner
+        ~other:m_msgs_other g;
     queue = Pqueue.create ~capacity:64;
     handlers = Array.make 64 nop_ev;
     handler_count = 0;
     clock = 0.;
     sent = 0;
-    win_msgs = Array.make (max 1 (2 * Graph.m g)) 0;
+    win_msgs = Array.make (Wire.slots g) 0;
     win_touched = [];
     win_id = 0;
-    skeleton = None;
   }
 
 let now net = net.clock
 let messages net = net.sent
 let max_delay net = net.max_delay
 
-let set_skeleton net mask =
-  if Array.length mask <> Graph.m net.g then
-    invalid_arg
-      (Printf.sprintf "Async_net.set_skeleton: mask has %d slots for %d edges"
-         (Array.length mask) (Graph.m net.g));
-  net.skeleton <- Some mask
+let set_skeleton net mask = Wire.set_skeleton net.wire mask
 
 (* Windows are closed lazily, when a send observes the clock past the
    boundary — simulated time only, so the flush schedule replays
@@ -94,9 +87,8 @@ let at net ~time handler =
   if time < net.clock then invalid_arg "Async_net.at: time is in the past";
   push net ~time handler
 
-(* One physical copy on directed slot [s]: the current window and the
-   skeleton attribution (dup copies charge twice, a crashed sender's
-   message never). *)
+(* One physical copy on directed slot [s], counted in the current
+   window (dup copies charge twice, a crashed sender's message never). *)
 let charge_wire net s =
   let wid = int_of_float net.clock in
   if wid > net.win_id then begin
@@ -104,59 +96,31 @@ let charge_wire net s =
     net.win_id <- wid
   end;
   if net.win_msgs.(s) = 0 then net.win_touched <- s :: net.win_touched;
-  net.win_msgs.(s) <- net.win_msgs.(s) + 1;
-  match net.skeleton with
-  | None -> ()
-  | Some mask ->
-      Obs.Counter.incr (if mask.(s / 2) then m_msgs_spanner else m_msgs_other)
+  net.win_msgs.(s) <- net.win_msgs.(s) + 1
 
-let transmit net ?cid ~src ~dst handler =
-  let s =
-    match Graph.find_edge net.g src dst with
-    | Some id -> (2 * id) + (if src < dst then 0 else 1)
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Async_net.send: %d and %d are not adjacent" src dst)
-  in
-  net.sent <- net.sent + 1;
-  let tracing = Obs_trace.enabled () in
-  let cid =
-    match cid with
-    | Some c -> c
-    | None -> if tracing then Obs_trace.mint_cid () else -1
-  in
-  if tracing then
-    Obs_trace.emit
-      (Obs_trace.Msg_send { cid; src; dst; at = net.clock; bits = 1 });
+(* A copy that survived its drop draw: delivered after the base delay —
+   stretched by a chaos spike — unless the destination is down at
+   arrival time.  The delay comes from the {e network's} generator; only
+   the fault choices consume the chaos stream. *)
+let arrive net ~src ~dst handler ~cid chaos =
   let ev = { h = handler; ev_cid = cid; ev_src = src; ev_dst = dst } in
-  let draw_delay () =
+  let delay =
     net.min_delay +. Rng.float net.rng (net.max_delay -. net.min_delay +. 1e-12)
   in
-  (match net.chaos with
-  | None ->
-      charge_wire net s;
-      push_ev net ~time:(net.clock +. draw_delay ()) ev
+  match chaos with
+  | None -> push_ev net ~time:(net.clock +. delay) ev
   | Some ch ->
-      if Chaos.crashed ch ~node:src ~time:net.clock then
+      let time = net.clock +. (delay *. Chaos.draw_spike ~cid ch ~src ~dst) in
+      if Chaos.crashed ch ~node:dst ~time then
         Chaos.count_crash_drop ~cid ch ~src ~dst
-      else begin
-        (* Each copy: drop, or deliver after the base delay — stretched by
-           a spike — unless the destination is down at arrival time.  The
-           delay still comes from the {e network's} generator; only the
-           fault choices consume the chaos stream. *)
-        let deliver_copy () =
-          charge_wire net s;
-          if not (Chaos.draw_drop ~cid ch ~src ~dst) then begin
-            let delay = draw_delay () *. Chaos.draw_spike ~cid ch ~src ~dst in
-            let time = net.clock +. delay in
-            if Chaos.crashed ch ~node:dst ~time then
-              Chaos.count_crash_drop ~cid ch ~src ~dst
-            else push_ev net ~time ev
-          end
-        in
-        deliver_copy ();
-        if Chaos.draw_dup ~cid ch ~src ~dst then deliver_copy ()
-      end);
+      else push_ev net ~time ev
+
+let transmit net ?cid ~src ~dst handler =
+  let cid =
+    Wire.transmit net.wire ?cid ~src ~dst ~at:net.clock ~bits:1
+      ~charge:(charge_wire net) (arrive net ~src ~dst handler)
+  in
+  net.sent <- net.sent + 1;
   cid
 
 let send net ~src ~dst handler = ignore (transmit net ~src ~dst handler)

@@ -1,56 +1,15 @@
-type clustering = {
-  center_of : int array;
-  parent_of : int array;
-  depth_of : int array;
-}
-
-type t = {
-  partitions : clustering array;
-  covered : bool array;
-  rounds : int;
-  max_depth : int;
-  stats : Net.stats;
-}
-
-let coverage t =
-  let m = Array.length t.covered in
-  if m = 0 then 1.0
-  else
-    float_of_int (Array.fold_left (fun a c -> if c then a + 1 else a) 0 t.covered)
-    /. float_of_int m
-
-let cluster_members c =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri
-    (fun v ctr ->
-      let cur = try Hashtbl.find tbl ctr with Not_found -> [] in
-      Hashtbl.replace tbl ctr (v :: cur))
-    c.center_of;
-  Hashtbl.fold (fun ctr members acc -> (ctr, members) :: acc) tbl []
-
 (* One message per round: for each partition that improved, the sender's
    current best offer (center, key).  Keys are [delta_center - hops]. *)
 type offer = { partition : int; center : int; key : float }
 
 let offer_bits _ = 3 * 64
 
-let run rng ?(beta = 0.25) ?partitions g =
-  if beta <= 0. || beta >= 1. then invalid_arg "Decomposition.run: beta in (0,1)";
+let run rng ?beta ?partitions g =
+  let sh = Shard_partition.shifts rng ?beta ?partitions g in
+  let delta = sh.Shard_partition.delta in
+  let ell = Array.length delta in
   let n = Graph.n g in
-  let ell =
-    match partitions with
-    | Some p ->
-        if p < 1 then invalid_arg "Decomposition.run: partitions >= 1";
-        p
-    | None -> max 1 (int_of_float (ceil (2. *. log (float_of_int (max 2 n)) /. log 2.)))
-  in
   let net = Net.create ~model:Net.Local ~bits:offer_bits g in
-  (* Shifts: delta.(p).(v). *)
-  let delta = Array.init ell (fun _ -> Array.init n (fun _ -> Rng.exponential rng ~rate:beta)) in
-  let max_delta =
-    Array.fold_left (fun acc row -> Array.fold_left max acc row) 0. delta
-  in
-  let horizon = int_of_float (ceil max_delta) in
   (* Per-partition per-vertex best offer state. *)
   let best_center = Array.init ell (fun _p -> Array.init n (fun v -> v)) in
   let best_key = Array.init ell (fun p -> Array.init n (fun v -> delta.(p).(v))) in
@@ -59,7 +18,7 @@ let run rng ?(beta = 0.25) ?partitions g =
   (* A vertex re-broadcasts an offer only when it improved in the previous
      round; initially everything is fresh. *)
   let fresh = Array.init ell (fun _ -> Array.make n true) in
-  for _round = 1 to horizon do
+  for _round = 1 to sh.Shard_partition.horizon do
     for p = 0 to ell - 1 do
       for v = 0 to n - 1 do
         if fresh.(p).(v) then
@@ -86,7 +45,6 @@ let run rng ?(beta = 0.25) ?partitions g =
     done
   done;
   (* Depths from parent pointers (simulation-side bookkeeping only). *)
-  let max_depth = ref 0 in
   for p = 0 to ell - 1 do
     let rec depth_of v =
       if parent.(p).(v) < 0 then 0
@@ -98,38 +56,26 @@ let run rng ?(beta = 0.25) ?partitions g =
       end
     in
     for v = 0 to n - 1 do
-      let d = depth_of v in
-      if d > !max_depth then max_depth := d
+      ignore (depth_of v)
     done
   done;
-  let covered = Array.make (Graph.m g) false in
-  Graph.iter_edges g (fun e ->
-      let rec scan p =
-        p < ell
-        && (best_center.(p).(e.Graph.u) = best_center.(p).(e.Graph.v) || scan (p + 1))
-      in
-      covered.(e.Graph.id) <- scan 0);
   let partitions =
     Array.init ell (fun p ->
-        { center_of = best_center.(p); parent_of = parent.(p); depth_of = depth.(p) })
+        {
+          Shard_partition.center_of = best_center.(p);
+          parent_of = parent.(p);
+          depth_of = depth.(p);
+        })
   in
   if Obs_trace.enabled () then
     Array.iteri
       (fun p c ->
-        let centers = Hashtbl.create 16 in
-        Array.iter (fun ctr -> Hashtbl.replace centers ctr ()) c.center_of;
         Obs_trace.emit
           (Obs_trace.Cluster_stats
              {
                partition = p;
-               clusters = Hashtbl.length centers;
-               max_depth = Array.fold_left max 0 c.depth_of;
+               clusters = List.length (Shard_partition.members c);
+               max_depth = Array.fold_left max 0 c.Shard_partition.depth_of;
              }))
       partitions;
-  {
-    partitions;
-    covered;
-    rounds = horizon;
-    max_depth = !max_depth;
-    stats = Net.stats net;
-  }
+  Shard_partition.assemble g sh partitions

@@ -12,33 +12,17 @@
     edge interior to some cluster w.h.p.  All [ell] floods run
     simultaneously — LOCAL messages are unbounded, so a round carries one
     offer per partition — giving [O(log n)] rounds total, as Theorem 11
-    requires. *)
+    requires.
 
-type clustering = {
-  center_of : int array;  (** cluster center per vertex *)
-  parent_of : int array;  (** BFS-tree parent within the cluster, [-1] at
-                              the center *)
-  depth_of : int array;  (** hop depth below the center *)
-}
+    This module is only the flood: the clustering type, the shift
+    sampling and argument validation, and the derived [covered] /
+    [max_depth] / {!Shard_partition.coverage} all come from
+    {!Shard_partition}, whose native fixed-point computation the flood
+    must agree with. *)
 
-type t = {
-  partitions : clustering array;
-  covered : bool array;
-      (** per edge of the source graph: do both endpoints share a cluster
-          in some partition? (Theorem 11.4 says w.h.p. all-true.) *)
-  rounds : int;  (** LOCAL rounds consumed *)
-  max_depth : int;  (** largest cluster tree depth over all partitions *)
-  stats : Net.stats;
-}
-
-(** [coverage t] is the fraction of covered edges ([1.0] = padded). *)
-val coverage : t -> float
-
-(** [cluster_members c] groups vertices by center: returns an association
-    list [(center, members)]. *)
-val cluster_members : clustering -> (int * int list) list
-
-(** [run rng ?beta ?partitions g] computes the decomposition.  [beta]
-    defaults to [0.25]; [partitions] defaults to
-    [max 1 (ceil (2 * log2 n))]. *)
-val run : Rng.t -> ?beta:float -> ?partitions:int -> Graph.t -> t
+(** [run rng ?beta ?partitions g] computes the decomposition by flooding
+    offers through a simulated LOCAL {!Net} for [horizon] rounds (the
+    LOCAL round count).  [beta] defaults to [0.25]; [partitions] defaults
+    to [max 1 (ceil (2 * log2 n))]; both are validated by
+    {!Shard_partition.shifts}. *)
+val run : Rng.t -> ?beta:float -> ?partitions:int -> Graph.t -> Shard_partition.t

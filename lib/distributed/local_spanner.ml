@@ -2,7 +2,7 @@ type engine = Exponential | Polynomial
 
 type result = {
   selection : Selection.t;
-  decomposition : Decomposition.t;
+  decomposition : Shard_partition.t;
   announce_rounds : int;
   gather_rounds : int;
   scatter_rounds : int;
@@ -18,10 +18,10 @@ let payload_bits p = 64 * (2 + List.length p.edge_ids)
 let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
   Obs.with_span "local_spanner.build" @@ fun () ->
   let decomposition = Decomposition.run rng ?beta ?partitions g in
-  let parts = decomposition.Decomposition.partitions in
+  let parts = decomposition.Shard_partition.partitions in
   let ell = Array.length parts in
   let n = Graph.n g in
-  let depth = decomposition.Decomposition.max_depth in
+  let depth = decomposition.Shard_partition.max_depth in
   let net = Reliable.create ?chaos ~model:Net.Local ~bits:payload_bits g in
 
   (* Round 0: neighbors exchange cluster ids (all partitions at once; the
@@ -40,15 +40,15 @@ let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
   for p = 0 to ell - 1 do
     let c = parts.(p) in
     Graph.iter_edges g (fun e ->
-        if c.Decomposition.center_of.(e.Graph.u) = c.Decomposition.center_of.(e.Graph.v)
-        then gathered.(p).(e.Graph.u) <- e.Graph.id :: gathered.(p).(e.Graph.u))
+        let center = c.Shard_partition.center_of in
+        if center.(e.Graph.u) = center.(e.Graph.v) then gathered.(p).(e.Graph.u) <- e.Graph.id :: gathered.(p).(e.Graph.u))
   done;
   for step = depth downto 1 do
     for p = 0 to ell - 1 do
       let c = parts.(p) in
       for v = 0 to n - 1 do
-        if c.Decomposition.depth_of.(v) = step then begin
-          let parent = c.Decomposition.parent_of.(v) in
+        if c.Shard_partition.depth_of.(v) = step then begin
+          let parent = c.Shard_partition.parent_of.(v) in
           if parent >= 0 && gathered.(p).(v) <> [] then begin
             Reliable.send net ~src:v ~dst:parent
               { partition = p; edge_ids = gathered.(p).(v) };
@@ -93,7 +93,7 @@ let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
             sel.Selection.selected;
           per_cluster_selection.(p).(center) <- !chosen
         end)
-      (Decomposition.cluster_members c)
+      (Shard_partition.members c)
   done;
 
   (* Scatter: flood each cluster's selection down its tree so every member
@@ -121,7 +121,9 @@ let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
         (fun (sender, pay) ->
           if pay.partition >= 0 then begin
             let c = parts.(pay.partition) in
-            if c.Decomposition.parent_of.(v) = sender && not knows.(pay.partition).(v)
+            if
+              c.Shard_partition.parent_of.(v) = sender
+              && not knows.(pay.partition).(v)
             then begin
               knows.(pay.partition).(v) <- true;
               pending.(pay.partition).(v) <- pay.edge_ids
@@ -138,6 +140,6 @@ let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
     announce_rounds = 1;
     gather_rounds = depth;
     scatter_rounds = depth;
-    total_rounds = decomposition.Decomposition.rounds + 1 + depth + depth;
+    total_rounds = decomposition.Shard_partition.horizon + 1 + depth + depth;
     stats;
   }

@@ -22,7 +22,7 @@ type engine =
 
 type result = {
   selection : Selection.t;
-  decomposition : Decomposition.t;
+  decomposition : Shard_partition.t;
   announce_rounds : int;  (** neighbors exchange cluster ids *)
   gather_rounds : int;  (** convergecast depth *)
   scatter_rounds : int;  (** broadcast depth *)

@@ -47,7 +47,7 @@ type 'msg t = {
   model : model;
   bits : 'msg -> int;
   record_history : bool;
-  chaos : Chaos.state option;
+  wire : Wire.t;
   (* copies lagging behind their send round (chaos reordering):
      (rounds still to wait, src, dst, cid, msg), in stable order *)
   mutable lagging : (int * int * int * int * 'msg) list;
@@ -64,7 +64,6 @@ type 'msg t = {
   (* congestion accumulator over the whole run, per directed slot *)
   slot_bits : int array;  (* cumulative physical bits *)
   slot_rounds : int array;  (* rounds the slot carried traffic *)
-  mutable skeleton : bool array option;  (* per edge id: in the spanner? *)
   mutable past_rounds : (int * int * int) list list;  (* reverse order *)
   (* totals at the previous [next_round], so the trace event carries this
      round's traffic rather than the running sum *)
@@ -79,7 +78,9 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     model;
     bits;
     record_history;
-    chaos;
+    wire =
+      Wire.create ~who:"Net" ?chaos ~spanner:m_bits_spanner
+        ~other:m_bits_other g;
     lagging = [];
     staged = Array.make n [];
     delivered = Array.make n [];
@@ -89,11 +90,10 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     max_message_bits = 0;
     max_edge_round_bits = 0;
     congest_violations = 0;
-    edge_round_bits = Array.make (max 1 (2 * Graph.m g)) 0;
+    edge_round_bits = Array.make (Wire.slots g) 0;
     touched = [];
-    slot_bits = Array.make (max 1 (2 * Graph.m g)) 0;
-    slot_rounds = Array.make (max 1 (2 * Graph.m g)) 0;
-    skeleton = None;
+    slot_bits = Array.make (Wire.slots g) 0;
+    slot_rounds = Array.make (Wire.slots g) 0;
     past_rounds = [];
     msg_mark = 0;
     bits_mark = 0;
@@ -101,40 +101,38 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
 
 let graph net = net.g
 
-let set_skeleton net mask =
-  if Array.length mask <> Graph.m net.g then
-    invalid_arg
-      (Printf.sprintf "Net.set_skeleton: mask has %d slots for %d edges"
-         (Array.length mask) (Graph.m net.g));
-  net.skeleton <- Some mask
+let set_skeleton net mask = Wire.set_skeleton net.wire mask
 
-let slot net ~src ~dst =
-  match Graph.find_edge net.g src dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Net.send: %d and %d are not adjacent" src dst)
-  | Some id ->
-      let dir = if src < dst then 0 else 1 in
-      ((2 * id) + dir, id, dir)
-
-(* One physical copy crossed the wire on slot [s]: the per-round load,
-   the run-long congestion accumulator and the skeleton attribution all
-   measure this — so duplicated copies count twice and a crashed
-   sender's message not at all, unlike the offered-load stats. *)
-let charge_wire net s b =
+(* One physical copy crossed the wire on slot [s]: the per-round load
+   and the run-long congestion accumulator measure this, unlike the
+   offered-load stats. *)
+let charge_wire net b s =
   if net.edge_round_bits.(s) = 0 then net.touched <- s :: net.touched;
   net.edge_round_bits.(s) <- net.edge_round_bits.(s) + b;
   if net.edge_round_bits.(s) > net.max_edge_round_bits then
     net.max_edge_round_bits <- net.edge_round_bits.(s);
-  net.slot_bits.(s) <- net.slot_bits.(s) + b;
-  match net.skeleton with
-  | None -> ()
-  | Some mask ->
-      Obs.Counter.add (if mask.(s / 2) then m_bits_spanner else m_bits_other) b
+  net.slot_bits.(s) <- net.slot_bits.(s) + b
+
+(* A copy that survived its drop draw: staged for the next round, or
+   held back by a chaos reorder lag. *)
+let arrive net ~src ~dst msg ~cid chaos =
+  let lag =
+    match chaos with None -> 0 | Some ch -> Chaos.draw_lag ~cid ch ~src ~dst
+  in
+  if lag = 0 then net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
+  else
+    (* countdown counts round transitions: on-time delivery consumes
+       one, the lag adds [lag] more *)
+    net.lagging <- (lag + 1, src, dst, cid, msg) :: net.lagging
 
 let transmit net ?cid ~src ~dst msg =
-  let s, _, _ = slot net ~src ~dst in
   let b = net.bits msg in
+  let cid =
+    Wire.transmit net.wire ?cid ~src ~dst ~at:(float_of_int net.round) ~bits:b
+      ~charge:(charge_wire net b) (arrive net ~src ~dst msg)
+  in
+  (* Offered load — what the algorithm sent, whatever the wire did to
+     its copies. *)
   net.messages <- net.messages + 1;
   net.total_bits <- net.total_bits + b;
   if b > net.max_message_bits then net.max_message_bits <- b;
@@ -148,42 +146,6 @@ let transmit net ?cid ~src ~dst msg =
         net.congest_violations <- net.congest_violations + 1;
         Obs.Counter.incr m_violations
       end);
-  let tracing = Obs_trace.enabled () in
-  let cid =
-    match cid with
-    | Some c -> c
-    | None -> if tracing then Obs_trace.mint_cid () else -1
-  in
-  if tracing then
-    Obs_trace.emit
-      (Obs_trace.Msg_send
-         { cid; src; dst; at = float_of_int net.round; bits = b });
-  (* Fault injection sits between accounting (the offered load above is
-     what the algorithm sent) and delivery: each copy is independently
-     dropped, duplicated, or delayed by a bounded number of rounds. *)
-  (match net.chaos with
-  | None ->
-      charge_wire net s b;
-      net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
-  | Some ch ->
-      if Chaos.crashed ch ~node:src ~time:(float_of_int net.round) then
-        (* never made it onto the wire: offered load only *)
-        Chaos.count_crash_drop ~cid ch ~src ~dst
-      else begin
-        let stage_copy () =
-          charge_wire net s b;
-          if not (Chaos.draw_drop ~cid ch ~src ~dst) then begin
-            match Chaos.draw_lag ~cid ch ~src ~dst with
-            | 0 -> net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
-            | lag ->
-                (* countdown counts round transitions: on-time delivery
-                   consumes one, the lag adds [lag] more *)
-                net.lagging <- (lag + 1, src, dst, cid, msg) :: net.lagging
-          end
-        in
-        stage_copy ();
-        if Chaos.draw_dup ~cid ch ~src ~dst then stage_copy ()
-      end);
   cid
 
 let send net ~src ~dst msg = ignore (transmit net ~src ~dst msg)
@@ -196,7 +158,7 @@ let next_round net =
   net.delivered <- net.staged;
   Array.fill tmp 0 (Array.length tmp) [];
   net.staged <- tmp;
-  (match net.chaos with
+  (match Wire.chaos net.wire with
   | None -> ()
   | Some ch ->
       let now = float_of_int (net.round + 1) in
@@ -233,7 +195,9 @@ let next_round net =
   if net.record_history then begin
     let loads =
       List.map
-        (fun s -> (s / 2, s mod 2, net.edge_round_bits.(s)))
+        (fun s ->
+          let edge, dir = Wire.edge_dir s in
+          (edge, dir, net.edge_round_bits.(s)))
         net.touched
     in
     net.past_rounds <- loads :: net.past_rounds
@@ -279,9 +243,10 @@ let hot_edges ?(top = 10) net =
   in
   List.filteri (fun i _ -> i < top) sorted
   |> List.map (fun (s, b) ->
+         let he_edge, he_dir = Wire.edge_dir s in
          {
-           he_edge = s / 2;
-           he_dir = s mod 2;
+           he_edge;
+           he_dir;
            he_bits = b;
            he_rounds = net.slot_rounds.(s);
          })

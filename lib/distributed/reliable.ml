@@ -1,9 +1,8 @@
 (* Stop-and-wait-per-packet reliability: every data packet carries a
    per-directed-slot sequence number, the receiver acks every copy it
    sees (acks are lossy too), the sender retransmits on timeout with
-   exponential backoff and gives up after [max_attempts].  Slot = directed
-   edge = [2 * edge_id + dir], the same indexing as {!Net}'s load
-   accounting. *)
+   exponential backoff and gives up after [max_attempts].  Slots are
+   {!Wire}'s directed slots, the simulators' load-accounting index. *)
 
 type 'msg packet = Data of { seq : int; payload : 'msg } | Ack of { seq : int }
 
@@ -32,6 +31,26 @@ let trace_protocol kind ~cid ~src ~dst =
   if Obs_trace.enabled () then
     Obs_trace.emit (Obs_trace.Chaos_event { kind; cid; src; dst })
 
+(* A plan arms fault injection (and with it the protocol) only when it
+   injects something; otherwise both wrappers are passthroughs. *)
+let arm = function
+  | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
+  | _ -> None
+
+(* Per-network protocol reactions, mirrored into the shared [net.*]
+   counters and the trace. *)
+type tally = { mutable retransmits : int; mutable giveups : int }
+
+let note_retransmit tally ~cid ~src ~dst =
+  tally.retransmits <- tally.retransmits + 1;
+  Obs.Counter.incr Chaos.retries_counter;
+  trace_protocol "retransmit" ~cid ~src ~dst
+
+let note_giveup tally ~cid ~src ~dst =
+  tally.giveups <- tally.giveups + 1;
+  Obs.Counter.incr Chaos.giveups_counter;
+  trace_protocol "giveup" ~cid ~src ~dst
+
 type 'msg pending = {
   p_src : int;
   p_dst : int;
@@ -55,23 +74,13 @@ type 'msg t = {
   accum : (int * int * 'msg) list array; (* (sender, seq, payload) per dst *)
   inboxes : (int * 'msg) list array; (* previous logical round *)
   mutable clock : int; (* physical rounds completed *)
-  mutable retransmits : int;
-  mutable giveups : int;
+  tally : tally;
 }
 
-let slot_of g ~src ~dst =
-  match Graph.find_edge g src dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Reliable.send: %d and %d are not adjacent" src dst)
-  | Some id -> (2 * id) + if src < dst then 0 else 1
+let slot_of g ~src ~dst = Wire.slot ~who:"Reliable" g ~src ~dst
 
 let create ?(record_history = false) ?chaos ~model ~bits g =
-  let chaos =
-    match chaos with
-    | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
-    | _ -> None
-  in
+  let chaos = arm chaos in
   let lossy = chaos <> None in
   let packet_bits = function
     | Data { payload; _ } -> bits payload + if lossy then header_bits else 0
@@ -86,14 +95,13 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     net = Net.create ~record_history ?chaos ~model ~bits:packet_bits g;
     chaos;
     rto0;
-    next_seq = Array.make (max 1 (2 * Graph.m g)) 0;
+    next_seq = Array.make (Wire.slots g) 0;
     seen = Hashtbl.create (if lossy then 1024 else 1);
     outstanding = [];
     accum = Array.make n [];
     inboxes = Array.make n [];
     clock = 0;
-    retransmits = 0;
-    giveups = 0;
+    tally = { retransmits = 0; giveups = 0 };
   }
 
 let graph t = t.g
@@ -169,9 +177,7 @@ let retransmit_due t =
       (fun p ->
         if p.p_due > t.clock then true
         else if p.p_attempts >= max_attempts then begin
-          t.giveups <- t.giveups + 1;
-          Obs.Counter.incr Chaos.giveups_counter;
-          trace_protocol "giveup" ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+          note_giveup t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
           false
         end
         else begin
@@ -184,9 +190,7 @@ let retransmit_due t =
                (Data { seq = p.p_seq; payload = p.p_payload }));
           p.p_attempts <- p.p_attempts + 1;
           p.p_due <- t.clock + (t.rto0 * backoff p.p_attempts);
-          t.retransmits <- t.retransmits + 1;
-          Obs.Counter.incr Chaos.retries_counter;
-          trace_protocol "retransmit" ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+          note_retransmit t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
           true
         end)
       t.outstanding;
@@ -228,8 +232,8 @@ let inbox t v =
 let charge_rounds t k = Net.charge_rounds t.net k
 let stats t = Net.stats t.net
 let history t = Net.history t.net
-let retransmits t = t.retransmits
-let giveups t = t.giveups
+let retransmits t = t.tally.retransmits
+let giveups t = t.tally.giveups
 let chaos_counts t = Option.map Chaos.counts t.chaos
 
 (* ------------------------- asynchronous wrapper ---------------------- *)
@@ -243,16 +247,11 @@ module Async = struct
     next_seq : int array;
     seen : (int * int, unit) Hashtbl.t; (* delivered (slot, seq) *)
     acked : (int * int, unit) Hashtbl.t;
-    mutable retransmits : int;
-    mutable giveups : int;
+    tally : tally;
   }
 
   let create rng ?min_delay ?max_delay ?chaos g =
-    let chaos =
-      match chaos with
-      | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
-      | _ -> None
-    in
+    let chaos = arm chaos in
     let anet = Async_net.create rng ?min_delay ?max_delay ?chaos g in
     {
       g;
@@ -260,11 +259,10 @@ module Async = struct
       chaos;
       (* a round trip is at most [2 * max_delay]; leave margin for spikes *)
       rto0 = 3. *. Async_net.max_delay anet;
-      next_seq = Array.make (max 1 (2 * Graph.m g)) 0;
+      next_seq = Array.make (Wire.slots g) 0;
       seen = Hashtbl.create (if chaos <> None then 1024 else 1);
       acked = Hashtbl.create (if chaos <> None then 1024 else 1);
-      retransmits = 0;
-      giveups = 0;
+      tally = { retransmits = 0; giveups = 0 };
     }
 
   let net t = t.anet
@@ -306,25 +304,21 @@ module Async = struct
           Async_net.at t.anet ~time:(Async_net.now t.anet +. rto) (fun () ->
               if not (Hashtbl.mem t.acked key) then
                 if n >= max_attempts then begin
-                  t.giveups <- t.giveups + 1;
-                  Obs.Counter.incr Chaos.giveups_counter;
-                  trace_protocol "giveup" ~cid:!cid ~src ~dst;
+                  note_giveup t.tally ~cid:!cid ~src ~dst;
                   (* close the window: a late ack must not double-credit
                      the gauge or record a bogus RTT *)
                   Hashtbl.add t.acked key ();
                   Obs.Gauge.add g_unacked (-1)
                 end
                 else begin
-                  t.retransmits <- t.retransmits + 1;
-                  Obs.Counter.incr Chaos.retries_counter;
-                  trace_protocol "retransmit" ~cid:!cid ~src ~dst;
+                  note_retransmit t.tally ~cid:!cid ~src ~dst;
                   attempt (n + 1)
                 end)
         in
         Obs.Gauge.add g_unacked 1;
         attempt 1
 
-  let retransmits t = t.retransmits
-  let giveups t = t.giveups
+  let retransmits t = t.tally.retransmits
+  let giveups t = t.tally.giveups
   let chaos_counts t = Option.map Chaos.counts t.chaos
 end

@@ -66,11 +66,6 @@ module Pool : sig
       (workspaces) binds to a fixed domain for the pool's lifetime. *)
   val size : t -> int
 
-  (** A process-unique id, stable for the pool's lifetime — the key
-      callers use to cache per-pool state ({!Batch_greedy} keeps its
-      per-worker LBC workspaces under it). *)
-  val id : t -> int
-
   (** [shutdown p] wakes every helper, waits for them to exit, and joins
       their domains.  Idempotent.  Must not be called while a region is
       running.  Submitting to a shut-down pool raises

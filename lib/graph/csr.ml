@@ -50,14 +50,6 @@ let half_edges t = t.half
 let degree t u = t.deg.(u)
 let buffered t = t.buf_len
 
-(* Last-value gauges, one per backend, refreshed at the storage-shape
-   events (create / compact / bulk load): they report the
-   resident bytes of the most recently (re)built adjacency so bench
-   tables can show the int32 memory win.  [gauge.*] is excluded from the
-   regression gate. *)
-let g_bytes_int = Obs.gauge "gauge.graph.bytes.int"
-let g_bytes_i32 = Obs.gauge "gauge.graph.bytes.int32"
-
 let word_bytes = Sys.word_size / 8
 
 let resident_bytes t =
@@ -74,12 +66,6 @@ let resident_bytes t =
      + Array.length t.buf_eid + Array.length t.buf_next
      + Array.length t.deg)
 
-let note_bytes t =
-  let g =
-    match backend t with Int_array -> g_bytes_int | Int32_bigarray -> g_bytes_i32
-  in
-  Obs.Gauge.set g (resident_bytes t)
-
 let create ?(backend = Int_array) n =
   if backend = Int32_bigarray && n >= max_half Int32_bigarray then
     invalid_arg "Csr.create: vertex count exceeds the int32 backend's index range";
@@ -89,22 +75,18 @@ let create ?(backend = Int_array) n =
     | Int32_bigarray ->
         P_i32 { off = i32_zeros (n + 1); nbr = i32_create 0; eid = i32_create 0 }
   in
-  let t =
-    {
-      n;
-      limit = max_half backend;
-      packed;
-      buf_head = Array.make n (-1);
-      buf_nbr = [||];
-      buf_eid = [||];
-      buf_next = [||];
-      buf_len = 0;
-      deg = Array.make n 0;
-      half = 0;
-    }
-  in
-  note_bytes t;
-  t
+  {
+    n;
+    limit = max_half backend;
+    packed;
+    buf_head = Array.make n (-1);
+    buf_nbr = [||];
+    buf_eid = [||];
+    buf_next = [||];
+    buf_len = 0;
+    deg = Array.make n 0;
+    half = 0;
+  }
 
 let compact t =
   if t.buf_len > 0 then begin
@@ -164,8 +146,7 @@ let compact t =
           done
         done;
         t.packed <- P_i32 { off = noff; nbr; eid });
-    t.buf_len <- 0;
-    note_bytes t
+    t.buf_len <- 0
   end
 
 let grow_buffer t =
@@ -334,19 +315,15 @@ let of_packed_i32 ~off ~nbr ~eid =
     if v < 0 || v >= n then invalid_arg (what ^ ": neighbor out of range")
   done;
   let deg = Array.init n (fun u -> get_off (u + 1) - get_off u) in
-  let t =
-    {
-      n;
-      limit = max_half Int32_bigarray;
-      packed = P_i32 { off; nbr; eid };
-      buf_head = Array.make n (-1);
-      buf_nbr = [||];
-      buf_eid = [||];
-      buf_next = [||];
-      buf_len = 0;
-      deg;
-      half;
-    }
-  in
-  note_bytes t;
-  t
+  {
+    n;
+    limit = max_half Int32_bigarray;
+    packed = P_i32 { off; nbr; eid };
+    buf_head = Array.make n (-1);
+    buf_nbr = [||];
+    buf_eid = [||];
+    buf_next = [||];
+    buf_len = 0;
+    deg;
+    half;
+  }

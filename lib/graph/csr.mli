@@ -126,8 +126,7 @@ val half_edges : t -> int
 
 (** [resident_bytes t] is the resident size of [t]'s storage in bytes
     (packed region at the backend's width plus buffers and degrees).
-    Also exported as the [gauge.graph.bytes.int]/[.int32] gauges,
-    refreshed whenever an adjacency is (re)built. *)
+    [ftspan info] prints it per graph. *)
 val resident_bytes : t -> int
 
 (** [max_half b] is the largest half-edge count backend [b] can index

@@ -218,6 +218,184 @@ let test_congestion_skeleton_attribution () =
        false
      with Invalid_argument _ -> true)
 
+let test_async_skeleton_size_mismatch () =
+  let net = Async_net.create (Rng.create ~seed:1) (Generators.path 3) in
+  Async_net.set_skeleton net [| true; false |];
+  checkb "size mismatch rejected" true
+    (try
+       Async_net.set_skeleton net [| true |];
+       false
+     with Invalid_argument _ -> true)
+
+(* ------------------------------ pinned wire --------------------------- *)
+
+(* One fixed plan exercising every copy fate — drop, dup, a reorder lag
+   (sync) or delay spike (async), and a crash window — run with tracing
+   on.  The message events and the fault tally are pinned literally, so
+   any change to the order of chaos draws, cid mints or landings shows
+   up here as a diff. *)
+
+let traced f =
+  Obs_trace.start ();
+  Fun.protect ~finally:Obs_trace.stop f;
+  Obs_trace.events ()
+  |> List.filter_map (fun ev ->
+         match ev.Obs_trace.payload with
+         | Obs_trace.Msg_send { cid; src; dst; at; _ } ->
+             Some (Printf.sprintf "send %d %d>%d @%g" cid src dst at)
+         | Obs_trace.Msg_deliver { cid; src; dst; at } ->
+             Some (Printf.sprintf "deliver %d %d>%d @%g" cid src dst at)
+         | Obs_trace.Chaos_event { kind; cid; src; dst } ->
+             Some (Printf.sprintf "%s %d %d>%d" kind cid src dst)
+         | _ -> None)
+  |> String.concat "\n"
+
+let tally ch =
+  let c = Chaos.counts ch in
+  Printf.sprintf "drops=%d dups=%d reorders=%d" c.Chaos.c_drops c.Chaos.c_dups
+    c.Chaos.c_reorders
+
+let pinned_net_events =
+  {|send 0 0>2 @0
+reorder 0 0>2
+send 1 0>1 @0
+reorder 1 0>1
+send 2 1>2 @0
+send 3 1>0 @0
+dup 3 1>0
+reorder 3 1>0
+send 4 2>1 @0
+reorder 4 2>1
+send 5 2>0 @0
+reorder 5 2>0
+drop 2 1>2
+deliver 3 1>0 @1
+send 6 0>2 @1
+drop 6 0>2
+send 7 0>1 @1
+reorder 7 0>1
+send 8 1>2 @1
+drop 8 1>2
+send 9 1>0 @1
+drop 9 1>0
+send 10 2>1 @1
+drop 10 2>1
+send 11 2>0 @1
+drop 11 2>0
+deliver 5 2>0 @2
+deliver 1 0>1 @2
+send 12 0>2 @2
+send 13 0>1 @2
+reorder 13 0>1
+send 14 1>2 @2
+send 15 1>0 @2
+drop 15 1>0
+send 16 2>1 @2
+drop 16 2>1
+send 17 2>0 @2
+drop 17 2>0
+deliver 3 1>0 @3
+deliver 4 2>1 @3
+deliver 7 0>1 @3
+deliver 0 0>2 @3
+deliver 14 1>2 @3
+deliver 12 0>2 @3
+send 18 0>2 @3
+drop 18 0>2
+send 19 0>1 @3
+reorder 19 0>1
+send 20 1>2 @3
+drop 20 1>2
+send 21 1>0 @3
+reorder 21 1>0
+send 22 2>1 @3
+reorder 22 2>1
+send 23 2>0 @3
+drop 23 2>0
+deliver 13 0>1 @4
+deliver 21 1>0 @5
+deliver 19 0>1 @5
+deliver 22 2>1 @6|}
+let pinned_net_tally = "drops=12 dups=1 reorders=10"
+
+let test_pinned_net_wire () =
+  let ch =
+    Chaos.start
+      (Chaos.plan ~drop:0.25 ~dup:0.25 ~reorder:2 ~crashes:[ (2, 1., 3.) ]
+         ~seed:17 ())
+  in
+  let net =
+    Net.create ~chaos:ch ~model:Net.Local ~bits:(fun _ -> 8)
+      (Generators.complete 3)
+  in
+  let events =
+    traced (fun () ->
+        for round = 0 to 6 do
+          if round < 4 then
+            for src = 0 to 2 do
+              Net.broadcast net ~src round
+            done;
+          Net.next_round net
+        done)
+  in
+  check Alcotest.string "net event sequence" pinned_net_events events;
+  check Alcotest.string "net fault tally" pinned_net_tally (tally ch)
+
+let pinned_async_events =
+  {|send 0 0>1 @0
+drop 0 0>1
+send 1 0>2 @0
+send 2 1>0 @0
+send 3 1>2 @0
+dup 3 1>2
+send 4 2>0 @0
+send 5 2>1 @0
+spike 5 2>1
+deliver 3 1>2 @0.154998
+deliver 1 0>2 @0.197352
+deliver 2 1>0 @0.640146
+deliver 3 1>2 @0.69756
+deliver 4 2>0 @0.989636
+send 6 0>1 @1
+drop 6 0>1
+send 7 0>2 @1
+send 8 1>0 @1
+drop 8 1>0
+send 9 1>2 @1
+drop 9 1>2
+send 10 2>0 @1
+drop 10 2>0
+send 11 2>1 @1
+drop 11 2>1
+deliver 5 2>1 @1.81834
+deliver 7 0>2 @1.81971|}
+let pinned_async_tally = "drops=6 dups=1 reorders=1"
+
+let test_pinned_async_wire () =
+  let ch =
+    Chaos.start
+      (Chaos.plan ~drop:0.25 ~dup:0.25 ~spike:0.3 ~crashes:[ (1, 0.5, 1.5) ]
+         ~seed:17 ())
+  in
+  let net =
+    Async_net.create (Rng.create ~seed:3) ~chaos:ch (Generators.complete 3)
+  in
+  let burst () =
+    for src = 0 to 2 do
+      for dst = 0 to 2 do
+        if src <> dst then Async_net.send net ~src ~dst ignore
+      done
+    done
+  in
+  let events =
+    traced (fun () ->
+        burst ();
+        Async_net.at net ~time:1.0 burst;
+        ignore (Async_net.run net))
+  in
+  check Alcotest.string "async event sequence" pinned_async_events events;
+  check Alcotest.string "async fault tally" pinned_async_tally (tally ch)
+
 (* ----------------------------- spec grammar --------------------------- *)
 
 let test_parse_spec () =
@@ -413,6 +591,14 @@ let () =
             test_congestion_seeded_replay;
           Alcotest.test_case "skeleton attribution" `Quick
             test_congestion_skeleton_attribution;
+          Alcotest.test_case "async skeleton size mismatch" `Quick
+            test_async_skeleton_size_mismatch;
+        ] );
+      ( "pinned wire",
+        [
+          Alcotest.test_case "net traced replay" `Quick test_pinned_net_wire;
+          Alcotest.test_case "async_net traced replay" `Quick
+            test_pinned_async_wire;
         ] );
       ("spec grammar", [ Alcotest.test_case "parse" `Quick test_parse_spec ]);
       ( "reliable delivery",

@@ -59,6 +59,29 @@ let test_exponential_shard_build () =
         [ 2; 4 ])
     [ Fault.VFT; Fault.EFT ]
 
+(* Two domains each drive batched builds on a pool of their own at the
+   same time: per-worker workspaces must belong to the build, not to a
+   table shared by every pool in the process. *)
+let test_concurrent_batch_builds () =
+  let g = geometric ~seed:0xBA7C ~n:300 in
+  let build pool =
+    Selection.ids
+      (Batch_greedy.build ?pool ~mode:Fault.VFT ~k:2 ~f:1 ~batch:16 g)
+        .Batch_greedy.selection
+  in
+  let seq = build None in
+  let run_builds () =
+    Exec.Pool.with_pool ~domains:2 @@ fun pool ->
+    List.init 4 (fun _ -> build (Some pool) = seq)
+  in
+  let others = Domain.spawn run_builds in
+  let mine = run_builds () in
+  let theirs = Domain.join others in
+  checkb "this domain's builds identical to sequential" true
+    (List.for_all Fun.id mine);
+  checkb "other domain's builds identical to sequential" true
+    (List.for_all Fun.id theirs)
+
 let () =
   Alcotest.run "concurrency"
     [
@@ -67,5 +90,7 @@ let () =
           Alcotest.test_case "pooled query batches" `Quick test_pooled_query_batches;
           Alcotest.test_case "exponential shard build" `Quick
             test_exponential_shard_build;
+          Alcotest.test_case "concurrent batch builds" `Quick
+            test_concurrent_batch_builds;
         ] );
     ]

@@ -95,9 +95,10 @@ let test_decomposition_is_partition () =
         (fun v ctr ->
           checkb "center in range" true (ctr >= 0 && ctr < Graph.n g);
           (* center of a center is itself *)
-          if v = ctr then checki "center self" ctr c.Decomposition.center_of.(ctr))
-        c.Decomposition.center_of)
-    d.Decomposition.partitions
+          if v = ctr then
+            checki "center self" ctr c.Shard_partition.center_of.(ctr))
+        c.Shard_partition.center_of)
+    d.Shard_partition.partitions
 
 let test_decomposition_trees_consistent () =
   let r = rng () in
@@ -110,15 +111,15 @@ let test_decomposition_trees_consistent () =
           if parent >= 0 then begin
             checkb "parent adjacent" true (Graph.mem_edge g v parent);
             checki "same cluster as parent"
-              c.Decomposition.center_of.(parent)
-              c.Decomposition.center_of.(v);
+              c.Shard_partition.center_of.(parent)
+              c.Shard_partition.center_of.(v);
             checki "depth = parent + 1"
-              (c.Decomposition.depth_of.(parent) + 1)
-              c.Decomposition.depth_of.(v)
+              (c.Shard_partition.depth_of.(parent) + 1)
+              c.Shard_partition.depth_of.(v)
           end
-          else checki "root is its own center" v c.Decomposition.center_of.(v))
-        c.Decomposition.parent_of)
-    d.Decomposition.partitions
+          else checki "root is its own center" v c.Shard_partition.center_of.(v))
+        c.Shard_partition.parent_of)
+    d.Shard_partition.partitions
 
 let test_decomposition_coverage_whp () =
   (* Theorem 11.4: with the default ~2 log n partitions, every edge should
@@ -127,9 +128,9 @@ let test_decomposition_coverage_whp () =
   let g = Generators.connected_gnp r ~n:80 ~p:0.08 in
   let d = Decomposition.run r g in
   checkb
-    (Printf.sprintf "coverage %.3f >= 0.99" (Decomposition.coverage d))
+    (Printf.sprintf "coverage %.3f >= 0.99" (Shard_partition.coverage d))
     true
-    (Decomposition.coverage d >= 0.99)
+    (Shard_partition.coverage d >= 0.99)
 
 let test_decomposition_cluster_diameter_logarithmic () =
   let r = rng () in
@@ -139,22 +140,25 @@ let test_decomposition_cluster_diameter_logarithmic () =
      tree depth is bounded by the max shift.  Grid diameter is 22, so this
      only bites via the shifts; just check sanity. *)
   checkb
-    (Printf.sprintf "max depth %d reasonable" d.Decomposition.max_depth)
+    (Printf.sprintf "max depth %d reasonable" d.Shard_partition.max_depth)
     true
-    (d.Decomposition.max_depth <= 60);
-  checkb "rounds = horizon >= depth" true (d.Decomposition.rounds >= d.Decomposition.max_depth)
+    (d.Shard_partition.max_depth <= 60);
+  checkb "rounds = horizon >= depth" true
+    (d.Shard_partition.horizon >= d.Shard_partition.max_depth)
 
 let test_decomposition_members_consistent () =
   let r = rng () in
   let g = Generators.cycle 30 in
   let d = Decomposition.run r g in
-  let c = d.Decomposition.partitions.(0) in
-  let members = Decomposition.cluster_members c in
+  let c = d.Shard_partition.partitions.(0) in
+  let members = Shard_partition.members c in
   let total = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 members in
   checki "members cover all vertices" 30 total;
   List.iter
     (fun (ctr, l) ->
-      List.iter (fun v -> checki "member's center" ctr c.Decomposition.center_of.(v)) l)
+      List.iter
+        (fun v -> checki "member's center" ctr c.Shard_partition.center_of.(v))
+        l)
     members
 
 let test_decomposition_beta_tradeoff () =
@@ -163,11 +167,11 @@ let test_decomposition_beta_tradeoff () =
   let cut_fraction beta =
     let r = Rng.create ~seed:31415 in
     let d = Decomposition.run r ~beta ~partitions:1 g in
-    let c = d.Decomposition.partitions.(0) in
+    let c = d.Shard_partition.partitions.(0) in
     let cut = ref 0 in
     Graph.iter_edges g (fun e ->
-        if c.Decomposition.center_of.(e.Graph.u) <> c.Decomposition.center_of.(e.Graph.v)
-        then incr cut);
+        let center = c.Shard_partition.center_of in
+        if center.(e.Graph.u) <> center.(e.Graph.v) then incr cut);
     float_of_int !cut /. float_of_int (Graph.m g)
   in
   let many = ref 0 in
@@ -190,14 +194,14 @@ let test_decomposition_assigns_exactly_once () =
           List.iter
             (fun (_, members) ->
               List.iter (fun v -> seen.(v) <- seen.(v) + 1) members)
-            (Decomposition.cluster_members c);
+            (Shard_partition.members c);
           Array.iteri
             (fun v count ->
               checki
                 (Printf.sprintf "seed %d partition %d vertex %d" seed p v)
                 1 count)
             seen)
-        d.Decomposition.partitions)
+        d.Shard_partition.partitions)
     [ 1; 2; 3; 4; 5 ]
 
 let test_decomposition_edge_cases () =
@@ -206,22 +210,22 @@ let test_decomposition_edge_cases () =
   let d1 = Decomposition.run (rng ()) one in
   Array.iter
     (fun c ->
-      checki "singleton is its own center" 0 c.Decomposition.center_of.(0);
-      checki "singleton parent" (-1) c.Decomposition.parent_of.(0);
-      checki "singleton depth" 0 c.Decomposition.depth_of.(0))
-    d1.Decomposition.partitions;
-  checkb "edgeless coverage is 1.0" true (Decomposition.coverage d1 = 1.0);
+      checki "singleton is its own center" 0 c.Shard_partition.center_of.(0);
+      checki "singleton parent" (-1) c.Shard_partition.parent_of.(0);
+      checki "singleton depth" 0 c.Shard_partition.depth_of.(0))
+    d1.Shard_partition.partitions;
+  checkb "edgeless coverage is 1.0" true (Shard_partition.coverage d1 = 1.0);
   (* Edgeless graph: every cluster is a singleton in every partition. *)
   let iso = Graph.create 4 in
   let d4 = Decomposition.run (rng ()) iso in
   Array.iter
     (fun c ->
-      let members = Decomposition.cluster_members c in
+      let members = Shard_partition.members c in
       checki "four singleton clusters" 4 (List.length members);
       List.iter
         (fun (ctr, ms) -> checki (Printf.sprintf "cluster %d" ctr) 1 (List.length ms))
         members)
-    d4.Decomposition.partitions;
+    d4.Shard_partition.partitions;
   (* Parameter validation. *)
   List.iter
     (fun beta ->
@@ -245,9 +249,9 @@ let test_decomposition_padding_probability () =
   List.iter
     (fun seed ->
       let d1 = Decomposition.run (Rng.create ~seed) ~partitions:1 g in
-      single := !single +. Decomposition.coverage d1;
+      single := !single +. Shard_partition.coverage d1;
       let dl = Decomposition.run (Rng.create ~seed) g in
-      stacked := !stacked +. Decomposition.coverage dl)
+      stacked := !stacked +. Shard_partition.coverage dl)
     seeds;
   let nseeds = float_of_int (List.length seeds) in
   checkb
@@ -308,7 +312,7 @@ let test_local_spanner_round_structure () =
   let g = Generators.grid ~rows:7 ~cols:7 in
   let res = Local_spanner.build r ~mode:Fault.VFT ~k:2 ~f:1 g in
   checki "total = decomp + announce + gather + scatter"
-    (res.Local_spanner.decomposition.Decomposition.rounds
+    (res.Local_spanner.decomposition.Shard_partition.horizon
     + res.Local_spanner.announce_rounds + res.Local_spanner.gather_rounds
     + res.Local_spanner.scatter_rounds)
     res.Local_spanner.total_rounds;

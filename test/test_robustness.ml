@@ -165,8 +165,8 @@ let test_decomposition_single_vertex () =
   let g = Graph.create 1 in
   let d = Decomposition.run (rng ()) g in
   Array.iter
-    (fun c -> checki "self-centered" 0 c.Decomposition.center_of.(0))
-    d.Decomposition.partitions
+    (fun c -> checki "self-centered" 0 c.Shard_partition.center_of.(0))
+    d.Shard_partition.partitions
 
 (* ------------------------- mask boundary cases ----------------------- *)
 

@@ -38,28 +38,28 @@ let test_partition_matches_simulation () =
       let native = Shard_partition.run (Rng.create ~seed:91) g in
       let simulated = Decomposition.run (Rng.create ~seed:91) g in
       checki (name ^ ": partition count")
-        (Array.length simulated.Decomposition.partitions)
+        (Array.length simulated.Shard_partition.partitions)
         (Array.length native.Shard_partition.partitions);
-      checki (name ^ ": horizon = rounds") simulated.Decomposition.rounds
+      checki (name ^ ": horizon = rounds") simulated.Shard_partition.horizon
         native.Shard_partition.horizon;
-      checki (name ^ ": max depth") simulated.Decomposition.max_depth
+      checki (name ^ ": max depth") simulated.Shard_partition.max_depth
         native.Shard_partition.max_depth;
       Array.iteri
         (fun p (nc : Shard_partition.clustering) ->
-          let sc = simulated.Decomposition.partitions.(p) in
+          let sc = simulated.Shard_partition.partitions.(p) in
           checkil
             (Printf.sprintf "%s: centers of partition %d" name p)
-            (Array.to_list sc.Decomposition.center_of)
+            (Array.to_list sc.Shard_partition.center_of)
             (Array.to_list nc.Shard_partition.center_of);
           checkil
             (Printf.sprintf "%s: depths of partition %d" name p)
-            (Array.to_list sc.Decomposition.depth_of)
+            (Array.to_list sc.Shard_partition.depth_of)
             (Array.to_list nc.Shard_partition.depth_of))
         native.Shard_partition.partitions;
       check
         (Alcotest.list Alcotest.bool)
         (name ^ ": covered edges")
-        (Array.to_list simulated.Decomposition.covered)
+        (Array.to_list simulated.Shard_partition.covered)
         (Array.to_list native.Shard_partition.covered))
     (graph_families ())
 

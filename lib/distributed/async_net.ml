@@ -10,7 +10,12 @@ type t = {
   wire : Wire.t;
   queue : Pqueue.t;
   mutable handlers : ev array;
-  mutable handler_count : int;
+  mutable handler_count : int;  (* slots ever handed out *)
+  (* slots whose event has fired, reused before [handlers] grows; the
+     queue orders by time alone, so which slot an event gets never
+     changes the order events fire in *)
+  mutable free : int array;
+  mutable free_count : int;
   mutable clock : float;
   mutable sent : int;
   (* congestion accumulator: physical message copies per directed slot
@@ -45,6 +50,8 @@ let create rng ?(min_delay = 0.1) ?(max_delay = 1.0) ?chaos g =
     queue = Pqueue.create ~capacity:64;
     handlers = Array.make 64 nop_ev;
     handler_count = 0;
+    free = Array.make 64 0;
+    free_count = 0;
     clock = 0.;
     sent = 0;
     win_msgs = Array.make (Wire.slots g) 0;
@@ -69,15 +76,27 @@ let flush_window net =
     net.win_touched;
   net.win_touched <- []
 
+let fresh_slot net =
+  if net.free_count > 0 then begin
+    net.free_count <- net.free_count - 1;
+    net.free.(net.free_count)
+  end
+  else begin
+    let cap = Array.length net.handlers in
+    if net.handler_count = cap then begin
+      let bigger = Array.make (2 * cap) nop_ev in
+      Array.blit net.handlers 0 bigger 0 cap;
+      net.handlers <- bigger;
+      net.free <- Array.make (2 * cap) 0
+    end;
+    let idx = net.handler_count in
+    net.handler_count <- idx + 1;
+    idx
+  end
+
 let push_ev net ~time ev =
-  if net.handler_count = Array.length net.handlers then begin
-    let bigger = Array.make (2 * net.handler_count) nop_ev in
-    Array.blit net.handlers 0 bigger 0 net.handler_count;
-    net.handlers <- bigger
-  end;
-  let idx = net.handler_count in
+  let idx = fresh_slot net in
   net.handlers.(idx) <- ev;
-  net.handler_count <- idx + 1;
   Pqueue.push net.queue time idx;
   Obs.Gauge.add g_inflight 1
 
@@ -142,6 +161,8 @@ let run ?(until = infinity) ?(max_events = max_int) net =
           incr processed;
           let ev = net.handlers.(idx) in
           net.handlers.(idx) <- nop_ev;
+          net.free.(net.free_count) <- idx;
+          net.free_count <- net.free_count + 1;
           Obs.Gauge.add g_inflight (-1);
           if ev.ev_src >= 0 && Obs_trace.enabled () then
             Obs_trace.emit

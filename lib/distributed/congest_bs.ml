@@ -18,10 +18,8 @@ let build rng ?word_bits ?(record_history = false) ?chaos ~k g =
   if k < 1 then invalid_arg "Congest_bs.build: k must be >= 1";
   let n = Graph.n g in
   let w = match word_bits with Some b -> b | None -> 4 * word_bits_for n in
-  let bits = function
-    | Sampled_bit _ | Announce _ -> 2 * word_bits_for n
-    | Kill -> 1
-  in
+  let announce_bits = 2 * word_bits_for n in
+  let bits = function Sampled_bit _ | Announce _ -> announce_bits | Kill -> 1 in
   let net = Reliable.create ~record_history ?chaos ~model:(Net.Congest w) ~bits g in
   let m = Graph.m g in
   let selected = Array.make m false in

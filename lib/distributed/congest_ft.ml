@@ -9,6 +9,11 @@ type result = {
   word_bits : int;
 }
 
+(* Per-step load of one parent directed slot, summed over instances. *)
+type load = { mutable bits : int; mutable instances : int }
+
+module Loads = Hashtbl.Make (Int)
+
 let bits_needed x =
   let rec go v acc = if v = 0 then max 1 acc else go (v lsr 1) (acc + 1) in
   go (max 1 x) 0
@@ -73,8 +78,9 @@ let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
      per-round edge loads. *)
   let union = Array.make m false in
   let base_rounds = ref 0 in
-  (* loads per BS step: hashtable (step, parent_edge, dir) -> (bits, instances) *)
-  let loads : (int * int * int, int * int) Hashtbl.t = Hashtbl.create 4096 in
+  (* loads per BS step, keyed by [step * slots + 2 * parent_edge + dir] *)
+  let slots = Wire.slots g in
+  let loads : load Loads.t = Loads.create 4096 in
   for it = 0 to j - 1 do
     if Obs_trace.enabled () then
       Obs_trace.emit (Obs_trace.Phase { name = "congest_ft.iteration"; index = it });
@@ -102,9 +108,13 @@ let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
         (fun step entries ->
           List.iter
             (fun (sub_edge, dir, bits) ->
-              let key = (step, sub.Subgraph.to_parent_edge.(sub_edge), dir) in
-              let b0, c0 = try Hashtbl.find loads key with Not_found -> (0, 0) in
-              Hashtbl.replace loads key (b0 + bits, c0 + 1))
+              let edge = sub.Subgraph.to_parent_edge.(sub_edge) in
+              let key = (step * slots) + (2 * edge) + dir in
+              match Loads.find_opt loads key with
+              | Some l ->
+                  l.bits <- l.bits + bits;
+                  l.instances <- l.instances + 1
+              | None -> Loads.add loads key { bits; instances = 1 })
             entries)
         hist
     end
@@ -112,11 +122,12 @@ let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
   (* Schedule: physical rounds for BS step r = ceil(max edge load / word). *)
   let per_step = Array.make (max 1 !base_rounds) 1 in
   let max_overlap = ref 0 in
-  Hashtbl.iter
-    (fun (step, _, _) (bits, count) ->
+  Loads.iter
+    (fun key { bits; instances } ->
+      let step = key / slots in
       let need = max 1 ((bits + word - 1) / word) in
       if need > per_step.(step) then per_step.(step) <- need;
-      if count > !max_overlap then max_overlap := count)
+      if instances > !max_overlap then max_overlap := instances)
     loads;
   let phase2_rounds = Array.fold_left ( + ) 0 per_step in
   {

@@ -224,8 +224,7 @@ let next_round net =
 
 let inbox net v = List.map (fun (src, _, msg) -> (src, msg)) net.delivered.(v)
 
-let inbox_cids net v =
-  List.map (fun (src, cid, msg) -> (src, cid, msg)) net.delivered.(v)
+let inbox_cids net v = net.delivered.(v)
 
 (* Top-K busiest directed slots over the whole run, by cumulative
    physical bits (ties: smaller slot first — deterministic). *)

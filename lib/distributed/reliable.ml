@@ -51,26 +51,43 @@ let note_giveup tally ~cid ~src ~dst =
   Obs.Counter.incr Chaos.giveups_counter;
   trace_protocol "giveup" ~cid ~src ~dst
 
+(* Sets of delivered or acknowledged packets, keyed by [key]. *)
+module Packets = Hashtbl.Make (Int)
+
+(* One int per (directed slot, sequence number). *)
+let key ~slots ~slot ~seq = (seq * slots) + slot
+
 type 'msg pending = {
   p_src : int;
   p_dst : int;
-  p_slot : int;
   p_seq : int;
   p_cid : int; (* causal id of the first transmission; reused on re-sends *)
   p_payload : 'msg;
   p_sent : int; (* physical round of the first transmission *)
   mutable p_attempts : int; (* transmissions so far *)
   mutable p_due : int; (* physical round of the next retransmission *)
+  mutable p_retired : bool; (* acked or given up *)
 }
 
+(* The send window holds one logical round's packets.  [window] lists
+   them newest first, the order retransmissions go out in; [by_slot]
+   indexes the same records per directed slot, so an ack finds its
+   packet without a scan.  A retired record stays in both until the
+   round ends, except that [window] drops its retired records once they
+   are the majority. *)
 type 'msg t = {
   g : Graph.t;
   net : 'msg packet Net.t;
   chaos : Chaos.state option; (* [None] = passthrough *)
   rto0 : int;
+  slots : int;
   next_seq : int array; (* per directed slot *)
-  seen : (int * int, unit) Hashtbl.t; (* delivered (slot, seq) *)
-  mutable outstanding : 'msg pending list;
+  seen : unit Packets.t; (* delivered *)
+  mutable window : 'msg pending list;
+  mutable window_len : int;
+  mutable live : int; (* unretired records in [window] *)
+  by_slot : 'msg pending list array; (* newest first *)
+  mutable used_slots : int list; (* slots whose [by_slot] is non-empty *)
   accum : (int * int * 'msg) list array; (* (sender, seq, payload) per dst *)
   inboxes : (int * 'msg) list array; (* previous logical round *)
   mutable clock : int; (* physical rounds completed *)
@@ -95,9 +112,14 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     net = Net.create ~record_history ?chaos ~model ~bits:packet_bits g;
     chaos;
     rto0;
+    slots = Wire.slots g;
     next_seq = Array.make (Wire.slots g) 0;
-    seen = Hashtbl.create (if lossy then 1024 else 1);
-    outstanding = [];
+    seen = Packets.create (if lossy then 1024 else 1);
+    window = [];
+    window_len = 0;
+    live = 0;
+    by_slot = Array.make (if lossy then Wire.slots g else 0) [];
+    used_slots = [];
     accum = Array.make n [];
     inboxes = Array.make n [];
     clock = 0;
@@ -114,104 +136,122 @@ let send t ~src ~dst msg =
       let seq = t.next_seq.(slot) in
       t.next_seq.(slot) <- seq + 1;
       let cid = Net.transmit t.net ~src ~dst (Data { seq; payload = msg }) in
-      t.outstanding <-
+      let p =
         {
           p_src = src;
           p_dst = dst;
-          p_slot = slot;
           p_seq = seq;
           p_cid = cid;
           p_payload = msg;
           p_sent = t.clock;
           p_attempts = 1;
           p_due = t.clock + t.rto0;
+          p_retired = false;
         }
-        :: t.outstanding;
-      Obs.Gauge.set g_unacked (List.length t.outstanding)
+      in
+      t.window <- p :: t.window;
+      t.window_len <- t.window_len + 1;
+      t.live <- t.live + 1;
+      if t.by_slot.(slot) = [] then t.used_slots <- slot :: t.used_slots;
+      t.by_slot.(slot) <- p :: t.by_slot.(slot);
+      Obs.Gauge.add g_unacked 1
 
 let broadcast t ~src msg =
   Graph.iter_neighbors t.g src (fun dst _ -> send t ~src ~dst msg)
 
+let retire t p =
+  p.p_retired <- true;
+  t.live <- t.live - 1;
+  Obs.Gauge.add g_unacked (-1)
+
 (* Read one physical round's deliveries: ack every data copy (the ack
    itself may be lost — the sender's timeout covers that), accumulate
-   first copies into the logical inbox, and clear acked packets. *)
+   first copies into the logical inbox, and retire acked packets. *)
 let harvest t =
   let n = Graph.n t.g in
   for v = 0 to n - 1 do
     List.iter
       (fun (sender, cid, pkt) ->
         match pkt with
-        | Ack { seq } ->
+        | Ack { seq } -> (
             (* [cid] here is the ack packet's own id; the event we emit
-               belongs to the data packet, via the pending record *)
-            t.outstanding <-
-              List.filter
-                (fun p ->
-                  if p.p_src = v && p.p_dst = sender && p.p_seq = seq then begin
-                    Obs.Histogram.observe_int h_rtt (t.clock - p.p_sent);
-                    trace_protocol "ack" ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
-                    false
-                  end
-                  else true)
-                t.outstanding
+               belongs to the data packet, via the pending record.  An
+               ack for an earlier logical round finds nothing. *)
+            let slot = slot_of t.g ~src:v ~dst:sender in
+            match List.find_opt (fun p -> p.p_seq = seq) t.by_slot.(slot) with
+            | Some p when not p.p_retired ->
+                Obs.Histogram.observe_int h_rtt (t.clock - p.p_sent);
+                trace_protocol "ack" ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+                retire t p
+            | Some _ | None -> ())
         | Data { seq; payload } ->
             Net.send t.net ~src:v ~dst:sender (Ack { seq });
             let slot = slot_of t.g ~src:sender ~dst:v in
-            if not (Hashtbl.mem t.seen (slot, seq)) then begin
-              Hashtbl.add t.seen (slot, seq) ();
+            let k = key ~slots:t.slots ~slot ~seq in
+            if not (Packets.mem t.seen k) then begin
+              Packets.add t.seen k ();
               t.accum.(v) <- (sender, seq, payload) :: t.accum.(v)
             end
             else trace_protocol "dup_suppress" ~cid ~src:sender ~dst:v)
       (Net.inbox_cids t.net v)
-  done;
-  Obs.Gauge.set g_unacked (List.length t.outstanding)
+  done
 
 let step t =
   Net.next_round t.net;
   t.clock <- t.clock + 1;
   harvest t
 
+(* Newest first, as sent: the order the chaos stream is drawn in. *)
 let retransmit_due t =
-  t.outstanding <-
-    List.filter
-      (fun p ->
-        if p.p_due > t.clock then true
-        else if p.p_attempts >= max_attempts then begin
-          note_giveup t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
-          false
-        end
-        else begin
-          (* same causal id: the re-send is another attempt of the same
-             application message, not a new lifecycle *)
-          ignore
-            (Net.transmit t.net
-               ?cid:(if p.p_cid >= 0 then Some p.p_cid else None)
-               ~src:p.p_src ~dst:p.p_dst
-               (Data { seq = p.p_seq; payload = p.p_payload }));
-          p.p_attempts <- p.p_attempts + 1;
-          p.p_due <- t.clock + (t.rto0 * backoff p.p_attempts);
-          note_retransmit t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
-          true
-        end)
-      t.outstanding;
-  Obs.Gauge.set g_unacked (List.length t.outstanding)
+  if 2 * t.live < t.window_len then begin
+    t.window <- List.filter (fun p -> not p.p_retired) t.window;
+    t.window_len <- t.live
+  end;
+  List.iter
+    (fun p ->
+      if p.p_retired || p.p_due > t.clock then ()
+      else if p.p_attempts >= max_attempts then begin
+        note_giveup t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+        retire t p
+      end
+      else begin
+        (* same causal id: the re-send is another attempt of the same
+           application message, not a new lifecycle *)
+        ignore
+          (Net.transmit t.net
+             ?cid:(if p.p_cid >= 0 then Some p.p_cid else None)
+             ~src:p.p_src ~dst:p.p_dst
+             (Data { seq = p.p_seq; payload = p.p_payload }));
+        p.p_attempts <- p.p_attempts + 1;
+        p.p_due <- t.clock + (t.rto0 * backoff p.p_attempts);
+        note_retransmit t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst
+      end)
+    t.window
+
+let clear_window t =
+  t.window <- [];
+  t.window_len <- 0;
+  List.iter (fun s -> t.by_slot.(s) <- []) t.used_slots;
+  t.used_slots <- []
 
 let next_round t =
   match t.chaos with
   | None -> Net.next_round t.net
   | Some _ ->
       step t;
-      while t.outstanding <> [] do
+      while t.live > 0 do
         retransmit_due t;
-        if t.outstanding <> [] then step t
+        if t.live > 0 then step t
       done;
+      clear_window t;
       let n = Graph.n t.g in
       for v = 0 to n - 1 do
         (* canonical order: by sender, then send order — independent of
            which physical round each copy happened to arrive in *)
         let sorted =
           List.sort
-            (fun (s1, q1, _) (s2, q2, _) -> compare (s1, q1) (s2, q2))
+            (fun (s1, q1, _) (s2, q2, _) ->
+              if s1 <> s2 then Int.compare s1 s2 else Int.compare q1 q2)
             t.accum.(v)
         in
         t.inboxes.(v) <- List.map (fun (s, _, m) -> (s, m)) sorted;
@@ -244,9 +284,10 @@ module Async = struct
     anet : Async_net.t;
     chaos : Chaos.state option;
     rto0 : float;
+    slots : int;
     next_seq : int array;
-    seen : (int * int, unit) Hashtbl.t; (* delivered (slot, seq) *)
-    acked : (int * int, unit) Hashtbl.t;
+    seen : unit Packets.t; (* delivered *)
+    acked : unit Packets.t; (* acked or given up *)
     tally : tally;
   }
 
@@ -259,9 +300,10 @@ module Async = struct
       chaos;
       (* a round trip is at most [2 * max_delay]; leave margin for spikes *)
       rto0 = 3. *. Async_net.max_delay anet;
+      slots = Wire.slots g;
       next_seq = Array.make (Wire.slots g) 0;
-      seen = Hashtbl.create (if chaos <> None then 1024 else 1);
-      acked = Hashtbl.create (if chaos <> None then 1024 else 1);
+      seen = Packets.create (if chaos <> None then 1024 else 1);
+      acked = Packets.create (if chaos <> None then 1024 else 1);
       tally = { retransmits = 0; giveups = 0 };
     }
 
@@ -274,20 +316,20 @@ module Async = struct
         let slot = slot_of t.g ~src ~dst in
         let seq = t.next_seq.(slot) in
         t.next_seq.(slot) <- seq + 1;
-        let key = (slot, seq) in
+        let key = key ~slots:t.slots ~slot ~seq in
         let t0 = Async_net.now t.anet in
         (* the first attempt's causal id, shared by every re-send *)
         let cid = ref (-1) in
         let deliver () =
-          if not (Hashtbl.mem t.seen key) then begin
-            Hashtbl.add t.seen key ();
+          if not (Packets.mem t.seen key) then begin
+            Packets.add t.seen key ();
             handler ()
           end
           else trace_protocol "dup_suppress" ~cid:!cid ~src ~dst;
           (* ack every copy: an earlier ack may have been dropped *)
           Async_net.send t.anet ~src:dst ~dst:src (fun () ->
-              if not (Hashtbl.mem t.acked key) then begin
-                Hashtbl.add t.acked key ();
+              if not (Packets.mem t.acked key) then begin
+                Packets.add t.acked key ();
                 Obs.Gauge.add g_unacked (-1);
                 Obs.Histogram.observe h_rtt (Async_net.now t.anet -. t0);
                 trace_protocol "ack" ~cid:!cid ~src ~dst
@@ -302,12 +344,12 @@ module Async = struct
           if !cid < 0 then cid := c;
           let rto = t.rto0 *. float_of_int (backoff n) in
           Async_net.at t.anet ~time:(Async_net.now t.anet +. rto) (fun () ->
-              if not (Hashtbl.mem t.acked key) then
+              if not (Packets.mem t.acked key) then
                 if n >= max_attempts then begin
                   note_giveup t.tally ~cid:!cid ~src ~dst;
                   (* close the window: a late ack must not double-credit
                      the gauge or record a bogus RTT *)
-                  Hashtbl.add t.acked key ();
+                  Packets.add t.acked key ();
                   Obs.Gauge.add g_unacked (-1)
                 end
                 else begin

@@ -19,6 +19,14 @@
     the chaos plan's private stream, never the algorithm's generator —
     computes the very same result.
 
+    In chaos mode the send window costs O(1) per packet: a send appends
+    one record, an ack finds its record through a per-directed-slot
+    index, and a physical round visits at most twice as many records as
+    are still unacknowledged (acked and abandoned ones are dropped once
+    they are the majority).
+    Retransmissions go out newest send first, so the chaos stream is
+    drawn in the same order for every run of the same traffic.
+
     Retransmissions count into the global [net.retries] counter and
     abandoned packets into [net.giveups] (both owned by {!Chaos});
     per-network totals are available via {!retransmits} / {!giveups}.

@@ -396,6 +396,50 @@ let test_pinned_async_wire () =
   check Alcotest.string "async event sequence" pinned_async_events events;
   check Alcotest.string "async fault tally" pinned_async_tally (tally ch)
 
+(* The synchronous Reliable path: a CONGEST FT build under drop, dup,
+   reorder and one crash window.  Its event stream runs to thousands of
+   lines, so it is pinned by length and digest, next to the protocol's
+   reactions (read off the shared [net.*] counters) and the selection. *)
+
+let pinned_reliable_events = (4838, "5ecf39b45ebf3273439832e6ac131d84")
+let pinned_reliable_retransmits = 330
+let pinned_reliable_giveups = 0
+let pinned_reliable_selection =
+  (* every edge of the 27 but edge 21 *)
+  List.filter (fun e -> e <> 21) (List.init 27 Fun.id)
+
+let test_pinned_reliable_wire () =
+  let g = Generators.connected_gnp (Rng.create ~seed:104) ~n:12 ~p:0.35 in
+  let chaos =
+    Chaos.plan ~drop:0.2 ~dup:0.1 ~reorder:2 ~crashes:[ (3, 4., 9.) ] ~seed:29
+      ()
+  in
+  let build ?chaos () =
+    Congest_ft.build (Rng.create ~seed:6) ~c:0.2 ?chaos ~mode:Fault.VFT ~k:2
+      ~f:1 g
+  in
+  let retries0 = Obs.Counter.value Chaos.retries_counter in
+  let giveups0 = Obs.Counter.value Chaos.giveups_counter in
+  let result = ref None in
+  let events = traced (fun () -> result := Some (build ~chaos ())) in
+  let lossy = Option.get !result in
+  let lines = List.length (String.split_on_char '\n' events) in
+  check
+    Alcotest.(pair int string)
+    "reliable event sequence" pinned_reliable_events
+    (lines, Digest.to_hex (Digest.string events));
+  checki "retransmits" pinned_reliable_retransmits
+    (Obs.Counter.value Chaos.retries_counter - retries0);
+  checki "giveups" pinned_reliable_giveups
+    (Obs.Counter.value Chaos.giveups_counter - giveups0);
+  let ids r = Selection.ids r.Congest_ft.selection in
+  check
+    (Alcotest.list Alcotest.int)
+    "selection" pinned_reliable_selection (ids lossy);
+  check
+    (Alcotest.list Alcotest.int)
+    "selection equals the chaos-free build" (ids (build ())) (ids lossy)
+
 (* ----------------------------- spec grammar --------------------------- *)
 
 let test_parse_spec () =
@@ -508,6 +552,50 @@ let test_reliable_same_seed_bit_identical () =
   in
   checkb "same seeds, same run" true (run () = run ())
 
+let g_unacked = Obs.gauge "gauge.reliable.unacked"
+
+(* A destination down for the whole run: every packet to it exhausts its
+   retry budget, the logical round still ends, and the unacked window
+   drains back to the level it started from. *)
+let test_reliable_gives_up_on_dead_destination () =
+  let g = Generators.complete 3 in
+  let chaos = Chaos.plan ~crashes:[ (1, 0., infinity) ] ~seed:5 () in
+  let t = Reliable.create ~chaos ~model:Net.Local ~bits:(fun _ -> 8) g in
+  let level0 = Obs.Gauge.value g_unacked in
+  Reliable.broadcast t ~src:0 "a";
+  Reliable.broadcast t ~src:2 "b";
+  Reliable.next_round t;
+  checki "giveups" 2 (Reliable.giveups t);
+  checki "retransmits" 58 (Reliable.retransmits t);
+  check
+    Alcotest.(list (pair int string))
+    "dead destination hears nothing" [] (Reliable.inbox t 1);
+  check
+    Alcotest.(list (pair int string))
+    "live destination hears its neighbour" [ (0, "a") ] (Reliable.inbox t 2);
+  checki "unacked gauge drained" level0 (Obs.Gauge.value g_unacked)
+
+(* Two live networks each hold unacked sends: the shared gauge is the sum
+   of their windows, and each drains only its own share. *)
+let test_reliable_unacked_gauge_sums_networks () =
+  let chaos = Chaos.plan ~drop:0.3 ~seed:9 () in
+  let a =
+    Reliable.create ~chaos ~model:Net.Local ~bits:(fun _ -> 8)
+      (Generators.complete 4)
+  in
+  let b =
+    Reliable.create ~chaos ~model:Net.Local ~bits:(fun _ -> 8)
+      (Generators.complete 3)
+  in
+  let level0 = Obs.Gauge.value g_unacked in
+  Reliable.broadcast a ~src:0 ();
+  Reliable.broadcast b ~src:1 ();
+  checki "both windows counted" (level0 + 5) (Obs.Gauge.value g_unacked);
+  Reliable.next_round a;
+  checki "a drained, b still pending" (level0 + 2) (Obs.Gauge.value g_unacked);
+  Reliable.next_round b;
+  checki "both drained" level0 (Obs.Gauge.value g_unacked)
+
 (* ------------------------ end-to-end constructions -------------------- *)
 
 let chaos_heavy = Chaos.plan ~drop:0.2 ~dup:0.05 ~reorder:2 ~seed:21 ()
@@ -599,6 +687,8 @@ let () =
           Alcotest.test_case "net traced replay" `Quick test_pinned_net_wire;
           Alcotest.test_case "async_net traced replay" `Quick
             test_pinned_async_wire;
+          Alcotest.test_case "reliable traced replay" `Quick
+            test_pinned_reliable_wire;
         ] );
       ("spec grammar", [ Alcotest.test_case "parse" `Quick test_parse_spec ]);
       ( "reliable delivery",
@@ -608,6 +698,10 @@ let () =
           Alcotest.test_case "masks drops" `Quick test_reliable_masks_drops;
           Alcotest.test_case "seeded determinism" `Quick
             test_reliable_same_seed_bit_identical;
+          Alcotest.test_case "gives up on a dead destination" `Quick
+            test_reliable_gives_up_on_dead_destination;
+          Alcotest.test_case "unacked gauge sums networks" `Quick
+            test_reliable_unacked_gauge_sums_networks;
         ] );
       ( "end to end",
         [

@@ -315,36 +315,44 @@ let verify_cmd =
         match sel with
         | Error e -> Error e
         | Ok sel ->
-            with_jobs jobs @@ fun pool ->
-            (* One rng threads through adversarial -> random -> profile, so
-               the whole chain's figures are a function of [seed]. *)
-            let rng = Rng.create ~seed in
-            let cfg = Verify.config ?pool ~rng ~trials () in
-            let stretch = float_of_int ((2 * k) - 1) in
-            let report =
-              if exhaustive then Verify.exhaustive ~cfg sel ~mode ~stretch ~f
-              else begin
-                let a = Verify.adversarial ~cfg sel ~mode ~stretch ~f in
-                if Verify.ok a then Verify.random ~cfg sel ~mode ~stretch ~f
-                else a
-              end
+            let violated =
+              with_jobs jobs @@ fun pool ->
+              (* One rng threads through adversarial -> random -> profile, so
+                 the whole chain's figures are a function of [seed]. *)
+              let rng = Rng.create ~seed in
+              let cfg = Verify.config ?pool ~rng ~trials () in
+              let stretch = float_of_int ((2 * k) - 1) in
+              let report =
+                if exhaustive then Verify.exhaustive ~cfg sel ~mode ~stretch ~f
+                else begin
+                  let a = Verify.adversarial ~cfg sel ~mode ~stretch ~f in
+                  if Verify.ok a then Verify.random ~cfg sel ~mode ~stretch ~f
+                  else a
+                end
+              in
+              Printf.printf "checked %d fault sets\n" report.Verify.checked;
+              match report.Verify.violation with
+              | None ->
+                  Printf.printf "OK: no stretch violation found (stretch %.0f, f=%d)\n"
+                    stretch f;
+                  let profile =
+                    Verify.profile
+                      ~cfg:(Verify.config ?pool ~rng ~trials:(min trials 50) ())
+                      sel ~mode ~f
+                  in
+                  Printf.printf "%s\n" (Format.asprintf "%a" Verify.pp_profile profile);
+                  false
+              | Some v ->
+                  Printf.printf "VIOLATION: %s\n"
+                    (Format.asprintf "%a" Verify.pp_violation v);
+                  true
             in
-            Printf.printf "checked %d fault sets\n" report.Verify.checked;
-            (match report.Verify.violation with
-            | None ->
-                Printf.printf "OK: no stretch violation found (stretch %.0f, f=%d)\n"
-                  stretch f;
-                let profile =
-                  Verify.profile
-                    ~cfg:(Verify.config ?pool ~rng ~trials:(min trials 50) ())
-                    sel ~mode ~f
-                in
-                Printf.printf "%s\n" (Format.asprintf "%a" Verify.pp_profile profile);
-                Ok ()
-            | Some v ->
-                Printf.printf "VIOLATION: %s\n"
-                  (Format.asprintf "%a" Verify.pp_violation v);
-                Error (`Msg "spanner property violated")))
+            (* A violation is a failed check, not a usage error: exit 1. *)
+            if violated then begin
+              prerr_endline "ftspan: spanner property violated";
+              exit 1
+            end;
+            Ok ())
   in
   let term =
     Term.(
@@ -784,33 +792,30 @@ let trace_top_arg =
   let doc = "Edges to keep in the per-edge leaderboard." in
   Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc)
 
-(* Malformed input is a usage-class failure: report on stderr and exit 2
-   directly (term_result would map `Msg errors to 124). *)
+(* Malformed input (a bad --top, a file that is not a valid trace) is a
+   usage-class failure: a term error, so exit 2. *)
 let trace_analyze_cmd =
   let run file json top =
-    if top < 0 then begin
-      Printf.eprintf "ftspan trace analyze: --top must be >= 0 (got %d)\n" top;
-      exit 2
-    end;
-    (match Obs_analyze.load file with
-    | Error msg ->
-        Printf.eprintf "ftspan trace analyze: %s\n" msg;
-        exit 2
-    | Ok tr -> (
-        match Obs_analyze.validate tr with
-        | _ :: _ as violations ->
-            List.iter
-              (fun v -> Printf.eprintf "ftspan trace analyze: %s: %s\n" file v)
-              violations;
-            exit 2
-        | [] ->
-            let report = Obs_analyze.analyze ~top tr in
-            if json then
-              print_endline
-                (Obs_json.to_string ~indent:true
-                   (Obs_analyze.json_of_report report))
-            else Format.printf "%a@." Obs_analyze.pp_report report));
-    Ok ()
+    if top < 0 then
+      Error (`Msg (Printf.sprintf "--top must be >= 0 (got %d)" top))
+    else
+      match Obs_analyze.load file with
+      | Error msg -> Error (`Msg msg)
+      | Ok tr -> (
+          match Obs_analyze.validate tr with
+          | _ :: _ as violations ->
+              Error
+                (`Msg
+                   (String.concat "\n"
+                      (List.map (Printf.sprintf "%s: %s" file) violations)))
+          | [] ->
+              let report = Obs_analyze.analyze ~top tr in
+              if json then
+                print_endline
+                  (Obs_json.to_string ~indent:true
+                     (Obs_analyze.json_of_report report))
+              else Format.printf "%a@." Obs_analyze.pp_report report;
+              Ok ())
   in
   let term =
     Term.(term_result (const run $ trace_file_arg $ trace_json_arg $ trace_top_arg))
@@ -836,7 +841,7 @@ let () =
   let info = Cmd.info "ftspan" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
-    (Cmd.eval
+    (Cli_flags.eval
        (Cmd.group ~default info
           [
             generate_cmd; info_cmd; build_cmd; verify_cmd; dynamic_cmd;

@@ -1,5 +1,15 @@
 open Cmdliner
 
+(* ------------------------------ eval ------------------------------- *)
+
+(* Usage and format errors exit 2, whichever stage of cmdliner caught
+   them; cmdliner itself would split them over 123 and 124. *)
+let eval cmd =
+  match Cmd.eval_value cmd with
+  | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
+  | Error (`Parse | `Term) -> 2
+  | Error `Exn -> Cmd.Exit.internal_error
+
 (* ------------------------------ jobs ------------------------------- *)
 
 let jobs_arg =
@@ -13,19 +23,10 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let bad_jobs n = Printf.sprintf "--jobs must be >= 1 (got %d)" n
-
 let resolve_jobs = function
   | Some n when n >= 1 -> Ok n
-  | Some n -> Error (`Msg (bad_jobs n))
+  | Some n -> Error (`Msg (Printf.sprintf "--jobs must be >= 1 (got %d)" n))
   | None -> Ok (Exec.default_jobs ())
-
-let parse_jobs value =
-  match int_of_string_opt value with
-  | Some n when n >= 1 -> Ok n
-  | Some n -> Error (bad_jobs n)
-  | None ->
-      Error (Printf.sprintf "--jobs requires an integer argument (got %S)" value)
 
 (* Run [f] with a pool of [jobs] workers ([None] when sequential), shut
    down on every exit path. *)

@@ -4,15 +4,25 @@
     [ftspan dynamic] and [bench/main.exe] all speak the same execution
     dialect — [--jobs], [--chaos], [--trace],
     [--metrics-stream], [--metrics] — and historically each front end
-    re-declared it.  This module parses each flag {e once}: the cmdliner
-    terms serve the [ftspan] subcommands, the plain-string parsers serve
-    the bench runner's hand-rolled argv loop, and both produce the same
-    error strings, so a typo reads identically wherever it was made.
+    re-declared it.  This module declares each flag {e once} as a
+    cmdliner term, so a typo reads identically wherever it was made, and
+    {!eval} gives every tool the same exit-code rule.
 
     The [with_*] combinators are the matching run-time halves: each
     scopes one observability concern (pool lifetime, metrics snapshot,
     trace collection, heartbeat stream) around a command body and
     releases it on every exit path. *)
+
+(** {1 Evaluation} *)
+
+(** [eval cmd] evaluates [cmd] against [Sys.argv] and returns the process
+    exit code: [0] on success (and for [--help]/[--version]), [2] for
+    every usage or format error cmdliner reports — an unknown or
+    malformed option, a missing file, an [Error] from the term — and
+    cmdliner's internal-error code for an uncaught exception.  Failures
+    a command reports by exiting directly (exit 1 for corrupt data) keep
+    their own codes. *)
+val eval : unit Cmdliner.Cmd.t -> int
 
 (** {1 Worker domains ([--jobs])} *)
 
@@ -26,11 +36,6 @@ val jobs_arg : int option Cmdliner.Term.t
     ["--jobs must be >= 1 (got %d)"] error. *)
 val resolve_jobs : int option -> (int, [ `Msg of string ]) result
 
-(** [parse_jobs s] is the string-level flavour for hand-rolled parsers:
-    [Ok n] for an integer [s >= 1], else [Error msg] with the same
-    wording the cmdliner path produces. *)
-val parse_jobs : string -> (int, string) result
-
 (** [with_jobs jobs f] runs [f (Some pool)] under a [jobs]-domain
     {!Exec.Pool.t} (shut down on every exit path), or [f None] when
     [jobs = 1] — sequential callers never pay pool startup. *)
@@ -38,9 +43,9 @@ val with_jobs : int -> (Exec.Pool.t option -> 'a) -> 'a
 
 (** {1 Sharded build ([--shard])} *)
 
-(** [--shard]: route [ftspan build] through the decomposition-sharded
-    construction ({!Shard_build} for the greedy algorithms, the pooled
-    {!Dk11} path for dk11). *)
+(** [--shard]: route [ftspan build]'s greedy algorithms through the
+    decomposition-sharded construction ({!Shard_build}); dk11 is
+    unaffected. *)
 val shard_arg : bool Cmdliner.Term.t
 
 (** {1 Chaos injection ([--chaos])} *)

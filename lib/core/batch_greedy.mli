@@ -16,7 +16,7 @@
     are missed — with a single batch the output is the whole graph.  The
     E12 experiment measures that size/parallelism trade-off. *)
 
-type result = {
+type result = Engine.result = {
   selection : Selection.t;
   batches : int;  (** sequential rounds executed *)
   max_batch : int;  (** largest batch size (parallelism exposed) *)
@@ -31,8 +31,8 @@ type result = {
     pool's domains via {!Exec.parallel_for} with dynamic chunking (the
     partial spanner is read-only during a decision phase, so the LBC
     calls are data-race-free by construction; each worker decides with
-    its own {!Lbc.Workspace}, created for this build via
-    {!Exec.Worker_local} and reused across its batches).  Verdicts are written by index, so the
+    its own {!Poly_greedy.decider} and {!Lbc.Workspace}, created for this
+    build via {!Exec.Worker_local} and reused across its batches).  Verdicts are written by index, so the
     selection is {b bit-identical} to the [pool]-less build with the same
     parameters, for every domain count and steal order — the tests assert
     this and the bench counter gate relies on it. *)

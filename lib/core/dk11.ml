@@ -40,35 +40,26 @@ let build rng ~mode ~k ~f ?(c = 1.0) ?algo ?pool g =
   else begin
     let j = iterations ~c ~f ~n () in
     let p = 1. /. float_of_int (f + 1) in
+    (* Iterations are independent, so each gets a stream pre-split from
+       [rng] (sequentially, before the fan-out) and a worker ORs into its
+       own mask.  The union of masks is the same edge set whichever
+       worker ran which iteration, so the selection is bit-identical at
+       every pool size, and without a pool (a private 1-domain pool). *)
+    let streams = Array.init j (fun _ -> Rng.split rng) in
+    let run pool =
+      let masks =
+        Array.init (Exec.Pool.size pool) (fun _ -> Array.make (Graph.m g) false)
+      in
+      Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:j (fun ~worker lo hi ->
+          let mask = masks.(worker) in
+          for iter = lo to hi - 1 do
+            iterate streams.(iter) ~mode ~p ~algo g mask
+          done);
+      let union = Array.make (Graph.m g) false in
+      Array.iter (Array.iteri (fun id b -> if b then union.(id) <- true)) masks;
+      Selection.of_mask g union
+    in
     match pool with
-    | None ->
-        (* The historical sequential path: every iteration draws from the
-           caller's stream in turn. *)
-        let union = Array.make (Graph.m g) false in
-        for _iter = 1 to j do
-          iterate rng ~mode ~p ~algo g union
-        done;
-        Selection.of_mask g union
-    | Some pool ->
-        (* Parallel: iterations are independent, so each gets a stream
-           pre-split from [rng] (sequentially, before the fan-out) and a
-           worker ORs into its own mask.  The union of masks is the same
-           edge set whichever worker ran which iteration, so the
-           selection is bit-identical at every pool size — though not to
-           the unpooled path, whose iterations share one stream. *)
-        let streams = Array.init j (fun _ -> Rng.split rng) in
-        let masks =
-          Array.init (Exec.Pool.size pool) (fun _ ->
-              Array.make (Graph.m g) false)
-        in
-        Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:j (fun ~worker lo hi ->
-            let mask = masks.(worker) in
-            for iter = lo to hi - 1 do
-              iterate streams.(iter) ~mode ~p ~algo g mask
-            done);
-        let union = Array.make (Graph.m g) false in
-        Array.iter
-          (Array.iteri (fun id b -> if b then union.(id) <- true))
-          masks;
-        Selection.of_mask g union
+    | Some pool -> run pool
+    | None -> Exec.Pool.with_pool ~domains:1 run
   end

@@ -40,13 +40,12 @@ val iterations : ?c:float -> f:int -> n:int -> unit -> int
     defaults to Baswana-Sen with parameter [k]; [f = 0] degenerates to a
     single run of [algo] on [g].
 
-    With a [pool], the [J] independent iterations fan out over the
-    workers as [parallel_for] items: each iteration samples from its own
-    stream, pre-split from [rng] before the fan-out, and the per-worker
-    keep masks are ORed afterwards, so the selection is {e bit-identical
-    at every pool size} (including a 1-domain pool).  It is {e not}
-    identical to the unpooled path, whose iterations draw from one shared
-    stream — both are equally valid samples of the same reduction. *)
+    The [J] independent iterations fan out over the [pool]'s workers as
+    [parallel_for] items (without a [pool], over a private 1-domain
+    pool): each iteration samples from its own stream, pre-split from
+    [rng] before the fan-out, and the per-worker keep masks are ORed
+    afterwards, so the selection is {e bit-identical at every pool size},
+    and the same with no pool at all. *)
 val build :
   Rng.t ->
   mode:Fault.mode ->

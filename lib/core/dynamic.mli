@@ -73,11 +73,8 @@ type opts = {
       (** query-plane executor; [None] answers batches sequentially *)
 }
 
-(** [default_opts] is [{mode = VFT; k = 2; f = 1; pool = None}]. *)
-val default_opts : opts
-
-(** [opts ?mode ?k ?f ?pool ()] builds options from
-    {!default_opts}.  Raises [Invalid_argument] if [k < 1] or [f < 0]. *)
+(** [opts ?mode ?k ?f ?pool ()] builds options; the defaults are
+    [{mode = VFT; k = 2; f = 1; pool = None}].  Raises [Invalid_argument] if [k < 1] or [f < 0]. *)
 val opts :
   ?mode:Fault.mode ->
   ?k:int ->

@@ -49,13 +49,16 @@ let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_batch
       if hi - !pos > !max_batch then max_batch := hi - !pos;
       (match on_batch with Some fn -> fn !batches | None -> ());
       (* Decision phase: the block is judged against the same frozen H. *)
-      Array.fill decisions !pos (hi - !pos) Skip;
       decide h edges decisions !pos hi;
-      (* Commit phase. *)
+      (* Commit phase.  Each slot goes back to [Skip] as it is read, so a
+         verdict and its cut die young instead of being promoted with the
+         array, and the next block starts pre-filled. *)
       let tracing = trace && Obs_trace.enabled () in
       for i = !pos to hi - 1 do
         let e = edges.(i) in
-        match decisions.(i) with
+        let d = decisions.(i) in
+        decisions.(i) <- Skip;
+        match d with
         | Keep { cut } ->
             if tracing then
               Obs_trace.emit

@@ -44,10 +44,6 @@ end
 
 type verdict = Yes of { cut : int list } | No of { paths_seen : int }
 
-let pp_verdict ppf = function
-  | Yes { cut } -> Format.fprintf ppf "YES(cut size %d)" (List.length cut)
-  | No { paths_seen } -> Format.fprintf ppf "NO(%d paths)" paths_seen
-
 let m_calls = Obs.counter "lbc.calls"
 let m_yes = Obs.counter "lbc.yes"
 let m_no = Obs.counter "lbc.no"

@@ -37,8 +37,6 @@ type verdict =
   | No of { paths_seen : int }
       (** [alpha + 1] disjoint-ish short paths were consumed *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** [decide ?ws ?edge ?exclude ~mode g ~u ~v ~t ~alpha] runs Algorithm 2.
     Requirements: [u <> v], [t >= 1], [alpha >= 0].  The graph may lack
     the edge [{u,v}] (in the greedy it always does — the candidate edge

@@ -16,36 +16,41 @@ let c_lbc_bfs_rounds = Obs.counter "lbc.bfs_rounds"
 let m_considered = Obs.counter "poly_greedy.edges_considered"
 let m_added = Obs.counter "poly_greedy.edges_added"
 
-let build_impl ?order ?on_add ~mode ~k ~f g =
-  if k < 1 then invalid_arg "Poly_greedy.build: k must be >= 1";
-  if f < 0 then invalid_arg "Poly_greedy.build: f must be >= 0";
+(* The Algorithm 3 test: one LBC gap call per candidate, keeping it
+   exactly on [Yes] with the cut as its certificate.  [cut] holds H-local
+   ids (vertex ids coincide with the source graph's; EFT edge ids are H's
+   at that moment). *)
+let decider ~ws ~mode ~k ~f : Engine.decider =
   let t = (2 * k) - 1 in
-  let ws = Lbc.Workspace.create () in
-  let calls0 = Obs.Counter.value c_lbc_calls in
-  let yes0 = Obs.Counter.value c_lbc_yes in
-  let rounds0 = Obs.Counter.value c_lbc_bfs_rounds in
-  (* The decision oracle: one LBC gap call per candidate, sequential
-     (batch 1), so every decision sees all earlier additions. *)
-  let decide h edges decisions lo hi =
+  fun h edges decisions lo hi ->
     for i = lo to hi - 1 do
       let e = edges.(i) in
-      Obs.Counter.incr m_considered;
       match
         Lbc.decide ~ws ~edge:e.Graph.id ~mode h ~u:e.Graph.u ~v:e.Graph.v ~t
           ~alpha:f
       with
-      | Lbc.Yes { cut } ->
-          Obs.Counter.incr m_added;
-          (* [cut] holds H-local ids; the certificate is reported in the
-             source graph's terms (vertex ids coincide; for EFT the H edge
-             ids are translated back by the caller). *)
-          decisions.(i) <- Engine.Keep { cut }
+      | Lbc.Yes { cut } -> decisions.(i) <- Engine.Keep { cut }
       | Lbc.No _ -> ()
     done
+
+let build_impl ?order ?on_add ~mode ~k ~f g =
+  if k < 1 then invalid_arg "Poly_greedy.build: k must be >= 1";
+  if f < 0 then invalid_arg "Poly_greedy.build: f must be >= 0";
+  let calls0 = Obs.Counter.value c_lbc_calls in
+  let yes0 = Obs.Counter.value c_lbc_yes in
+  let rounds0 = Obs.Counter.value c_lbc_bfs_rounds in
+  (* Sequential (batch 1): every decision sees all earlier additions, and
+     each block is one considered edge. *)
+  let on_batch _ = Obs.Counter.incr m_considered in
+  let on_add e cut =
+    Obs.Counter.incr m_added;
+    match on_add with Some fn -> fn e cut | None -> ()
   in
   let res =
-    Engine.run ?order ~caller:"Poly_greedy" ~span:"poly_greedy.build" ?on_add
-      ~decide g
+    Engine.run ?order ~caller:"Poly_greedy" ~span:"poly_greedy.build" ~on_batch
+      ~on_add
+      ~decide:(decider ~ws:(Lbc.Workspace.create ()) ~mode ~k ~f)
+      g
   in
   ( res.Engine.selection,
     {

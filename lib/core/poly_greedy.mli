@@ -31,6 +31,15 @@ type order = Engine.order =
   | Shuffled of Rng.t  (** uniformly random order (ablation) *)
   | Explicit of int array  (** a permutation of edge ids *)
 
+(** [decider ~ws ~mode ~k ~f] is the Algorithm 3 decision oracle as an
+    {!Engine.decider}: one {!Lbc.decide} call per candidate with
+    [t = 2k - 1] and [alpha = f], recording [Keep { cut }] on [Yes].  It
+    decides with the caller's workspace [ws], so concurrent deciders
+    (one per worker) need one workspace each.  {!build}, {!Batch_greedy}
+    and {!Shard_build}'s clusters all decide through it. *)
+val decider :
+  ws:Lbc.Workspace.t -> mode:Fault.mode -> k:int -> f:int -> Engine.decider
+
 type trace = {
   lbc_calls : int;  (** = m *)
   bfs_rounds : int;  (** exact total BFS invocations inside LBC *)

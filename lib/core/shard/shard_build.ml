@@ -7,15 +7,19 @@ type t = {
   boundary_edges : int;
 }
 
+type cluster = { partition : int; center : int; kept : int list }
+
 let m_clusters = Obs.counter "shard.clusters"
 let m_boundary = Obs.counter "shard.boundary_edges"
 let h_cluster_wall = Obs.histogram_log "shard.cluster_wall"
 
-(* One cluster work item: the parent-id vertex set (ascending) and the
-   interior edges in parent insertion order, pre-extracted so workers
-   never scan the full edge list.  [edges] rows are
-   [(parent_u, parent_v, weight, parent_edge_id)]. *)
+(* One cluster work item: its partition and centre, the parent-id
+   vertex set (ascending) and the interior edges in parent insertion
+   order, pre-extracted so workers never scan the full edge list.
+   [edges] rows are [(parent_u, parent_v, weight, parent_edge_id)]. *)
 type task = {
+  part : int;
+  ctr : int;
   verts : int array;
   edges : (int * int * float * int) array;
 }
@@ -28,8 +32,8 @@ let tasks_of g part =
   let n = Graph.n g in
   let task_of_center = Array.make n (-1) in
   let all = ref [] in
-  Array.iter
-    (fun c ->
+  Array.iteri
+    (fun p c ->
       Array.fill task_of_center 0 n (-1);
       let groups =
         List.filter
@@ -46,9 +50,11 @@ let tasks_of g part =
               bufs.(i) <- (e.Graph.u, e.Graph.v, e.Graph.w, e.Graph.id) :: bufs.(i)
           end);
       List.iteri
-        (fun i (_, ms) ->
+        (fun i (ctr, ms) ->
           all :=
             {
+              part = p;
+              ctr;
               verts = Array.of_list ms;
               edges = Array.of_list (List.rev bufs.(i));
             }
@@ -74,19 +80,9 @@ let run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local task =
     match engine with
     | Exponential -> Exp_greedy.build ~mode ~k ~f sub
     | Polynomial ->
-        let t = (2 * k) - 1 in
-        let decide h edges decisions lo hi =
-          for i = lo to hi - 1 do
-            let e = edges.(i) in
-            match
-              Lbc.decide ~ws ~edge:e.Graph.id ~mode h ~u:e.Graph.u ~v:e.Graph.v
-                ~t ~alpha:f
-            with
-            | Lbc.Yes _ -> decisions.(i) <- Engine.Keep { cut = [] }
-            | Lbc.No _ -> ()
-          done
-        in
-        (Engine.run ~caller:"Shard_build.build" ~trace:false ~decide sub)
+        (Engine.run ~caller:"Shard_build.build" ~trace:false
+           ~decide:(Poly_greedy.decider ~ws ~mode ~k ~f)
+           sub)
           .Engine.selection
   in
   let kept = ref [] in
@@ -96,12 +92,12 @@ let run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local task =
   Obs.Histogram.observe h_cluster_wall (Obs.now_s () -. t0);
   !kept
 
-let build ?rng ?(engine = Polynomial) ?beta ?partitions ?pool ~mode ~k ~f g =
-  if k < 1 then invalid_arg "Shard_build.build: k must be >= 1";
-  if f < 0 then invalid_arg "Shard_build.build: f must be >= 0";
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x5eed in
-  Obs.with_span "shard_build" @@ fun () ->
-  let part = Shard_partition.run rng ?beta ?partitions g in
+let check caller ~k ~f =
+  if k < 1 then invalid_arg (caller ^ ": k must be >= 1");
+  if f < 0 then invalid_arg (caller ^ ": f must be >= 0")
+
+let clusters ?(engine = Polynomial) ?pool ~mode ~k ~f g part =
+  check "Shard_build.clusters" ~k ~f;
   let tasks = tasks_of g part in
   let results = Array.make (Array.length tasks) [] in
   let backend = Graph.backend g in
@@ -121,8 +117,18 @@ let build ?rng ?(engine = Polynomial) ?beta ?partitions ?pool ~mode ~k ~f g =
   (match pool with
   | Some pool -> run_all pool
   | None -> Exec.Pool.with_pool ~domains:1 run_all);
+  Array.mapi
+    (fun i task -> { partition = task.part; center = task.ctr; kept = results.(i) })
+    tasks
+
+let build ?rng ?engine ?beta ?partitions ?pool ~mode ~k ~f g =
+  check "Shard_build.build" ~k ~f;
+  let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x5eed in
+  Obs.with_span "shard_build" @@ fun () ->
+  let part = Shard_partition.run rng ?beta ?partitions g in
+  let clusters = clusters ?engine ?pool ~mode ~k ~f g part in
   let union = Array.make (Graph.m g) false in
-  Array.iter (List.iter (fun id -> union.(id) <- true)) results;
+  Array.iter (fun c -> List.iter (fun id -> union.(id) <- true) c.kept) clusters;
   let boundary = ref 0 in
   Array.iteri
     (fun id covered ->
@@ -131,11 +137,11 @@ let build ?rng ?(engine = Polynomial) ?beta ?partitions ?pool ~mode ~k ~f g =
         incr boundary
       end)
     part.Shard_partition.covered;
-  Obs.Counter.add m_clusters (Array.length tasks);
+  Obs.Counter.add m_clusters (Array.length clusters);
   Obs.Counter.add m_boundary !boundary;
   {
     selection = Selection.of_mask g union;
     partition = part;
-    clusters = Array.length tasks;
+    clusters = Array.length clusters;
     boundary_edges = !boundary;
   }

@@ -1,12 +1,19 @@
 (** Decomposition-sharded spanner construction on the {!Exec} pool.
 
     The paper's Theorem 11 pipeline — padded partition, per-cluster
-    greedy, union — run natively on shared memory: {!Shard_partition}
-    samples [O(log n)] random-shift partitions, every cluster with at
-    least two members becomes one work item, and {!Exec.parallel_for}
-    hands each item to a pool worker that builds the cluster's induced
-    subgraph and runs the pluggable greedy over it with a private
-    {!Lbc.Workspace}.  The per-cluster selections are unioned with the
+    greedy, union — run natively on shared memory, in two stages.
+
+    The {e cluster stage} ({!clusters}) takes a decomposition: every
+    cluster with at least two members becomes one work item, and
+    {!Exec.parallel_for} hands each item to a pool worker that builds the
+    cluster's induced subgraph and runs the pluggable greedy over it with
+    a private {!Lbc.Workspace} ({!Poly_greedy.decider} for the polynomial
+    engine).  The LOCAL algorithm ({!Local_spanner}) runs this same stage
+    at its cluster centres, over the decomposition it flooded through the
+    simulator.
+
+    {!build} samples the decomposition with {!Shard_partition}, runs the
+    cluster stage, and unions the per-cluster selections with the
     {e boundary edges} (edges interior to no cluster of any partition;
     w.h.p. a vanishing fraction) force-kept, which makes the result an
     unconditionally valid f-FT (2k-1)-spanner: a surviving covered edge
@@ -21,15 +28,41 @@
     at any pool size ({e and} across the int/int32 storage backends), and
     one seed replays one build.
 
-    Telemetry: [shard.clusters] (work items executed), the count of
-    force-kept [shard.boundary_edges] (both gated by the bench regression
-    harness), and a [shard.cluster_wall] log-histogram of per-cluster
-    build seconds, all inside a [shard_build] span. *)
+    Telemetry: {!build} counts [shard.clusters] (work items executed)
+    and the force-kept [shard.boundary_edges] (both gated by the bench
+    regression harness) inside a [shard_build] span; the cluster stage
+    records a [shard.cluster_wall] log-histogram of per-cluster build
+    seconds. *)
 
 (** Per-cluster greedy: {!Poly_greedy}'s LBC oracle (the default) or the
     exponential-time optimal-size greedy ({!Exp_greedy} — tiny clusters
     only). *)
 type engine = Polynomial | Exponential
+
+(** One cluster's output from the cluster stage. *)
+type cluster = {
+  partition : int;  (** index into [Shard_partition.t.partitions] *)
+  center : int;  (** the cluster's centre vertex *)
+  kept : int list;  (** kept parent edge ids, ascending *)
+}
+
+(** [clusters ?engine ?pool ~mode ~k ~f g part] is the cluster stage:
+    the greedy run on the induced subgraph of every cluster of [part]
+    with at least two members, partition by partition, centres in
+    increasing order.  Each subgraph numbers its vertices in ascending
+    parent order and adds its edges in parent-id order.  [pool = None]
+    runs on a private single-domain pool; the output is the same at any
+    pool size.  Counts nothing: the [shard.*] counters belong to
+    {!build}.  Raises [Invalid_argument] if [k < 1] or [f < 0]. *)
+val clusters :
+  ?engine:engine ->
+  ?pool:Exec.Pool.t ->
+  mode:Fault.mode ->
+  k:int ->
+  f:int ->
+  Graph.t ->
+  Shard_partition.t ->
+  cluster array
 
 type t = {
   selection : Selection.t;
@@ -39,7 +72,8 @@ type t = {
 }
 
 (** [build ?rng ?engine ?beta ?partitions ?pool ~mode ~k ~f g] builds the
-    sharded spanner.  [rng] (default seed [0x5eed]) drives only the
+    sharded spanner: sample the decomposition, run {!clusters} over it,
+    and union, force-keeping the boundary edges.  [rng] (default seed [0x5eed]) drives only the
     decomposition; [beta]/[partitions] pass through to
     {!Shard_partition.run}.  [pool = None] runs the same code on a
     private single-domain pool — same output, no parallelism.  Raises

@@ -27,47 +27,28 @@ let options ?order ?(batch = 1) ?pool ?(shard = false) () =
   if batch < 1 then invalid_arg "Spanner.options: batch must be >= 1";
   { order; batch; pool; shard }
 
-let build_sharded rng ~options ~algorithm params g =
-  match algorithm with
-  | Greedy_poly | Greedy_exponential ->
-      let engine =
-        match algorithm with
-        | Greedy_exponential -> Shard_build.Exponential
-        | _ -> Shard_build.Polynomial
-      in
-      (Shard_build.build ~rng ~engine ?pool:options.pool ~mode:params.mode
-         ~k:params.k ~f:params.f g)
-        .Shard_build.selection
-  | Dinitz_krauthgamer -> (
-      (* Always the pooled (pre-split stream) path, so the selection is
-         the same whether --jobs handed us a pool or not. *)
-      let run pool =
-        Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f ~pool g
-      in
-      match options.pool with
-      | Some pool -> run pool
-      | None -> Exec.Pool.with_pool ~domains:1 run)
-
 let build ?rng ?(algorithm = Greedy_poly) ?(options = default_options) params g
     =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x5eed in
-  if options.shard then build_sharded rng ~options ~algorithm params g
-  else
-    match algorithm with
-    | Greedy_poly ->
-        if options.batch = 1 && options.pool = None then
-          (* The exact historical path (and its poly_greedy.* telemetry):
-             default options change nothing. *)
-          Poly_greedy.build ?order:options.order ~mode:params.mode ~k:params.k
-            ~f:params.f g
-        else
-          (Batch_greedy.build ?order:options.order ?pool:options.pool
-             ~mode:params.mode ~k:params.k ~f:params.f ~batch:options.batch g)
-            .Batch_greedy.selection
-    | Greedy_exponential ->
-        Exp_greedy.build ~mode:params.mode ~k:params.k ~f:params.f g
-    | Dinitz_krauthgamer ->
-        Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f g
+  let { k; f; mode } = params in
+  let sharded engine =
+    (Shard_build.build ~rng ~engine ?pool:options.pool ~mode ~k ~f g)
+      .Shard_build.selection
+  in
+  match algorithm with
+  | Greedy_poly when options.shard -> sharded Shard_build.Polynomial
+  | Greedy_exponential when options.shard -> sharded Shard_build.Exponential
+  | Greedy_poly ->
+      if options.batch = 1 && options.pool = None then
+        (* The exact historical path (and its poly_greedy.* telemetry):
+           default options change nothing. *)
+        Poly_greedy.build ?order:options.order ~mode ~k ~f g
+      else
+        (Batch_greedy.build ?order:options.order ?pool:options.pool ~mode ~k ~f
+           ~batch:options.batch g)
+          .Batch_greedy.selection
+  | Greedy_exponential -> Exp_greedy.build ~mode ~k ~f g
+  | Dinitz_krauthgamer -> Dk11.build rng ~mode ~k ~f ?pool:options.pool g
 
 type summary = {
   algorithm : string;

@@ -32,21 +32,22 @@ val stretch : params -> float
     - [pool]: a persistent {!Exec.Pool.t} the per-batch decision phase
       fans out over.
 
-    Without [shard], only [Greedy_poly] consumes [batch]/[pool]:
+    Without [shard], [Greedy_poly] consumes [batch]/[pool]:
     [batch > 1] or a [pool] routes the build through [Batch_greedy.build]
     (whose selection is bit-identical at every domain count for a fixed
     [batch], but grows with [batch] — the E12 trade-off); the defaults
     reproduce the historical [Poly_greedy.build] path exactly, telemetry
-    included.  The randomized algorithms ignore the options.
+    included.  [Dinitz_krauthgamer] always fans its iterations out over
+    the [pool] (see {!Dk11.build}); its selection is the same at every
+    pool size and without one.
 
-    [shard = true] selects the decomposition-sharded construction
-    instead (the paper's Theorem 11 run natively — an O(log n) size
-    factor for cluster-level parallelism): the greedy algorithms route
-    through {!Shard_build} (engine picked by [algorithm]), and
-    [Dinitz_krauthgamer] routes through {!Dk11} with its iterations
-    fanned out as [parallel_for] items.  Either way the
+    [shard = true] selects the decomposition-sharded construction for
+    the greedy algorithms instead (the paper's Theorem 11 run natively —
+    an O(log n) size factor for cluster-level parallelism): they route
+    through {!Shard_build} (engine picked by [algorithm]), whose
     selection is bit-identical at every [pool] size, including no pool
-    at all; [order]/[batch] are ignored under [shard]. *)
+    at all; [order]/[batch] are ignored under [shard].  [shard] does not
+    affect [Dinitz_krauthgamer]. *)
 type options = {
   order : Engine.order option;
   batch : int;

@@ -38,11 +38,6 @@ val build_with_state : Rng.t -> k:int -> Graph.t -> Selection.t * state
     nonempty, which the oracle's query walk requires. *)
 val sample_hierarchy : Rng.t -> k:int -> n:int -> int array
 
-(** [multi_source_distances g sources] is the distance from each vertex to
-    the nearest source ([infinity] if unreachable, or when [sources] is
-    empty). *)
-val multi_source_distances : Graph.t -> int list -> float array
-
 (** [cluster g ~center ~bound] grows the truncated shortest-path tree of
     [center]: the vertices [v] with [d(center, v) < bound.(v)], as
     [(vertex, distance, parent_edge)] triples ([parent_edge = -1] at the

@@ -1,5 +1,3 @@
-type engine = Exponential | Polynomial
-
 type result = {
   selection : Selection.t;
   decomposition : Shard_partition.t;
@@ -15,7 +13,7 @@ type payload = { partition : int; edge_ids : int list }
 
 let payload_bits p = 64 * (2 + List.length p.edge_ids)
 
-let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
+let build rng ?engine ?beta ?partitions ?chaos ~mode ~k ~f g =
   Obs.with_span "local_spanner.build" @@ fun () ->
   let decomposition = Decomposition.run rng ?beta ?partitions g in
   let parts = decomposition.Shard_partition.partitions in
@@ -68,33 +66,15 @@ let build rng ?(engine = Polynomial) ?beta ?partitions ?chaos ~mode ~k ~f g =
   done;
 
   (* Cluster centers run the centralized greedy on their gathered induced
-     subgraph and the selections are unioned. *)
-  let union = Array.make (Graph.m g) false in
+     subgraph: Shard_build's cluster stage over the flooded decomposition. *)
   let per_cluster_selection = Array.init ell (fun _ -> Array.make n []) in
-  for p = 0 to ell - 1 do
-    let c = parts.(p) in
-    List.iter
-      (fun (center, members) ->
-        if List.length members > 1 then begin
-          let sub = Subgraph.induced g members in
-          let sel =
-            match engine with
-            | Polynomial -> Poly_greedy.build ~mode ~k ~f sub.Subgraph.graph
-            | Exponential -> Exp_greedy.build ~mode ~k ~f sub.Subgraph.graph
-          in
-          let chosen = ref [] in
-          Array.iteri
-            (fun sid keep ->
-              if keep then begin
-                let pid = sub.Subgraph.to_parent_edge.(sid) in
-                union.(pid) <- true;
-                chosen := pid :: !chosen
-              end)
-            sel.Selection.selected;
-          per_cluster_selection.(p).(center) <- !chosen
-        end)
-      (Shard_partition.members c)
-  done;
+  let union = Array.make (Graph.m g) false in
+  Array.iter
+    (fun (c : Shard_build.cluster) ->
+      per_cluster_selection.(c.Shard_build.partition).(c.Shard_build.center) <-
+        c.Shard_build.kept;
+      List.iter (fun id -> union.(id) <- true) c.Shard_build.kept)
+    (Shard_build.clusters ?engine ~mode ~k ~f g decomposition);
 
   (* Scatter: flood each cluster's selection down its tree so every member
      learns the incident decisions (rounds and traffic are what matter for

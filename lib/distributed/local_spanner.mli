@@ -4,7 +4,10 @@
     cluster's induced subgraph at its center by convergecast up the
     cluster BFS tree (LOCAL allows unbounded messages); have every center
     run the centralized greedy on its cluster; scatter the chosen edges
-    back down.  The output is the union over all clusters of all
+    back down.  The centers' computation is {!Shard_build.clusters}, the
+    same cluster stage the shared-memory sharded build runs, applied to
+    the decomposition flooded through the simulator; this module owns
+    only the decomposition, the gather/scatter traffic and the union.  The output is the union over all clusters of all
     partitions; w.h.p. every edge of [G] lies inside some cluster, so the
     union is an f-FT (2k-1)-spanner of [G] with
     [O(f^{1-1/k} n^{1+1/k} log n)] edges, and the round count is dominated
@@ -12,13 +15,10 @@
 
     The paper runs Algorithm 1 (the exponential greedy) at cluster centers
     — LOCAL permits unbounded local computation.  Centers here can run
-    either that or the paper's own polynomial Algorithm 3/4, trading the
+    either that ([Shard_build.Exponential]) or the paper's own polynomial
+    Algorithm 3/4 ([Shard_build.Polynomial], the default), trading the
     extra factor [k] in cluster spanner size for tractability on large
-    clusters; the default is the polynomial engine. *)
-
-type engine =
-  | Exponential  (** Algorithm 1 at the centers, as in the paper *)
-  | Polynomial  (** Algorithm 3/4 at the centers (extra factor k) *)
+    clusters. *)
 
 type result = {
   selection : Selection.t;
@@ -37,7 +37,7 @@ type result = {
     retransmission traffic. *)
 val build :
   Rng.t ->
-  ?engine:engine ->
+  ?engine:Shard_build.engine ->
   ?beta:float ->
   ?partitions:int ->
   ?chaos:Chaos.plan ->

@@ -40,7 +40,3 @@ let labels ?blocked_vertices ?blocked_edges g =
 let count g = snd (labels g)
 
 let is_connected g = Graph.n g <= 1 || count g = 1
-
-let same_component g u v =
-  let label, _ = labels g in
-  label.(u) >= 0 && label.(u) = label.(v)

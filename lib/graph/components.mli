@@ -14,6 +14,3 @@ val count : Graph.t -> int
 (** [is_connected g] tests global connectivity (vacuously true for
     [n <= 1]). *)
 val is_connected : Graph.t -> bool
-
-(** [same_component g u v] tests whether [u] and [v] are connected. *)
-val same_component : Graph.t -> int -> int -> bool

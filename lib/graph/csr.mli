@@ -21,9 +21,8 @@
       mutation-heavy, so the backend seam only covers the packed bulk.
 
     {!add} appends into the buffer in O(1) and, once the buffer holds
-    more than a quarter of the packed half-edges (floor
-    {!compaction_floor}), merges it into a fresh packed layout
-    ({!compact}).  The merge is geometric, so the total compaction cost
+    more than a quarter of the packed half-edges (floor 64),
+    merges it into a fresh packed layout ({!compact}).  The merge is geometric, so the total compaction cost
     over [m] insertions is [O((n + m) log m)] — negligible next to even
     a single BFS per insertion, the access pattern of the greedy
     spanner loop.
@@ -132,9 +131,6 @@ val resident_bytes : t -> int
 (** [max_half b] is the largest half-edge count backend [b] can index
     ([Sys.max_array_length] / [Int32.max_int]). *)
 val max_half : backend -> int
-
-(** The compaction trigger floor, in buffered half-edges (see {!add}). *)
-val compaction_floor : int
 
 (** {1 Maintenance} *)
 

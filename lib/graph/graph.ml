@@ -249,5 +249,3 @@ let is_unit_weighted g =
   !ok
 
 let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" g.size g.count
-
-let pp_edge ppf e = Format.fprintf ppf "{%d,%d} w=%g #%d" e.u e.v e.w e.id

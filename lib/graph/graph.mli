@@ -156,6 +156,3 @@ val is_unit_weighted : t -> bool
 
 (** [pp] prints a short summary ["graph(n=.., m=..)"]. *)
 val pp : Format.formatter -> t -> unit
-
-(** [pp_edge] prints an edge as ["{u,v} w=.. #id"]. *)
-val pp_edge : Format.formatter -> edge -> unit

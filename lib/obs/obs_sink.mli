@@ -31,10 +31,6 @@ type entry = { id : string; wall_s : float; snap : Obs.snapshot }
     listing (counters, timers, histograms, span tree). *)
 val pp : Format.formatter -> Obs.snapshot -> unit
 
-(** [json_of_snapshot snap] is the ["counters"/"timers"/"histograms"/
-    "spans"] sub-object of the schema above. *)
-val json_of_snapshot : Obs.snapshot -> Obs_json.t
-
 (** [json_of_report ?created entries] is a full [ftspan.metrics.v1]
     document; [created] is seconds since the epoch and defaults to
     [Unix.time ()] — the one timestamp source every producer (CLI,

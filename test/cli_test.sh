@@ -345,8 +345,8 @@ grep -q '"p99"' "$TMP/hb.jsonl" || fail "heartbeat must carry quantiles"
 "$COMPARE" --check-heartbeat "$TMP/hb-bench.jsonl" >/dev/null \
   || fail "bench heartbeat stream must validate"
 
-# malformed observability specs: bench rejects them with usage (exit 2),
-# the CLI with a nonzero cmdliner error
+# malformed observability specs: bench and the CLI both reject them as
+# usage errors (exit 2)
 "$BENCH" --trace "$TMP/x.json,sample=nope" --match no-such-job >/dev/null 2>&1
 [ $? -eq 2 ] || fail "bench bad sample spec must exit 2"
 "$BENCH" --metrics-stream "$TMP/x.jsonl,ops=0" --match no-such-job >/dev/null 2>&1
@@ -364,5 +364,21 @@ grep -q '"p99"' "$TMP/hb.jsonl" || fail "heartbeat must carry quantiles"
 "$BIN" generate --family nope -n 5 -o "$TMP/x" >/dev/null 2>&1 && fail "bad family accepted"
 "$BIN" info /nonexistent.graph >/dev/null 2>&1 && fail "missing file accepted"
 "$BIN" build --algo nonsense "$TMP/g.graph" >/dev/null 2>&1 && fail "bad algo accepted"
+
+# exit-code rule: usage and format errors exit 2, a failed check exits 1
+"$BIN" build --bogus "$TMP/g.graph" >/dev/null 2>&1
+[ $? -eq 2 ] || fail "build --bogus must exit 2"
+"$BIN" build -j 0 "$TMP/g.graph" >/dev/null 2>&1
+[ $? -eq 2 ] || fail "build -j 0 must exit 2"
+printf 'p 3 1\nbogus 0 1\n' > "$TMP/bad-record.graph"
+"$BIN" build "$TMP/bad-record.graph" >/dev/null 2>&1
+[ $? -eq 2 ] || fail "a text graph with an unrecognized record must exit 2"
+"$BIN" build --seed 3 "$TMP/nonexistent.graph" >/dev/null 2>&1
+[ $? -eq 2 ] || fail "a missing graph file must exit 2"
+"$BENCH" no-such-experiment >/dev/null 2>&1
+[ $? -eq 2 ] || fail "bench unknown experiment id must exit 2"
+echo 0 > "$TMP/one-edge.sel"
+"$BIN" verify -k 2 -f 1 --trials 10 "$TMP/g.graph" "$TMP/one-edge.sel" >/dev/null 2>&1
+[ $? -eq 1 ] || fail "verify on a violating selection must exit 1"
 
 echo "cli_test OK"

@@ -5,7 +5,8 @@
 # spanner, must stay within the O(log n) size factor of the sequential
 # selection, and must be byte-identical at --jobs 1/2/4 and across the
 # int/int32 storage backends (a text graph and its .ftsb copy); dk11
-# --shard must be byte-identical at every jobs count too.
+# must be byte-identical at every jobs count too, and --shard must not
+# change its selection.
 #   $1 = ftspan CLI binary
 set -u
 BIN="$1"
@@ -48,11 +49,21 @@ done
 cmp -s "$TMP/shard.sel" "$TMP/shard-i32.sel" \
   || fail "sharded selection differs across backends"
 
-# ---- dk11 --shard: pooled path deterministic at every jobs count ----
-"$BIN" build --seed 7 -k 2 -f 1 --algo dk11 --shard "$TMP/g.graph" \
-  -o "$TMP/dk.sel" > /dev/null || fail "dk11 sharded build"
+# ---- dk11: one selection with or without --shard, at every jobs count
+# (on a dense graph, where the reduction's union leaves edges out, so a
+# different sampling stream shows up as a different selection)
+"$BIN" generate --family gnp -n 80 -p 0.8 --seed 9 -o "$TMP/dense.graph" \
+  > /dev/null || fail "dense graph generation"
+"$BIN" build --seed 7 -k 2 -f 1 --algo dk11 "$TMP/dense.graph" \
+  -o "$TMP/dk.sel" > /dev/null || fail "dk11 build"
+"$BIN" build --seed 7 -k 2 -f 1 --algo dk11 --shard "$TMP/dense.graph" \
+  -o "$TMP/dk-shard.sel" > /dev/null || fail "dk11 sharded build"
+cmp -s "$TMP/dk.sel" "$TMP/dk-shard.sel" \
+  || fail "dk11 selection differs with --shard"
+[ "$(wc -l < "$TMP/dk.sel")" -lt 2537 ] \
+  || fail "dk11 kept every edge of the dense graph (m = 2537)"
 for j in 2 4; do
-  "$BIN" build --seed 7 -k 2 -f 1 --algo dk11 --shard -j "$j" "$TMP/g.graph" \
+  "$BIN" build --seed 7 -k 2 -f 1 --algo dk11 --shard -j "$j" "$TMP/dense.graph" \
     -o "$TMP/dk-j$j.sel" > /dev/null || fail "dk11 sharded build at --jobs $j"
   cmp -s "$TMP/dk.sel" "$TMP/dk-j$j.sel" \
     || fail "dk11 sharded selection differs at --jobs $j"

@@ -288,7 +288,7 @@ let test_local_spanner_exponential_engine () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:25 ~p:0.2 in
   let res =
-    Local_spanner.build r ~engine:Local_spanner.Exponential ~mode:Fault.VFT ~k:2
+    Local_spanner.build r ~engine:Shard_build.Exponential ~mode:Fault.VFT ~k:2
       ~f:1 g
   in
   let report =
@@ -327,6 +327,35 @@ let test_local_spanner_size_vs_bound () =
     (Printf.sprintf "size %d <= 3x bound %.0f" res.Local_spanner.selection.Selection.size bound)
     true
     (float_of_int res.Local_spanner.selection.Selection.size <= 3. *. bound)
+
+(* A pinned run: the selection, round count and traffic of one seeded
+   build per engine.  The centres' greedy is Shard_build's cluster stage;
+   these values predate that and must not move. *)
+let test_local_spanner_pinned () =
+  let g = Generators.connected_gnp (Rng.create ~seed:24) ~n:18 ~p:0.35 in
+  checki "m" 53 (Graph.m g);
+  let all_but dropped =
+    List.filter (fun id -> not (List.mem id dropped)) (List.init 53 Fun.id)
+  in
+  let case engine ~dropped ~bits ~edge_round_bits =
+    let res =
+      Local_spanner.build (Rng.create ~seed:4) ~engine ~mode:Fault.VFT ~k:2 ~f:1 g
+    in
+    let st = res.Local_spanner.stats in
+    check (Alcotest.list Alcotest.int) "selection" (all_but dropped)
+      (Selection.ids res.Local_spanner.selection);
+    checki "total rounds" 32 res.Local_spanner.total_rounds;
+    checki "net rounds" 7 st.Net.rounds;
+    checki "messages" 1185 st.Net.messages;
+    checki "total bits" bits st.Net.total_bits;
+    checki "max message bits" 2368 st.Net.max_message_bits;
+    checki "max edge-round bits" edge_round_bits st.Net.max_edge_round_bits;
+    checki "congest violations" 0 st.Net.congest_violations
+  in
+  case Shard_build.Polynomial ~dropped:[ 43; 46; 51 ] ~bits:1765248
+    ~edge_round_bits:13568;
+  case Shard_build.Exponential ~dropped:[ 0; 43; 46; 51 ] ~bits:1762304
+    ~edge_round_bits:13504
 
 (* ------------------------- CONGEST Baswana-Sen ----------------------- *)
 
@@ -523,6 +552,8 @@ let () =
           Alcotest.test_case "EFT" `Quick test_local_spanner_eft;
           Alcotest.test_case "round structure" `Quick test_local_spanner_round_structure;
           Alcotest.test_case "size vs bound" `Quick test_local_spanner_size_vs_bound;
+          Alcotest.test_case "pinned selection and traffic" `Quick
+            test_local_spanner_pinned;
         ] );
       ( "congest baswana-sen (Thm 14)",
         [

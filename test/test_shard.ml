@@ -6,7 +6,7 @@
    - Shard_build must produce valid f-VFT/f-EFT spanners within the
      paper's O(log n) size factor of the sequential build, bit-identical
      at every pool size, across storage backends, and on seed replay;
-   - Dk11's pooled path must be bit-identical at every pool size. *)
+   - Dk11 must be bit-identical at every pool size, and without a pool. *)
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -232,20 +232,26 @@ let test_spanner_facade_shard_option () =
   in
   checkil "facade ~shard:true routes through Shard_build" direct via_facade
 
+(* Without a pool Dk11 runs the same pre-split streams on a private
+   1-domain pool, so the selection does not depend on whether (or how
+   big) a pool was passed.  The dense graph keeps the union well short of
+   every edge, so a different stream shows. *)
 let test_dk11_pooled_bit_identical () =
-  let g = Generators.connected_gnp (rng ()) ~n:40 ~p:0.12 in
-  let build pool =
-    Selection.ids
-      (Dk11.build (Rng.create ~seed:77) ~mode:Fault.VFT ~k:2 ~f:1 ~pool g)
+  let g = Generators.gnp (Rng.create ~seed:21) ~n:60 ~p:0.8 in
+  let build ?pool () =
+    Dk11.build (Rng.create ~seed:77) ~mode:Fault.VFT ~k:2 ~f:1 ~c:0.2 ?pool g
   in
-  let reference = Exec.Pool.with_pool ~domains:1 build in
+  let reference = build () in
+  checkb "union leaves edges out" true (reference.Selection.size < Graph.m g);
   List.iter
     (fun domains ->
       Exec.Pool.with_pool ~domains @@ fun pool ->
       checkil
-        (Printf.sprintf "dk11 jobs=%d matches jobs=1" domains)
-        reference (build pool))
-    [ 2; 4 ];
+        (Printf.sprintf "dk11 jobs=%d matches no pool" domains)
+        (Selection.ids reference)
+        (Selection.ids (build ~pool ())))
+    [ 1; 2; 4 ];
+  let g = Generators.connected_gnp (rng ()) ~n:40 ~p:0.12 in
   let sel =
     Exec.Pool.with_pool ~domains:4 (fun pool ->
         Dk11.build (Rng.create ~seed:77) ~mode:Fault.VFT ~k:2 ~f:1 ~pool g)

@@ -33,21 +33,18 @@
    included) / the stream or trace is valid, 1 on any regression,
    baseline metric missing from the run, or semantically invalid
    stream/trace, 2 on usage or parse errors — the same error/usage
-   split as main.exe. *)
+   split as main.exe, whose command line it shares through
+   Cli_flags.eval. *)
 
-let usage () =
-  prerr_endline
-    "usage: compare.exe [--slack F] [--tol-wall F] [--tol-wall-abs S] \
-     [--tol-counter F] BASELINE.json RUN.json";
-  prerr_endline "       compare.exe --check-heartbeat STREAM.jsonl";
-  prerr_endline "       compare.exe --check-trace TRACE.json";
-  exit 2
+open Cmdliner
 
+(* A usage-class failure found after parsing (an unreadable or malformed
+   document): exit 2, the class cmdliner gives a bad command line. *)
 let bad fmt =
   Printf.ksprintf
     (fun msg ->
       Printf.eprintf "compare.exe: %s\n" msg;
-      usage ())
+      exit 2)
     fmt
 
 let read_report file =
@@ -157,70 +154,14 @@ let matched_exclusions docs =
     (fun p -> List.exists (starts_with p) names)
     Obs_compare.excluded_prefixes
 
-let () =
-  let tol = ref Obs_compare.default_tolerances in
-  let slack = ref 1.0 in
-  let files = ref [] in
-  let float_of name s =
-    match float_of_string_opt s with
-    | Some f when f > 0. -> f
-    | _ -> bad "%s expects a positive number, got %S" name s
-  in
-  let heartbeat = ref None in
-  let trace = ref None in
-  let rec go = function
-    | [] -> ()
-    | "--check-heartbeat" :: v :: rest ->
-        heartbeat := Some v;
-        go rest
-    | "--check-trace" :: v :: rest ->
-        trace := Some v;
-        go rest
-    | [ ("--check-heartbeat" | "--check-trace") ] -> bad "missing option value"
-    | "--slack" :: v :: rest ->
-        slack := float_of "--slack" v;
-        go rest
-    | "--tol-wall" :: v :: rest ->
-        tol := { !tol with Obs_compare.wall_rel = float_of "--tol-wall" v };
-        go rest
-    | "--tol-wall-abs" :: v :: rest ->
-        tol := { !tol with Obs_compare.wall_abs = float_of "--tol-wall-abs" v };
-        go rest
-    | "--tol-counter" :: v :: rest ->
-        tol := { !tol with Obs_compare.counter_rel = float_of "--tol-counter" v };
-        go rest
-    | [ ("--slack" | "--tol-wall" | "--tol-wall-abs" | "--tol-counter") ] ->
-        bad "missing option value"
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-        bad "unknown option %S" arg
-    | file :: rest ->
-        files := file :: !files;
-        go rest
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  (match (!heartbeat, !trace, !files) with
-  | Some file, None, [] ->
-      check_heartbeat file;
-      exit 0
-  | None, Some file, [] ->
-      check_trace file;
-      exit 0
-  | Some _, Some _, _ -> bad "--check-heartbeat and --check-trace are exclusive"
-  | Some _, None, _ -> bad "--check-heartbeat takes no report files"
-  | None, Some _, _ -> bad "--check-trace takes no report files"
-  | None, None, _ -> ());
-  let base_file, run_file =
-    match List.rev !files with
-    | [ b; r ] -> (b, r)
-    | _ -> bad "expected exactly two report files"
-  in
-  let tol = Obs_compare.scale !slack !tol in
+let gate tol slack base_file run_file =
+  let tol = Obs_compare.scale slack tol in
   let base = read_report base_file and run = read_report run_file in
   match Obs_compare.compare_reports ~tol base run with
   | Error msg -> bad "%s" msg
   | Ok findings ->
       Printf.printf "baseline %s vs run %s (slack %.2g)\n\n" base_file run_file
-        !slack;
+        slack;
       (match matched_exclusions [ base; run ] with
       | [] -> ()
       | ps ->
@@ -232,3 +173,68 @@ let () =
         exit 1
       end
       else print_endline "\nOK: within tolerance of the baseline"
+
+let run slack wall_rel wall_abs counter_rel heartbeat trace files =
+  let tol = { Obs_compare.wall_rel; wall_abs; counter_rel } in
+  match (heartbeat, trace, files) with
+  | Some file, None, [] -> Ok (check_heartbeat file)
+  | None, Some file, [] -> Ok (check_trace file)
+  | Some _, Some _, _ ->
+      Error (`Msg "--check-heartbeat and --check-trace are exclusive")
+  | Some _, None, _ -> Error (`Msg "--check-heartbeat takes no report files")
+  | None, Some _, _ -> Error (`Msg "--check-trace takes no report files")
+  | None, None, [ base_file; run_file ] -> Ok (gate tol slack base_file run_file)
+  | None, None, _ -> Error (`Msg "expected exactly two report files")
+
+let positive =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0. -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let () =
+  let tolerance names ~docv default doc =
+    Arg.(value & opt positive default & info names ~docv ~doc)
+  in
+  let d = Obs_compare.default_tolerances in
+  let slack =
+    let doc = "Scale every tolerance by $(docv)." in
+    Arg.(value & opt positive 1.0 & info [ "slack" ] ~docv:"F" ~doc)
+  in
+  let wall_rel =
+    tolerance [ "tol-wall" ] ~docv:"F" d.wall_rel
+      "Allowed relative wall-time increase."
+  in
+  let wall_abs =
+    tolerance [ "tol-wall-abs" ] ~docv:"S" d.wall_abs
+      "Absolute wall-time slack in seconds, added on top."
+  in
+  let counter_rel =
+    tolerance [ "tol-counter" ] ~docv:"F" d.counter_rel
+      "Allowed relative counter increase."
+  in
+  let heartbeat =
+    let doc = "Validate an ftspan.heartbeat.v1 JSON-lines stream instead." in
+    Arg.(value & opt (some string) None & info [ "check-heartbeat" ] ~docv:"STREAM" ~doc)
+  in
+  let trace =
+    let doc = "Validate an ftspan.trace.v1 document instead." in
+    Arg.(value & opt (some string) None & info [ "check-trace" ] ~docv:"TRACE" ~doc)
+  in
+  let files =
+    let doc = "The baseline report, then the run report." in
+    Arg.(value & pos_all string [] & info [] ~docv:"REPORT" ~doc)
+  in
+  let term =
+    Term.(
+      term_result
+        (const run $ slack $ wall_rel $ wall_abs $ counter_rel $ heartbeat
+       $ trace $ files))
+  in
+  let info =
+    Cmd.info "compare.exe"
+      ~doc:"Gate a metrics report against a baseline, or validate a stream or trace."
+  in
+  exit (Cli_flags.eval (Cmd.v info term))

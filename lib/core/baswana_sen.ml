@@ -5,19 +5,61 @@ type cluster_state = { center_of : int array; phases : int }
 type scratch = {
   best_w : float array;  (* per center: lightest edge weight *)
   best_e : int array;  (* per center: lightest edge id *)
+  first : int array;  (* per center: first neighbor met in it *)
   stamp_of : int array;  (* per center: stamp of last refresh *)
   kill : int array;  (* per center: stamp when marked for edge removal *)
   mutable stamp : int;
 }
 
-let make_scratch n =
+let scratch n =
   {
     best_w = Array.make n infinity;
     best_e = Array.make n (-1);
+    first = Array.make n (-1);
     stamp_of = Array.make n 0;
     kill = Array.make n 0;
     stamp = 0;
   }
+
+let scan sc g ~alive ~cluster_of ~own ~on_own v =
+  sc.stamp <- sc.stamp + 1;
+  let adjacent = ref [] in
+  Graph.iter_neighbors g v (fun y id ->
+      if alive.(id) then begin
+        let oc = cluster_of.(y) in
+        if oc < 0 then ()
+        else if oc = own then on_own y id
+        else begin
+          if sc.stamp_of.(oc) <> sc.stamp then begin
+            sc.stamp_of.(oc) <- sc.stamp;
+            sc.best_w.(oc) <- infinity;
+            sc.best_e.(oc) <- -1;
+            sc.first.(oc) <- y;
+            adjacent := oc :: !adjacent
+          end;
+          let w = Graph.weight g id in
+          if w < sc.best_w.(oc) then begin
+            sc.best_w.(oc) <- w;
+            sc.best_e.(oc) <- id
+          end
+        end
+      end);
+  !adjacent
+
+let lightest_edge sc c = sc.best_e.(c)
+let first_neighbor sc c = sc.first.(c)
+
+let join sc adjacent ~sampled ~keep =
+  let hook = ref (-1) and hook_w = ref infinity in
+  List.iter
+    (fun c ->
+      if sampled c && sc.best_w.(c) < !hook_w then begin
+        hook_w := sc.best_w.(c);
+        hook := c
+      end)
+    adjacent;
+  List.iter (fun c -> if !hook < 0 || sc.best_w.(c) < !hook_w then keep c) adjacent;
+  !hook
 
 let build_with_state rng ~k g =
   if k < 1 then invalid_arg "Baswana_sen.build: k must be >= 1";
@@ -27,35 +69,15 @@ let build_with_state rng ~k g =
   let alive = Array.make m true in
   let center = Array.init n (fun v -> v) in
   let p = if n <= 1 then 1.0 else float_of_int n ** (-1. /. float_of_int k) in
-  let sc = make_scratch n in
-  let add_edge id = selected.(id) <- true in
-  (* Group the alive incident edges of [v] by old cluster center; returns
-     the list of adjacent centers (own cluster excluded: intra-cluster
-     edges are killed on sight, their detour being the cluster tree). *)
-  let group old v =
-    sc.stamp <- sc.stamp + 1;
-    let adjacent = ref [] in
-    Graph.iter_neighbors g v (fun y id ->
-        if alive.(id) then begin
-          let oc = old.(y) in
-          if oc < 0 then ()
-          else if oc = old.(v) && old.(v) >= 0 then alive.(id) <- false
-          else begin
-            if sc.stamp_of.(oc) <> sc.stamp then begin
-              sc.stamp_of.(oc) <- sc.stamp;
-              sc.best_w.(oc) <- infinity;
-              sc.best_e.(oc) <- -1;
-              adjacent := oc :: !adjacent
-            end;
-            let w = Graph.weight g id in
-            if w < sc.best_w.(oc) then begin
-              sc.best_w.(oc) <- w;
-              sc.best_e.(oc) <- id
-            end
-          end
-        end);
-    !adjacent
+  let sc = scratch n in
+  (* Keep the lightest edge to cluster [c] and mark [c]'s edges for
+     removal; intra-cluster edges die on sight, their detour being the
+     cluster tree. *)
+  let keep c =
+    selected.(sc.best_e.(c)) <- true;
+    sc.kill.(c) <- sc.stamp
   in
+  let on_own _ id = alive.(id) <- false in
   (* Kill every alive edge of [v] leading to a cluster marked in
      [sc.kill] at the current stamp. *)
   let apply_kills old v =
@@ -75,57 +97,23 @@ let build_with_state rng ~k g =
     for c = 0 to n - 1 do
       if is_center.(c) then sampled.(c) <- Rng.bernoulli rng ~p
     done;
-    let old = Array.copy center in
+    let old = Array.copy center and is_sampled = Array.get sampled in
     for v = 0 to n - 1 do
       if old.(v) >= 0 && not sampled.(old.(v)) then begin
-        let adjacent = group old v in
-        let sampled_best = ref infinity and sampled_center = ref (-1) in
-        List.iter
-          (fun c ->
-            if sampled.(c) && sc.best_w.(c) < !sampled_best then begin
-              sampled_best := sc.best_w.(c);
-              sampled_center := c
-            end)
-          adjacent;
-        if !sampled_center < 0 then begin
-          (* No sampled neighbor: connect to every adjacent cluster and
-             retire from the clustering. *)
-          List.iter
-            (fun c ->
-              add_edge sc.best_e.(c);
-              sc.kill.(c) <- sc.stamp)
-            adjacent;
-          apply_kills old v;
-          center.(v) <- -1
-        end
-        else begin
-          (* Hook onto the lightest sampled cluster; also keep the lightest
-             edge to every strictly lighter cluster, then drop all edges to
-             the covered clusters. *)
-          add_edge sc.best_e.(!sampled_center);
-          sc.kill.(!sampled_center) <- sc.stamp;
-          List.iter
-            (fun c ->
-              if c <> !sampled_center && sc.best_w.(c) < !sampled_best then begin
-                add_edge sc.best_e.(c);
-                sc.kill.(c) <- sc.stamp
-              end)
-            adjacent;
-          apply_kills old v;
-          center.(v) <- !sampled_center
-        end
+        let adjacent = scan sc g ~alive ~cluster_of:old ~own:old.(v) ~on_own v in
+        (* Hook onto the lightest sampled cluster, or retire from the
+           clustering when none is adjacent. *)
+        let hook = join sc adjacent ~sampled:is_sampled ~keep in
+        if hook >= 0 then keep hook;
+        apply_kills old v;
+        center.(v) <- hook
       end
     done
   done;
   (* Phase 2: lightest edge to every remaining adjacent cluster. *)
   let old = Array.copy center in
   for v = 0 to n - 1 do
-    let adjacent = group old v in
-    List.iter
-      (fun c ->
-        add_edge sc.best_e.(c);
-        sc.kill.(c) <- sc.stamp)
-      adjacent;
+    List.iter keep (scan sc g ~alive ~cluster_of:old ~own:old.(v) ~on_own v);
     apply_kills old v
   done;
   (Selection.of_mask g selected, { center_of = center; phases = k - 1 })

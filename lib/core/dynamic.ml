@@ -96,11 +96,6 @@ let refresh_spanner t =
     t.spanner_dirty <- false
   end
 
-let decide t ~u ~v ~exclude =
-  refresh_spanner t;
-  Lbc.decide ~ws:t.ws ~exclude ~mode:t.o.mode t.spanner ~u ~v
-    ~t:(hops_bound t) ~alpha:t.o.f
-
 let store_edge t u v w =
   if t.n_edges = Array.length t.edges then begin
     let bigger =
@@ -121,6 +116,22 @@ let store_edge t u v w =
   t.live <- t.live + 1;
   idx
 
+(* The Algorithm 3 keep step: decide edge [idx] against the current H,
+   searching from [u] towards [v]; YES keeps it. *)
+let admit t idx ~u ~v =
+  refresh_spanner t;
+  let e = t.edges.(idx) in
+  match
+    Lbc.decide ~ws:t.ws ~mode:t.o.mode t.spanner ~u ~v ~t:(hops_bound t)
+      ~alpha:t.o.f
+  with
+  | Lbc.Yes _ ->
+      e.kept <- true;
+      t.kept_n <- t.kept_n + 1;
+      ignore (Graph.add_edge t.spanner u v ~w:e.ew);
+      true
+  | Lbc.No _ -> false
+
 let insert_edge t u v w =
   check_vertex t "apply" u;
   check_vertex t "apply" v;
@@ -134,14 +145,9 @@ let insert_edge t u v w =
   t.last_w <- max t.last_w w;
   let idx = store_edge t u v w in
   Obs.Counter.incr m_inserts;
-  match decide t ~u ~v ~exclude:[] with
-  | Lbc.Yes _ ->
-      t.edges.(idx).kept <- true;
-      t.kept_n <- t.kept_n + 1;
-      ignore (Graph.add_edge t.spanner u v ~w);
-      Obs.Counter.incr m_insert_kept;
-      true
-  | Lbc.No _ -> false
+  let kept = admit t idx ~u ~v in
+  if kept then Obs.Counter.incr m_insert_kept;
+  kept
 
 (* Depth-bounded multi-source BFS over the OLD spanner graph (deleted
    edges still present — a sound over-approximation of the affected
@@ -175,17 +181,17 @@ let affected_region t ~seeds ~depth =
   done;
   !region
 
-(* Live non-spanner edges anchored in [region], in nondecreasing
-   (weight, id) order — the greedy's order, so a given state always
-   repairs the same way. *)
-let candidates t region =
+(* Live edges anchored in [region] whose kept flag is [kept], in
+   ascending (weight, index) order — the greedy's order, so a given state
+   always repairs the same way. *)
+let anchored t region ~kept =
   let ids = ref [] in
   List.iter
     (fun x ->
       List.iter
         (fun idx ->
           let e = t.edges.(idx) in
-          if e.alive && not e.kept then ids := idx :: !ids)
+          if e.alive && e.kept = kept then ids := idx :: !ids)
         t.adj.(x))
     region;
   List.sort_uniq compare !ids
@@ -230,15 +236,11 @@ let recheck_region t acc region =
       let e = t.edges.(idx) in
       acc.a_recheck <- acc.a_recheck + 1;
       Obs.Counter.incr m_rechecks;
-      match decide t ~u:e.eu ~v:e.ev ~exclude:[] with
-      | Lbc.Yes _ ->
-          e.kept <- true;
-          t.kept_n <- t.kept_n + 1;
-          ignore (Graph.add_edge t.spanner e.eu e.ev ~w:e.ew);
-          acc.a_readd <- acc.a_readd + 1;
-          Obs.Counter.incr m_readded
-      | Lbc.No _ -> ())
-    (candidates t region)
+      if admit t idx ~u:e.eu ~v:e.ev then begin
+        acc.a_readd <- acc.a_readd + 1;
+        Obs.Counter.incr m_readded
+      end)
+    (anchored t region ~kept:false)
 
 (* Targeted repair after a group of deletions whose kept edges touched
    [seeds].  Never a rebuild: the spanner graph is re-materialized once
@@ -266,18 +268,9 @@ let repair t acc ~seeds =
      keeps alpha+1 short detours without [e] — the edge is redundant
      (the repair may have restored coverage the deleted edges used to
      provide).  One pass, no cascade; [exclude] accumulates so later
-     probes see earlier sheds without re-materializing. *)
-  let kept_anchored =
-    List.filter
-      (fun idx ->
-        let e = t.edges.(idx) in
-        e.alive && e.kept)
-      (List.sort_uniq compare
-         (List.concat_map (fun x -> t.adj.(x)) region))
-    |> List.map (fun idx -> (t.edges.(idx).ew, idx))
-    |> List.sort (fun a b -> compare b a)
-    |> List.map snd
-  in
+     probes see earlier sheds without re-materializing.  Reversing the
+     ascending listing gives descending (weight, index) order, since no
+     two pairs are equal. *)
   let excluded = ref [] in
   let shed_seeds = ref [] in
   List.iter
@@ -298,7 +291,7 @@ let repair t acc ~seeds =
               acc.a_shed <- acc.a_shed + 1;
               Obs.Counter.incr m_shed_c
           | Lbc.Yes _ -> ()))
-    kept_anchored;
+    (List.rev (anchored t region ~kept:true));
   if !shed_seeds <> [] then begin
     (* Shedding can invalidate NO verdicts of edges whose detours used
        a shed edge; those live within [depth] old-spanner hops of it.
@@ -437,8 +430,10 @@ let create ?(opts = default_opts) g =
       ws = Lbc.Workspace.create ();
     }
   in
-  (* Seed with the greedy's order (nondecreasing weight, ties by id), so
-     the initial spanner is exactly a fresh build's. *)
+  (* Seed in nondecreasing (weight, id) order.  [Engine]'s [By_weight]
+     sort breaks weight ties in heap-sort order instead, so the seed
+     equals [Poly_greedy.build] only when all weights are distinct (and
+     [~order:Input_order] on unit weights). *)
   let edges = Graph.edge_array g in
   Array.sort
     (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id))
@@ -553,6 +548,3 @@ let size t = t.kept_n
 let live_edges t = t.live
 let epoch t = t.cur_epoch
 let weight_monotone t = t.monotone
-let mode t = t.o.mode
-let k t = t.o.k
-let f t = t.o.f

@@ -84,8 +84,12 @@ val opts :
   opts
 
 (** [create ?opts g] starts a handle over the vertices of [g], seeded
-    with [g]'s edges (fed through the greedy in nondecreasing weight
-    order, so the initial spanner matches a fresh {!Spanner.build}).
+    with [g]'s edges fed through the greedy in nondecreasing
+    (weight, id) order; {!snapshot} ids follow that seed order.  The
+    seed spanner equals [Poly_greedy.build ~order:Input_order] on unit
+    weights and [Poly_greedy.build] when all weights are distinct.  With
+    tied weights it can differ from [Poly_greedy.build], whose
+    [By_weight] sort breaks ties in heap-sort order rather than by id.
     [g] itself is not retained or mutated. *)
 val create : ?opts:opts -> Graph.t -> t
 
@@ -154,7 +158,3 @@ val epoch : t -> int
     in nondecreasing weight order (the weighted-stretch regime —
     Theorem 10). *)
 val weight_monotone : t -> bool
-
-val mode : t -> Fault.mode
-val k : t -> int
-val f : t -> int

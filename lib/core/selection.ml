@@ -46,7 +46,3 @@ let blocked_edges sel extra_faults =
     (fun id -> if id >= 0 && id < Array.length blocked then blocked.(id) <- true)
     extra_faults;
   blocked
-
-let pp ppf sel =
-  Format.fprintf ppf "selection(%d/%d edges, weight %.3f)" sel.size
-    (Graph.m sel.source) (weight sel)

@@ -42,5 +42,3 @@ val to_subgraph : t -> Subgraph.t
     faulted edges" as a blocked-edge mask over the source graph: entry [id]
     is [true] iff the edge is {e unavailable} (unselected or faulted). *)
 val blocked_edges : t -> int list -> bool array
-
-val pp : Format.formatter -> t -> unit

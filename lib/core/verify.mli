@@ -17,8 +17,8 @@
       spanners in practice.
 
     Every battery reads its tunables — pool, trial count, sampling rng,
-    exhaustive cap — from one {!config} record ({!default} covers the
-    common case); the historical labelled-argument entry points remain
+    exhaustive cap — from one {!config} record (the builder's defaults
+    cover the common case); the historical labelled-argument entry points remain
     as deprecated wrappers for one release.
 
     Fault batteries are embarrassingly parallel — one fault's evaluation
@@ -58,8 +58,8 @@ val check_under_fault : Selection.t -> stretch:float -> Fault.t -> violation opt
 (** {1 Configuration}
 
     Every battery takes one {!config} instead of a spread of labelled
-    optional arguments.  Start from {!default} (or the {!config}
-    builder) and override what the call site cares about. *)
+    optional arguments.  Build it with the {!config} builder and override
+    what the call site cares about. *)
 
 type config = {
   pool : Exec.Pool.t option;
@@ -76,12 +76,9 @@ type config = {
       (** refusal cap for {!exhaustive} (default [2e6]) *)
 }
 
-(** [default] is [{pool = None; trials = 200; rng = None; seed = 0x5eed;
-    max_sets = 2e6}]. *)
-val default : config
-
 (** [config ?pool ?trials ?rng ?seed ?max_sets ()] builds a config from
-    {!default}.  Raises [Invalid_argument] if [trials < 1] or
+    the defaults [{pool = None; trials = 200; rng = None; seed = 0x5eed;
+    max_sets = 2e6}].  Raises [Invalid_argument] if [trials < 1] or
     [max_sets <= 0]. *)
 val config :
   ?pool:Exec.Pool.t ->

@@ -28,15 +28,16 @@ let build rng ?word_bits ?(record_history = false) ?chaos ~k g =
   let parent = Array.make n (-1) in
   let p = if n <= 1 then 1.0 else float_of_int n ** (-1. /. float_of_int k) in
 
-  (* Per-vertex grouping scratch, stamped by vertex id sweep. *)
-  let best_w = Array.make n infinity in
-  let best_e = Array.make n (-1) in
-  let stamp_of = Array.make n (-1) in
-  let stamp = ref 0 in
+  (* Per-vertex grouping by neighbor cluster: the sequential algorithm's
+     scan, run against the announced views. *)
+  let sc = Baswana_sen.scratch n in
 
   (* One announce round: every clustered vertex tells its neighbors its
      cluster and the cluster's sampling status; retired vertices stay
-     silent.  Returns per-vertex views (neighbor -> (center, sampled)). *)
+     silent.  The views are indexed by the *sender*: center/sampledness as
+     last announced.  Every vertex receives the same announcement from a
+     given sender, so a single global array per field is faithful. *)
+  let view_center = Array.make n (-1) and view_sampled = Array.make n false in
   let announce_round sampled_known =
     for v = 0 to n - 1 do
       if center.(v) >= 0 then
@@ -44,10 +45,8 @@ let build rng ?word_bits ?(record_history = false) ?chaos ~k g =
           (Announce { center = center.(v); sampled = sampled_known.(v) })
     done;
     Reliable.next_round net;
-    let view_center = Array.make n (-1) and view_sampled = Array.make n false in
-    (* views are indexed by the *sender*: center/sampledness as last
-       announced.  Every vertex receives the same announcement from a
-       given sender, so a single global array per field is faithful. *)
+    Array.fill view_center 0 n (-1);
+    Array.fill view_sampled 0 n false;
     for v = 0 to n - 1 do
       List.iter
         (fun (sender, msg) ->
@@ -57,19 +56,35 @@ let build rng ?word_bits ?(record_history = false) ?chaos ~k g =
               view_sampled.(sender) <- sampled
           | Sampled_bit _ | Kill -> ())
         (Reliable.inbox net v)
-    done;
-    (view_center, view_sampled)
+    done
   in
 
-  (* Kill round: notify the other endpoint of each locally killed edge. *)
-  let kill_round to_kill =
+  (* Kills are deferred: a vertex lists the edges it drops (own-cluster
+     ones as the scan meets them, then those to each cluster it connects
+     to) and the kill round notifies their other endpoints. *)
+  let to_kill = ref [] in
+  let scan ~own v =
+    Baswana_sen.scan sc g ~alive ~cluster_of:view_center ~own
+      ~on_own:(fun y id -> to_kill := (v, y, id) :: !to_kill)
+      v
+  in
+  let kill_cluster v c =
+    Graph.iter_neighbors g v (fun y id ->
+        if alive.(id) && view_center.(y) = c then to_kill := (v, y, id) :: !to_kill)
+  in
+  let keep v c =
+    selected.(Baswana_sen.lightest_edge sc c) <- true;
+    kill_cluster v c
+  in
+  let kill_round () =
     List.iter
       (fun (v, y, id) ->
         if alive.(id) then begin
           alive.(id) <- false;
           Reliable.send net ~src:v ~dst:y Kill
         end)
-      to_kill;
+      !to_kill;
+    to_kill := [];
     Reliable.next_round net
   in
 
@@ -108,109 +123,32 @@ let build rng ?word_bits ?(record_history = false) ?chaos ~k g =
       done
     done;
 
-    let view_center, view_sampled = announce_round sampled_known in
+    announce_round sampled_known;
 
     (* Simultaneous local decisions against the announced snapshot. *)
     let old_center = Array.copy center in
-    let to_kill = ref [] in
+    let sampled c = view_sampled.(Baswana_sen.first_neighbor sc c) in
     for v = 0 to n - 1 do
       if old_center.(v) >= 0 && not sampled_known.(v) then begin
-        incr stamp;
-        let adjacent = ref [] in
-        Graph.iter_neighbors g v (fun y id ->
-            if alive.(id) then begin
-              let oc = view_center.(y) in
-              if oc < 0 then ()
-              else if oc = old_center.(v) then to_kill := (v, y, id) :: !to_kill
-              else begin
-                if stamp_of.(oc) <> !stamp then begin
-                  stamp_of.(oc) <- !stamp;
-                  best_w.(oc) <- infinity;
-                  best_e.(oc) <- -1;
-                  adjacent := (oc, y) :: !adjacent
-                end;
-                let wt = Graph.weight g id in
-                if wt < best_w.(oc) then begin
-                  best_w.(oc) <- wt;
-                  best_e.(oc) <- id
-                end
-              end
-            end);
-        let sampled_best = ref infinity and sampled_c = ref (-1) in
-        List.iter
-          (fun (c, y) ->
-            if view_sampled.(y) && best_w.(c) < !sampled_best then begin
-              sampled_best := best_w.(c);
-              sampled_c := c
-            end)
-          !adjacent;
-        let kill_cluster c =
-          Graph.iter_neighbors g v (fun y id ->
-              if alive.(id) && view_center.(y) = c then to_kill := (v, y, id) :: !to_kill)
-        in
-        if !sampled_c < 0 then begin
-          List.iter
-            (fun (c, _) ->
-              selected.(best_e.(c)) <- true;
-              kill_cluster c)
-            !adjacent;
-          center.(v) <- -1;
-          parent.(v) <- -1
-        end
-        else begin
-          let hook = best_e.(!sampled_c) in
-          selected.(hook) <- true;
-          List.iter
-            (fun (c, _) ->
-              if c <> !sampled_c && best_w.(c) < !sampled_best then begin
-                selected.(best_e.(c)) <- true;
-                kill_cluster c
-              end)
-            !adjacent;
-          kill_cluster !sampled_c;
-          center.(v) <- !sampled_c;
-          parent.(v) <- Graph.other_endpoint g hook v
+        let adjacent = scan ~own:old_center.(v) v in
+        let hook = Baswana_sen.join sc adjacent ~sampled ~keep:(keep v) in
+        center.(v) <- hook;
+        parent.(v) <- -1;
+        if hook >= 0 then begin
+          keep v hook;
+          parent.(v) <- Graph.other_endpoint g (Baswana_sen.lightest_edge sc hook) v
         end
       end
     done;
-    kill_round !to_kill
+    kill_round ()
   done;
 
   (* Final phase: lightest edge to every remaining adjacent cluster. *)
-  let dummy_sampled = Array.make n false in
-  let view_center, _ = announce_round dummy_sampled in
-  let to_kill = ref [] in
+  announce_round (Array.make n false);
   for v = 0 to n - 1 do
-    incr stamp;
-    let adjacent = ref [] in
-    Graph.iter_neighbors g v (fun y id ->
-        if alive.(id) then begin
-          let oc = view_center.(y) in
-          if oc < 0 then ()
-          else if oc = center.(v) && center.(v) >= 0 then
-            to_kill := (v, y, id) :: !to_kill
-          else begin
-            if stamp_of.(oc) <> !stamp then begin
-              stamp_of.(oc) <- !stamp;
-              best_w.(oc) <- infinity;
-              best_e.(oc) <- -1;
-              adjacent := (oc, y) :: !adjacent
-            end;
-            let wt = Graph.weight g id in
-            if wt < best_w.(oc) then begin
-              best_w.(oc) <- wt;
-              best_e.(oc) <- id
-            end
-          end
-        end);
-    List.iter
-      (fun (c, _) ->
-        selected.(best_e.(c)) <- true;
-        Graph.iter_neighbors g v (fun y id ->
-            if alive.(id) && view_center.(y) = c then to_kill := (v, y, id) :: !to_kill))
-      !adjacent
+    List.iter (keep v) (scan ~own:center.(v) v)
   done;
-  kill_round !to_kill;
+  kill_round ();
 
   let stats = Reliable.stats net in
   {

@@ -16,9 +16,12 @@
     [sum_i (i + 2) + 2 = O(k^2)] rounds, matching Theorem 14; expected
     size is [O(k n^{1+1/k})] as in the centralized version.
 
-    Unlike the centralized implementation (which processes vertices
-    sequentially), every vertex here decides against the same snapshot of
-    the clustering — the genuinely distributed semantics.
+    Each vertex runs the centralized per-vertex step
+    ({!Baswana_sen.scan}, {!Baswana_sen.join}), but where the centralized
+    build processes vertices sequentially and kills edges at once, every
+    vertex here decides against the same announced snapshot of the
+    clustering and defers its kills to the kill round — the genuinely
+    distributed semantics.
 
     With [record_history] the per-round, per-edge bit loads are retained;
     {!Congest_ft} replays those histories to schedule many instances in

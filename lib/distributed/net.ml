@@ -99,8 +99,6 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     bits_mark = 0;
   }
 
-let graph net = net.g
-
 let set_skeleton net mask = Wire.set_skeleton net.wire mask
 
 (* One physical copy crossed the wire on slot [s]: the per-round load

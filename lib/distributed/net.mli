@@ -74,9 +74,6 @@ val create :
   Graph.t ->
   'msg t
 
-(** [graph net] is the underlying topology. *)
-val graph : 'msg t -> Graph.t
-
 (** [send net ~src ~dst msg] stages a message for delivery at the end of
     the current round.  [dst] must be adjacent to [src] (this is a
     message-passing network, not shared memory); raises [Invalid_argument]

@@ -126,8 +126,6 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     tally = { retransmits = 0; giveups = 0 };
   }
 
-let graph t = t.g
-
 let send t ~src ~dst msg =
   match t.chaos with
   | None -> Net.send t.net ~src ~dst (Data { seq = 0; payload = msg })
@@ -269,7 +267,6 @@ let inbox t v =
         (Net.inbox t.net v)
   | Some _ -> t.inboxes.(v)
 
-let charge_rounds t k = Net.charge_rounds t.net k
 let stats t = Net.stats t.net
 let history t = Net.history t.net
 let retransmits t = t.tally.retransmits

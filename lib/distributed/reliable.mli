@@ -53,8 +53,6 @@ val create :
   Graph.t ->
   'msg t
 
-val graph : 'msg t -> Graph.t
-
 (** [send t ~src ~dst msg] queues one logical message for the current
     logical round.  Same adjacency contract as {!Net.send}. *)
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
@@ -72,8 +70,6 @@ val next_round : 'msg t -> unit
 (** [inbox t v] lists [(sender, message)] pairs of the previous logical
     round, deduplicated, in ascending [(sender, send order)]. *)
 val inbox : 'msg t -> int -> (int * 'msg) list
-
-val charge_rounds : 'msg t -> int -> unit
 
 (** [stats t] is the underlying network's accounting — physical rounds
     and offered load, protocol traffic included. *)

@@ -8,13 +8,6 @@ type report = {
   retransmits : int;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "pulses=%d messages=%d time=%.2f skew=%.2f skeleton=%d connected=%b \
-     retransmits=%d"
-    r.pulses r.messages r.completion_time r.max_skew r.skeleton_edges
-    r.survivors_connected r.retransmits
-
 (* Per-node pulse-to-pulse latency in simulated time: the α-synchronizer's
    service-level series.  Log-linear: lossy runs stretch the tail with
    retransmission backoff, which is exactly what p99/p999 should show. *)

@@ -33,8 +33,6 @@ type report = {
           chaos) *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** [run rng ?failures ?chaos ~pulses ~skeleton g] drives every node
     through [pulses] synchronized pulses over the given skeleton (a
     {!Selection.t} over [g]).  [failures = (time, nodes)] crashes the

@@ -33,13 +33,17 @@
     [pool.parallel_for] span, so the trace viewer shows the fan-out. *)
 
 (** Default worker count for tools: the value set by {!set_default_jobs}
-    (the CLI's [--jobs]), else the [FTSPAN_JOBS] environment variable,
+    ([bench/main.exe]'s [--jobs]), else the [FTSPAN_JOBS] environment variable,
     else [1].  Malformed or non-positive values of [FTSPAN_JOBS] read as
     [1]. *)
 val default_jobs : unit -> int
 
 (** [set_default_jobs n] overrides {!default_jobs} for this process.
-    Raises [Invalid_argument] if [n < 1]. *)
+    Raises [Invalid_argument] if [n < 1].
+
+    The override is a plain, unsynchronized reference.  The only caller
+    outside the tests is [bench/main.exe], which sets it once, before
+    any pool exists; any other caller must do the same. *)
 val set_default_jobs : int -> unit
 
 module Pool : sig

@@ -39,12 +39,6 @@ let check_vertex g x name =
 
 let adjacency g = g.adj
 
-let neighbors g u =
-  check_vertex g u "neighbors";
-  let acc = ref [] in
-  Csr.iter g.adj u (fun v id -> acc := (v, id) :: !acc);
-  List.rev !acc
-
 let degree g u =
   check_vertex g u "degree";
   Csr.degree g.adj u
@@ -247,5 +241,3 @@ let is_unit_weighted g =
     if g.e_w.(i) <> 1.0 then ok := false
   done;
   !ok
-
-let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" g.size g.count

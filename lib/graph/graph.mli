@@ -92,16 +92,6 @@ val weight : t -> int -> float
     Raises [Invalid_argument] if [x] is not an endpoint. *)
 val other_endpoint : t -> int -> int -> int
 
-(** [neighbors g u] lists [(v, edge_id)] for every edge incident to [u].
-    The returned list is in reverse insertion order; treat it as a set.
-
-    {b Migration note}: adjacency is no longer stored as lists, so this
-    allocates a fresh list per call.  Code that used to walk
-    [Graph.neighbors] should iterate with {!iter_neighbors} (same order,
-    allocation-free) or, in traversal inner loops, index the {!adjacency}
-    slices directly. *)
-val neighbors : t -> int -> (int * int) list
-
 (** [degree g u] is the number of edges incident to [u]. *)
 val degree : t -> int -> int
 
@@ -151,8 +141,3 @@ val max_degree : t -> int
 
 (** [is_unit_weighted g] is [true] when every edge has weight [1.0]. *)
 val is_unit_weighted : t -> bool
-
-(** {1 Printing} *)
-
-(** [pp] prints a short summary ["graph(n=.., m=..)"]. *)
-val pp : Format.formatter -> t -> unit

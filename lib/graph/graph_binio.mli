@@ -43,12 +43,6 @@
 exception Not_a_graph of string
 exception Corrupt of string
 
-(** The 8-byte magic, ["ftspan.g"]. *)
-val magic : string
-
-(** The format version written by {!save} (currently [1]). *)
-val version : int
-
 (** [save g file] writes [g] in [ftspan.graph.v1] layout.  Works from
     either storage backend; the weights array is omitted when [g] is
     unit-weighted.  Raises [Invalid_argument] if [g] has more edges

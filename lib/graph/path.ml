@@ -37,10 +37,3 @@ let is_valid g p =
         | _, _ -> false
       in
       walk first rest p.edges
-
-let pp ppf p =
-  Format.fprintf ppf "@[<h>path[%a]@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "-")
-       Format.pp_print_int)
-    p.vertices

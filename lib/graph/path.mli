@@ -29,5 +29,3 @@ val weight : Graph.t -> t -> float
 (** [is_valid g p] checks that consecutive vertices are joined by the listed
     edges of [g] and that the path is non-empty and self-consistent. *)
 val is_valid : Graph.t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@ let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5bd1e995 |
 
 let split rng = Random.State.split rng
 
-let copy rng = Random.State.copy rng
-
 let int rng bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Random.State.int rng bound
@@ -56,8 +54,3 @@ let sample_without_replacement rng ~k ~n =
       else loop (i + 1) chosen acc
   in
   loop 0 0 []
-
-let pick rng a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Rng.pick: empty array";
-  a.(Random.State.int rng n)

@@ -18,10 +18,6 @@ val create : seed:int -> t
     consumption patterns. *)
 val split : t -> t
 
-(** [copy rng] duplicates the current state (both copies then produce the
-    same stream). *)
-val copy : t -> t
-
 (** [int rng bound] draws uniformly from [0, bound-1].  [bound] must be
     positive. *)
 val int : t -> int -> int
@@ -53,7 +49,3 @@ val permutation : t -> int -> int array
 (** [sample_without_replacement rng ~k ~n] returns [k] distinct values drawn
     uniformly from [0..n-1], in increasing order.  Requires [0 <= k <= n]. *)
 val sample_without_replacement : t -> k:int -> n:int -> int list
-
-(** [pick rng a] returns a uniformly random element of the non-empty array
-    [a]. *)
-val pick : t -> 'a array -> 'a

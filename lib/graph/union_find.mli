@@ -5,9 +5,6 @@ type t
 (** [create n] makes [n] singleton sets [0..n-1]. *)
 val create : int -> t
 
-(** [find uf x] is the canonical representative of [x]'s set. *)
-val find : t -> int -> int
-
 (** [union uf x y] merges the sets of [x] and [y]; returns [true] when they
     were previously distinct. *)
 val union : t -> int -> int -> bool

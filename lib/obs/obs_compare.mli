@@ -61,10 +61,6 @@ val scale : float -> tolerances -> tolerances
     [bench/compare.exe] prints which of these actually matched. *)
 val excluded_prefixes : string list
 
-(** [scheduling_dependent name] is true iff [name] matches one of
-    {!excluded_prefixes}. *)
-val scheduling_dependent : string -> bool
-
 (** [compare_reports ?tol base run] matches the two documents (baseline
     first) and returns one finding per compared metric, grouped by
     entry.  [Error] on a malformed document or a schema tag other than

@@ -65,9 +65,10 @@ type state = {
 let active : state option Atomic.t = Atomic.make None
 let ops = Atomic.make 0
 
-(* Survives [stop] so the CLI can print a summary after closing. *)
-let last_beats = ref 0
-let last_skipped = ref 0
+(* Survives [stop] so the CLI can print a summary after closing.  Written
+   by whichever domain wins a beat, so atomic. *)
+let last_beats = Atomic.make 0
+let last_skipped = Atomic.make 0
 
 let json_of_beat st =
   let now = Obs.now_s () in
@@ -136,8 +137,8 @@ let beat st =
   st.prev_counters <- counters;
   st.last_beat_s <- now;
   st.beats <- st.beats + 1;
-  last_beats := st.beats;
-  last_skipped := Atomic.get st.skipped
+  Atomic.set last_beats st.beats;
+  Atomic.set last_skipped (Atomic.get st.skipped)
 
 (* Best-effort from any domain: a pulse that loses the race skips its
    beat (the next one catches up) — but the loss is counted, both in the
@@ -197,8 +198,8 @@ let start spec =
   let oc = open_out spec.file in
   let now = Obs.now_s () in
   Atomic.set ops 0;
-  last_beats := 0;
-  last_skipped := 0;
+  Atomic.set last_beats 0;
+  Atomic.set last_skipped 0;
   Atomic.set active
     (Some
        {
@@ -212,5 +213,5 @@ let start spec =
          prev_counters = [];
        })
 
-let beats () = !last_beats
-let skipped () = !last_skipped
+let beats () = Atomic.get last_beats
+let skipped () = Atomic.get last_skipped

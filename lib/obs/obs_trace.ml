@@ -168,10 +168,12 @@ let set_sink s =
   sink := s;
   Mutex.unlock lock
 
-let seen () = !seen_count
-let sampled () = !stored_count
-let retained () = min !stored_count (Array.length !buf)
-let dropped () = !seen_count - retained ()
+(* Read under [lock]: worker domains may be emitting. *)
+let seen () = Mutex.protect lock (fun () -> !seen_count)
+let sampled () = Mutex.protect lock (fun () -> !stored_count)
+let dropped () =
+  Mutex.protect lock (fun () ->
+      !seen_count - min !stored_count (Array.length !buf))
 
 let events () =
   Mutex.lock lock;

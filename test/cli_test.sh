@@ -244,6 +244,11 @@ sed 's/"lbc.calls": [0-9]*/"lbc.calls": 999999999/' "$TMP/bench-run.json" \
 if "$COMPARE" --slack 2 "$BASELINE" "$TMP/bench-inflated.json" >/dev/null; then
   fail "compare must reject an inflated counter"
 fi
+# compare's command line is usage-class on every malformed invocation
+"$COMPARE" --bogus "$BASELINE" "$TMP/bench-run.json" >/dev/null 2>&1
+[ $? -eq 2 ] || fail "compare with an unknown option must exit 2"
+"$COMPARE" "$BASELINE" "$TMP/bench-run.json" --slack >/dev/null 2>&1
+[ $? -eq 2 ] || fail "compare with a missing option value must exit 2"
 
 # trace sampling: a sampled run reports its accounting, and the same
 # sampling seed replays the same kept set bit-for-bit (jobs pinned to 1:

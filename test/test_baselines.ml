@@ -264,6 +264,50 @@ let test_bs_state_exposed () =
     (fun c -> checkb "center valid or retired" true (c >= -1 && c < 30))
     st.Baswana_sen.center_of
 
+(* Literal selections and clusterings: any change to the cluster scan's
+   tie-breaking, grouping order or kill timing moves one of these. *)
+let test_bs_pinned () =
+  let input ~weighted =
+    let g = Generators.connected_gnp (Rng.create ~seed:17) ~n:24 ~p:0.3 in
+    if weighted then
+      Generators.with_uniform_weights (Rng.create ~seed:18) g ~lo:0.5 ~hi:4.0
+    else g
+  in
+  let pin ~k ~weighted ids centers =
+    let sel, st = Baswana_sen.build_with_state (Rng.create ~seed:5) ~k (input ~weighted) in
+    let name = Printf.sprintf "k=%d weighted=%b" k weighted in
+    check (Alcotest.list Alcotest.int) (name ^ " ids") ids (Selection.ids sel);
+    check (Alcotest.array Alcotest.int) (name ^ " centers") centers st.Baswana_sen.center_of
+  in
+  pin ~k:2 ~weighted:false
+    [ 0; 1; 2; 4; 5; 6; 7; 8; 9; 10; 11; 12; 14; 15; 16; 18; 19; 20; 21; 22;
+      23; 24; 25; 28; 29; 31; 32; 35; 36; 37; 38; 39; 40; 41; 42; 44; 45; 46;
+      47; 48; 49; 51; 52; 53; 54; 55; 57; 58; 59; 60; 61; 62; 64; 65; 66; 67;
+      69; 70; 71; 72; 73; 74; 75 ]
+    [| 4; 1; 11; 4; 4; 8; 1; 4; 8; 11; 4; 11; 1; 13; 14; 8; 1; 1; 18; 19; 8;
+       4; 23; 23 |];
+  pin ~k:2 ~weighted:true
+    [ 0; 1; 2; 3; 4; 5; 6; 8; 9; 11; 12; 13; 14; 15; 16; 17; 19; 20; 21; 22;
+      24; 25; 26; 27; 28; 29; 30; 31; 32; 34; 37; 38; 39; 40; 41; 42; 43; 44;
+      46; 47; 48; 49; 50; 51; 53; 54; 55; 56; 57; 58; 59; 60; 61; 62; 63; 64;
+      65; 66; 67; 68; 69; 70; 71; 72; 73; 74; 75 ]
+    [| 4; 1; 11; 4; 4; 8; 8; 11; 8; 11; 19; 11; 19; 13; 14; 14; 1; 13; 18;
+       19; 14; 19; 23; 23 |];
+  pin ~k:3 ~weighted:false
+    [ 0; 1; 2; 3; 5; 6; 7; 8; 9; 11; 12; 13; 14; 15; 16; 18; 19; 20; 22; 23;
+      24; 25; 28; 29; 31; 34; 35; 36; 37; 38; 39; 40; 41; 42; 44; 45; 46; 47;
+      48; 49; 50; 51; 52; 53; 54; 55; 56; 57; 58; 59; 61; 62; 63; 64; 65; 66;
+      67; 69; 70; 71; 72; 73; 74; 75 ]
+    [| -1; 1; 11; 11; 1; 1; 1; 11; 10; 10; 10; 11; 11; 13; 10; 1; 1; 1; 11;
+       1; -1; 10; 23; 23 |];
+  pin ~k:3 ~weighted:true
+    [ 1; 3; 4; 6; 8; 9; 11; 12; 13; 14; 15; 16; 17; 19; 20; 21; 22; 24; 25;
+      26; 27; 28; 29; 30; 31; 32; 34; 36; 37; 38; 39; 40; 41; 42; 43; 44; 46;
+      47; 48; 49; 50; 51; 52; 53; 54; 55; 56; 57; 58; 59; 60; 61; 62; 64; 65;
+      66; 67; 69; 70; 71; 72; 74; 75 ]
+    [| 10; 1; 11; 23; 10; 23; 10; 11; 11; 10; 10; 11; 1; 13; 10; 1; 1; 13;
+       11; 10; -1; 10; 23; 23 |]
+
 (* ----------------------------- DK11 ---------------------------------- *)
 
 let test_dk11_iterations_formula () =
@@ -426,6 +470,7 @@ let () =
           Alcotest.test_case "expected size" `Quick test_bs_size_expected_bound;
           Alcotest.test_case "trees survive" `Quick test_bs_keeps_tree_edges_of_sparse;
           Alcotest.test_case "state exposed" `Quick test_bs_state_exposed;
+          Alcotest.test_case "pinned selections" `Quick test_bs_pinned;
         ] );
       ( "dk11",
         [

@@ -82,6 +82,52 @@ let test_concurrent_batch_builds () =
   checkb "other domain's builds identical to sequential" true
     (List.for_all Fun.id theirs)
 
+(* Pool workers on a second domain emit trace events and heartbeat
+   pulses while the main domain polls the trace and heartbeat summaries.
+   Every read must be a consistent snapshot: counts never go backwards,
+   and the ring never reports more events kept than seen. *)
+let test_observability_polled_while_emitting () =
+  let events = 20_000 and capacity = 512 in
+  let stream = Filename.temp_file "ftspan_hb" ".jsonl" in
+  Obs_trace.start ~capacity ();
+  Obs_heartbeat.start
+    { Obs_heartbeat.file = stream; interval_s = None; every_ops = Some 50 };
+  let finished = Atomic.make false in
+  let emitter =
+    Domain.spawn (fun () ->
+        Exec.Pool.with_pool ~domains:2 (fun pool ->
+            Exec.parallel_for pool ~lo:0 ~hi:events (fun ~worker:_ lo hi ->
+                for _ = lo to hi - 1 do
+                  Obs_trace.emit (Obs_trace.Mark "poll-race");
+                  Obs_heartbeat.pulse ()
+                done));
+        Atomic.set finished true)
+  in
+  let torn = ref 0 in
+  let last_seen = ref 0 and last_beats = ref 0 in
+  let polling = ref true in
+  while !polling do
+    polling := not (Atomic.get finished);
+    let seen = Obs_trace.seen () and sampled = Obs_trace.sampled () in
+    let dropped = Obs_trace.dropped () and beats = Obs_heartbeat.beats () in
+    if
+      seen < !last_seen || sampled > Obs_trace.seen () || dropped < 0
+      || beats < !last_beats || Obs_heartbeat.skipped () < 0
+    then incr torn;
+    last_seen := seen;
+    last_beats := beats
+  done;
+  Domain.join emitter;
+  Obs_trace.stop ();
+  Obs_heartbeat.stop ();
+  Sys.remove stream;
+  checki "no torn reads" 0 !torn;
+  (* The pool adds its own span and phase events around the marks. *)
+  let seen = Obs_trace.seen () in
+  checkb "every mark seen" true (seen >= events);
+  checki "ring overflow counted" (seen - capacity) (Obs_trace.dropped ());
+  checkb "beats recorded" true (Obs_heartbeat.beats () > 0)
+
 let () =
   Alcotest.run "concurrency"
     [
@@ -92,5 +138,7 @@ let () =
             test_exponential_shard_build;
           Alcotest.test_case "concurrent batch builds" `Quick
             test_concurrent_batch_builds;
+          Alcotest.test_case "observability polled while emitting" `Quick
+            test_observability_polled_while_emitting;
         ] );
     ]

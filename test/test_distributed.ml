@@ -415,6 +415,65 @@ let test_congest_bs_matches_size_shape () =
   checkb "sparsifies K50" true
     (res.Congest_bs.selection.Selection.size < Graph.m g / 2)
 
+(* Literal outputs of the CONGEST run of Baswana_sen's cluster step.
+   Under chaos every fate is drawn in send order, so the stats also pin
+   the order of the deferred Kill list. *)
+let test_congest_bs_pinned () =
+  let unit = Generators.connected_gnp (Rng.create ~seed:21) ~n:20 ~p:0.3 in
+  let weighted =
+    Generators.with_uniform_weights (Rng.create ~seed:22) unit ~lo:1.0 ~hi:5.0
+  in
+  let chaos =
+    Chaos.plan ~drop:0.2 ~dup:0.1 ~reorder:2 ~crashes:[ (5, 3., 40.) ] ~seed:9 ()
+  in
+  let stats =
+    Alcotest.testable Net.pp_stats (fun (a : Net.stats) b -> a = b)
+  in
+  let pin ?chaos ?(g = weighted) ~k ids (st : Net.stats) =
+    let res = Congest_bs.build (Rng.create ~seed:6) ?chaos ~k g in
+    let name =
+      Printf.sprintf "k=%d chaos=%b unit=%b" k (chaos <> None) (g == unit)
+    in
+    check (Alcotest.list Alcotest.int) (name ^ " ids") ids
+      (Selection.ids res.Congest_bs.selection);
+    checki (name ^ " rounds") st.Net.rounds res.Congest_bs.rounds;
+    check stats (name ^ " stats") st res.Congest_bs.stats
+  in
+  let ids2 =
+    [ 0; 1; 2; 3; 4; 5; 6; 8; 9; 10; 11; 12; 13; 14; 15; 16; 17; 18; 19; 20;
+      21; 22; 23; 24; 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35; 36; 37; 38;
+      39; 40; 41; 42; 43; 44; 45; 46; 47; 49; 50; 51; 52; 53 ]
+  and ids3 =
+    [ 0; 1; 2; 3; 4; 5; 6; 8; 9; 10; 11; 12; 13; 14; 15; 17; 18; 19; 20; 21;
+      22; 24; 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35; 36; 37; 38; 40; 41;
+      42; 43; 44; 45; 46; 47; 49; 50; 51; 52; 53 ]
+  in
+  pin ~k:2 ids2
+    { rounds = 5; messages = 363; total_bits = 3762; max_message_bits = 12;
+      max_edge_round_bits = 12; congest_violations = 0 };
+  pin ~k:3 ids3
+    { rounds = 9; messages = 614; total_bits = 6774; max_message_bits = 12;
+      max_edge_round_bits = 12; congest_violations = 0 };
+  pin ~chaos ~k:2 ids2
+    { rounds = 336; messages = 1229; total_bits = 46220; max_message_bits = 44;
+      max_edge_round_bits = 96; congest_violations = 1229 };
+  pin ~chaos ~k:3 ids3
+    { rounds = 466; messages = 1999; total_bits = 75941; max_message_bits = 44;
+      max_edge_round_bits = 108; congest_violations = 1999 };
+  (* Unit weights: every cluster's lightest edge is a tie, won by the
+     first edge the scan meets. *)
+  let ids_unit =
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15; 16; 18; 19; 20;
+      23; 25; 26; 27; 28; 29; 30; 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 41;
+      42; 43; 44; 45; 46; 47; 48; 49; 50; 51; 52; 53 ]
+  in
+  pin ~g:unit ~k:2 ids_unit
+    { rounds = 5; messages = 363; total_bits = 3762; max_message_bits = 12;
+      max_edge_round_bits = 12; congest_violations = 0 };
+  pin ~g:unit ~chaos ~k:2 ids_unit
+    { rounds = 357; messages = 1194; total_bits = 44920; max_message_bits = 44;
+      max_edge_round_bits = 96; congest_violations = 1194 }
+
 (* ------------------------- CONGEST FT spanner ------------------------ *)
 
 let test_congest_ft_valid_sampled () =
@@ -563,6 +622,7 @@ let () =
           Alcotest.test_case "no violations" `Quick test_congest_bs_no_violations;
           Alcotest.test_case "history" `Quick test_congest_bs_history_recorded;
           Alcotest.test_case "sparsifies" `Quick test_congest_bs_matches_size_shape;
+          Alcotest.test_case "pinned outputs" `Quick test_congest_bs_pinned;
         ] );
       ( "congest ft spanner (Thm 15)",
         [

@@ -34,7 +34,22 @@ let test_create_seeds_like_build () =
   check (Alcotest.list Alcotest.int) "same selection" (Selection.ids fresh)
     (Selection.ids (Dynamic.snapshot d));
   checki "epoch starts at 0" 0 (Dynamic.epoch d);
-  checki "all edges live" (Graph.m g) (Dynamic.live_edges d)
+  checki "all edges live" (Graph.m g) (Dynamic.live_edges d);
+  (* With distinct weights the seed order (weight, id) is the only
+     nondecreasing order, so the seed keeps the same edges as
+     [Poly_greedy.build]; the snapshot renumbers them in seed order, so
+     compare endpoints. *)
+  let gw = Generators.with_uniform_weights (Rng.create ~seed:12) g ~lo:1.0 ~hi:9.0 in
+  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) gw in
+  let endpoints sel =
+    let src = sel.Selection.source in
+    List.sort compare (List.map (Graph.endpoints src) (Selection.ids sel))
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "distinct weights: same kept edges as Poly_greedy.build"
+    (endpoints (Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 gw))
+    (endpoints (Dynamic.snapshot d))
 
 let test_delete_and_query () =
   let d = path_graph 6 in
@@ -246,6 +261,58 @@ let test_shed_after_deletions () =
     (Verify.ok
        (Verify.exhaustive (Dynamic.snapshot d) ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
+(* A literal script through the admit step and the anchored-edge
+   listing: inserts given high endpoint first (the LBC search runs from
+   [u]), a vertex retirement, and deletion batches whose repair sheds.
+   Every per-apply counter and the final selection are pinned. *)
+let test_pinned_script () =
+  let g =
+    Generators.with_uniform_weights (Rng.create ~seed:32)
+      (Generators.connected_gnp (Rng.create ~seed:31) ~n:16 ~p:0.38)
+      ~lo:1.0 ~hi:3.0
+  in
+  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) g in
+  checki "seed size" 29 (Dynamic.size d);
+  let del u v = Dynamic.Delete_edge { u; v } in
+  let ins u v w = Dynamic.Insert { u; v; w } in
+  let step ops (i, k, de, dv, tv, rc, ra, sh, ep) =
+    let s = Dynamic.apply d ops in
+    check
+      (Alcotest.list Alcotest.int)
+      (Printf.sprintf "epoch %d stats" ep)
+      [ i; k; de; dv; tv; rc; ra; sh; ep ]
+      Dynamic.
+        [
+          s.inserted; s.kept; s.deleted_edges; s.deleted_vertices;
+          s.touched_vertices; s.rechecked; s.readded; s.shed; s.epoch;
+        ]
+  in
+  step [ del 1 0; del 8 0 ] (0, 0, 2, 0, 32, 19, 3, 3, 1);
+  Obs_trace.start ();
+  step [ ins 15 14 0.7; ins 15 0 2.5; ins 13 5 1.0 ] (3, 1, 0, 0, 0, 0, 0, 0, 2);
+  Obs_trace.stop ();
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "inserts search from their first endpoint"
+    [ (15, 14); (15, 0); (13, 5) ]
+    (List.filter_map
+       (fun ev ->
+         match ev.Obs_trace.payload with
+         | Obs_trace.Lbc_begin { u; v; _ } -> Some (u, v)
+         | _ -> None)
+       (Obs_trace.events ()));
+  step [ Dynamic.Delete_vertex 4 ] (0, 0, 5, 1, 31, 19, 4, 4, 3);
+  step
+    [ del 10 2; del 11 2; del 14 2; del 12 3; ins 12 5 1.2; ins 10 7 0.9 ]
+    (2, 1, 4, 0, 30, 15, 2, 1, 4);
+  step [ del 14 5; del 8 6; del 11 7; del 10 8 ] (0, 0, 4, 0, 30, 15, 3, 2, 5);
+  check
+    (Alcotest.list Alcotest.int)
+    "final selection"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 13; 14; 15; 16; 21; 24; 25; 26 ]
+    (Selection.ids (Dynamic.snapshot d));
+  checki "final size" 20 (Dynamic.size d)
+
 (* ---------------------- query-plane determinism ---------------------- *)
 
 let test_query_batch_deterministic_across_jobs () =
@@ -354,6 +421,7 @@ let () =
         [
           Alcotest.test_case "locality on grid" `Quick test_repair_is_local_on_grid;
           Alcotest.test_case "shed after deletions" `Quick test_shed_after_deletions;
+          Alcotest.test_case "pinned script" `Quick test_pinned_script;
           Alcotest.test_case "differential VFT int" `Quick test_differential_vft_int;
           Alcotest.test_case "differential VFT int32" `Quick test_differential_vft_int32;
           Alcotest.test_case "differential EFT int" `Quick test_differential_eft_int;

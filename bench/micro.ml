@@ -87,7 +87,7 @@ let batch_greedy_test =
   Test.make ~name:"e12: batched greedy batch=32 (n=100)"
     (Staged.stage (fun () ->
          ignore
-           (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 ~batch:32
+           (Poly_greedy.build ~batch:32 ~mode:Fault.VFT ~k:2 ~f:2
               (Lazy.force graph_small))))
 
 let tests =

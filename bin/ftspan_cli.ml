@@ -18,9 +18,20 @@ let seed_arg =
   let doc = "PRNG seed (all randomness in the tool is derived from it)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* An integer option that must be >= 1: anything smaller is a parse
+   error (exit 2), reported against the option that carried it. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be >= 1 (got %d)" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let k_arg =
-  let doc = "Stretch parameter: the spanner has stretch 2k-1." in
-  Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc)
+  let doc = "Stretch parameter: the spanner has stretch 2k-1 (k >= 1)." in
+  Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc)
 
 let f_arg =
   let doc = "Number of faults to tolerate." in
@@ -108,7 +119,7 @@ let out_arg =
 let generate_cmd =
   let run seed family n p extra weights connect out =
     let rng = Rng.create ~seed in
-    let result =
+    let generate () =
       match family with
       | "gnp" -> Ok (Generators.gnp rng ~n ~p)
       | "gnm" -> Ok (Generators.gnm rng ~n ~m:extra)
@@ -122,16 +133,18 @@ let generate_cmd =
       | "cycle-chords" -> Ok (Generators.cycle_with_chords rng ~n ~chords:extra)
       | "projective" ->
           (* n is the plane order q (prime) *)
-          (try Ok (Lower_bound.projective_plane_incidence ~q:n)
-           with Invalid_argument msg -> Error (`Msg msg))
+          Ok (Lower_bound.projective_plane_incidence ~q:n)
       | "hard" ->
           (* the BDPW18 lower-bound instance: n = plane order, extra = f *)
-          (try
-             Ok
-               (Lower_bound.hard_instance ~f:extra
-                  (Lower_bound.projective_plane_incidence ~q:n))
-           with Invalid_argument msg -> Error (`Msg msg))
+          Ok
+            (Lower_bound.hard_instance ~f:extra
+               (Lower_bound.projective_plane_incidence ~q:n))
       | other -> Error (`Msg (Printf.sprintf "unknown family %S" other))
+    in
+    (* A family's own argument check (a hypercube dimension out of
+       range, a gnm edge count above n(n-1)/2, ...) is a usage error. *)
+    let result =
+      try generate () with Invalid_argument msg | Failure msg -> Error (`Msg msg)
     in
     match result with
     | Error e -> Error e
@@ -282,40 +295,41 @@ let selection_arg =
   Arg.(required & pos 1 (some file) None & info [] ~docv:"SELECTION" ~doc)
 
 let trials_arg =
-  let doc = "Number of sampled fault sets per sampler." in
-  Arg.(value & opt int 200 & info [ "trials" ] ~docv:"N" ~doc)
+  let doc = "Number of sampled fault sets per sampler (>= 1)." in
+  Arg.(value & opt positive_int 200 & info [ "trials" ] ~docv:"N" ~doc)
 
 let exhaustive_arg =
   let doc = "Enumerate all fault sets instead of sampling (small inputs only)." in
   Arg.(value & flag & info [ "exhaustive" ] ~doc)
 
+(* A selection file that does not parse — a non-integer line, an edge
+   id out of range — is a usage error (exit 2), like any malformed
+   input. *)
 let load_selection g file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let ids = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           if line <> "" then ids := int_of_string line :: !ids
-         done
-       with End_of_file -> ());
-      Selection.of_ids g !ids)
+  try
+    let ic = open_in file in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let ids = ref [] in
+        (try
+           while true do
+             let line = String.trim (input_line ic) in
+             if line <> "" then ids := int_of_string line :: !ids
+           done
+         with End_of_file -> ());
+        Ok (Selection.of_ids g !ids))
+  with e -> Error (`Msg (Printexc.to_string e))
 
 let verify_cmd =
   let run seed k f mode jobs trials exhaustive graph_file sel_file =
     match (resolve_jobs jobs, load_graph graph_file) with
     | (Error e, _) | (_, Error e) -> Error e
     | Ok jobs, Ok g -> (
-        let sel =
-          try Ok (load_selection g sel_file)
-          with e -> Error (`Msg (Printexc.to_string e))
-        in
-        match sel with
+        match load_selection g sel_file with
         | Error e -> Error e
         | Ok sel ->
-            let violated =
+            let outcome =
               with_jobs jobs @@ fun pool ->
               (* One rng threads through adversarial -> random -> profile, so
                  the whole chain's figures are a function of [seed]. *)
@@ -323,36 +337,46 @@ let verify_cmd =
               let cfg = Verify.config ?pool ~rng ~trials () in
               let stretch = float_of_int ((2 * k) - 1) in
               let report =
-                if exhaustive then Verify.exhaustive ~cfg sel ~mode ~stretch ~f
+                if exhaustive then
+                  (* Refusing more fault sets than the cap is a usage
+                     error, not a failed check. *)
+                  try Ok (Verify.exhaustive ~cfg sel ~mode ~stretch ~f)
+                  with Invalid_argument msg -> Error (`Msg msg)
                 else begin
                   let a = Verify.adversarial ~cfg sel ~mode ~stretch ~f in
-                  if Verify.ok a then Verify.random ~cfg sel ~mode ~stretch ~f
-                  else a
+                  Ok (if Verify.ok a then Verify.random ~cfg sel ~mode ~stretch ~f else a)
                 end
               in
-              Printf.printf "checked %d fault sets\n" report.Verify.checked;
-              match report.Verify.violation with
-              | None ->
-                  Printf.printf "OK: no stretch violation found (stretch %.0f, f=%d)\n"
-                    stretch f;
-                  let profile =
-                    Verify.profile
-                      ~cfg:(Verify.config ?pool ~rng ~trials:(min trials 50) ())
-                      sel ~mode ~f
-                  in
-                  Printf.printf "%s\n" (Format.asprintf "%a" Verify.pp_profile profile);
-                  false
-              | Some v ->
-                  Printf.printf "VIOLATION: %s\n"
-                    (Format.asprintf "%a" Verify.pp_violation v);
-                  true
+              Result.map
+                (fun report ->
+                  Printf.printf "checked %d fault sets\n" report.Verify.checked;
+                  match report.Verify.violation with
+                  | None ->
+                      Printf.printf
+                        "OK: no stretch violation found (stretch %.0f, f=%d)\n"
+                        stretch f;
+                      let profile =
+                        Verify.profile
+                          ~cfg:(Verify.config ?pool ~rng ~trials:(min trials 50) ())
+                          sel ~mode ~f
+                      in
+                      Printf.printf "%s\n"
+                        (Format.asprintf "%a" Verify.pp_profile profile);
+                      false
+                  | Some v ->
+                      Printf.printf "VIOLATION: %s\n"
+                        (Format.asprintf "%a" Verify.pp_violation v);
+                      true)
+                report
             in
             (* A violation is a failed check, not a usage error: exit 1. *)
-            if violated then begin
-              prerr_endline "ftspan: spanner property violated";
-              exit 1
-            end;
-            Ok ())
+            Result.map
+              (fun violated ->
+                if violated then begin
+                  prerr_endline "ftspan: spanner property violated";
+                  exit 1
+                end)
+              outcome)
   in
   let term =
     Term.(
@@ -491,10 +515,9 @@ let oracle_cmd =
 
 let prune_cmd =
   let run k f mode graph_file sel_file out =
-    match load_graph graph_file with
+    match Result.bind (load_graph graph_file) (fun g -> load_selection g sel_file) with
     | Error e -> Error e
-    | Ok g ->
-        let sel = load_selection g sel_file in
+    | Ok sel ->
         let res = Prune.minimalize ~mode ~k ~f sel in
         Printf.printf "pruned %d of %d edges (%.1f%%); %d remain\n"
           res.Prune.removed res.Prune.candidates

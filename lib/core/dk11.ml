@@ -44,22 +44,18 @@ let build rng ~mode ~k ~f ?(c = 1.0) ?algo ?pool g =
        [rng] (sequentially, before the fan-out) and a worker ORs into its
        own mask.  The union of masks is the same edge set whichever
        worker ran which iteration, so the selection is bit-identical at
-       every pool size, and without a pool (a private 1-domain pool). *)
+       every pool size, and without a pool. *)
     let streams = Array.init j (fun _ -> Rng.split rng) in
-    let run pool =
-      let masks =
-        Array.init (Exec.Pool.size pool) (fun _ -> Array.make (Graph.m g) false)
-      in
-      Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:j (fun ~worker lo hi ->
-          let mask = masks.(worker) in
-          for iter = lo to hi - 1 do
-            iterate streams.(iter) ~mode ~p ~algo g mask
-          done);
-      let union = Array.make (Graph.m g) false in
-      Array.iter (Array.iteri (fun id b -> if b then union.(id) <- true)) masks;
-      Selection.of_mask g union
+    let masks =
+      Exec.Worker_local.create ?pool (fun _ -> Array.make (Graph.m g) false)
     in
-    match pool with
-    | Some pool -> run pool
-    | None -> Exec.Pool.with_pool ~domains:1 run
+    Exec.parallel_for ~chunk:1 ?pool ~lo:0 ~hi:j (fun ~worker lo hi ->
+        let mask = Exec.Worker_local.get masks ~worker in
+        for iter = lo to hi - 1 do
+          iterate streams.(iter) ~mode ~p ~algo g mask
+        done);
+    let union = Array.make (Graph.m g) false in
+    Exec.Worker_local.iter masks
+      (Array.iteri (fun id b -> if b then union.(id) <- true));
+    Selection.of_mask g union
   end

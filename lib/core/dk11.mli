@@ -41,8 +41,8 @@ val iterations : ?c:float -> f:int -> n:int -> unit -> int
     single run of [algo] on [g].
 
     The [J] independent iterations fan out over the [pool]'s workers as
-    [parallel_for] items (without a [pool], over a private 1-domain
-    pool): each iteration samples from its own stream, pre-split from
+    [parallel_for] items (without a [pool], inline on the caller): each
+    iteration samples from its own stream, pre-split from
     [rng] before the fan-out, and the per-worker keep masks are ORed
     afterwards, so the selection is {e bit-identical at every pool size},
     and the same with no pool at all. *)

@@ -524,17 +524,10 @@ let query_batch t ~faults pairs =
     Obs.Histogram.observe h_qlat (Obs.now_s () -. t0);
     results.(i) <- r
   in
-  (match t.o.pool with
-  | None ->
-      for i = 0 to nq - 1 do
+  Exec.parallel_for ?pool:t.o.pool ~lo:0 ~hi:nq (fun ~worker:_ lo hi ->
+      for i = lo to hi - 1 do
         answer i
-      done
-  | Some pool ->
-      if nq > 0 then
-        Exec.parallel_for pool ~lo:0 ~hi:nq (fun ~worker:_ lo hi ->
-            for i = lo to hi - 1 do
-              answer i
-            done));
+      done);
   (* Epoch guard: the snapshot was captured above; a concurrent mutation
      would be a caller bug (the handle is not a concurrent structure on
      the update side), so fail loudly rather than answer from a torn

@@ -9,7 +9,7 @@ type decision = Keep of { cut : int list } | Skip
 
 type decider = Graph.t -> Graph.edge array -> decision array -> int -> int -> unit
 
-type result = { selection : Selection.t; batches : int; max_batch : int }
+type result = { selection : Selection.t }
 
 let ordered_edges ?(caller = "Engine") order g =
   let edges = Graph.edge_array g in
@@ -32,8 +32,8 @@ let ordered_edges ?(caller = "Engine") order g =
       Array.iteri (fun i id -> edges.(i) <- Graph.edge g id) perm);
   edges
 
-let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_batch
-    ?on_add ?(trace = true) ~decide g =
+let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_add
+    ?(trace = true) ~decide g =
   if batch < 1 then invalid_arg (caller ^ ": batch must be >= 1");
   let body () =
     let edges = ordered_edges ~caller order g in
@@ -41,13 +41,9 @@ let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_batch
     let h = Graph.create (Graph.n g) in
     let selected = Array.make (Graph.m g) false in
     let decisions = Array.make (max 1 m) Skip in
-    let batches = ref 0 and max_batch = ref 0 in
     let pos = ref 0 in
     while !pos < m do
       let hi = min m (!pos + batch) in
-      incr batches;
-      if hi - !pos > !max_batch then max_batch := hi - !pos;
-      (match on_batch with Some fn -> fn !batches | None -> ());
       (* Decision phase: the block is judged against the same frozen H. *)
       decide h edges decisions !pos hi;
       (* Commit phase.  Each slot goes back to [Skip] as it is read, so a
@@ -75,10 +71,6 @@ let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_batch
       done;
       pos := hi
     done;
-    {
-      selection = Selection.of_mask g selected;
-      batches = !batches;
-      max_batch = !max_batch;
-    }
+    { selection = Selection.of_mask g selected }
   in
   match span with Some name -> Obs.with_span name body | None -> body ()

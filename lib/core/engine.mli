@@ -1,7 +1,7 @@
 (** The unified greedy engine.
 
     Every greedy spanner construction in this library — {!Classic_greedy},
-    {!Poly_greedy}, {!Batch_greedy}, {!Exp_greedy} — is the same loop with
+    {!Poly_greedy}, {!Exp_greedy} — is the same loop with
     a different decision oracle: order the edges, judge each candidate
     against the partial spanner [H], commit the accepted ones.  This
     module owns that scaffolding (ordering, the decide→commit loop,
@@ -13,14 +13,14 @@
     ([batch = 1] is the fully sequential greedy — each decision sees every
     earlier commit).  The decider for a block may fan out over the
     persistent domain pool via {!Exec.parallel_for}, as
-    [Batch_greedy.build ?pool] does; [H] is read-only during a decision
+    [Poly_greedy.build ?pool] does; [H] is read-only during a decision
     phase, so block decisions are data-race-free by construction, and
     deciders that record verdicts by index inherit {!Exec}'s determinism
     contract (bit-identical decisions at every domain count).
 
     The engine carries no counters of its own: each variant keeps its
     historical [Obs] series by incrementing them inside its decider /
-    [on_add] / [on_batch] hooks, which keeps metrics reports and the bench
+    [on_add] hooks, which keeps metrics reports and the bench
     regression gate comparable across the refactor. *)
 
 (** Edge processing order.  {!Poly_greedy.order} re-exports this type; see
@@ -45,8 +45,6 @@ type decider = Graph.t -> Graph.edge array -> decision array -> int -> int -> un
 
 type result = {
   selection : Selection.t;  (** the kept edges, over the source graph *)
-  batches : int;  (** decision blocks executed *)
-  max_batch : int;  (** largest block size *)
 }
 
 (** [ordered_edges ?caller order g] is the edge array of [g] arranged per
@@ -54,14 +52,12 @@ type result = {
     raise [Invalid_argument] prefixed with [caller] (default ["Engine"]). *)
 val ordered_edges : ?caller:string -> order -> Graph.t -> Graph.edge array
 
-(** [run ?order ?caller ?span ?batch ?on_batch ?on_add ?trace ~decide g]
+(** [run ?order ?caller ?span ?batch ?on_add ?trace ~decide g]
     drives the greedy over [g]:
 
     - [order] (default [By_weight]) fixes the processing order;
     - [span] (default none) wraps the whole build in {!Obs.with_span};
     - [batch] (default [1]) is the decision block size;
-    - [on_batch i] runs before block [i] (1-based) is decided — variants
-      emit their phase markers and block counters here;
     - [on_add e cut] runs for each kept edge, before it enters [H];
     - [trace] (default [true]) emits an {!Obs_trace.Greedy_edge} event per
       decided edge while tracing is on.
@@ -73,7 +69,6 @@ val run :
   ?caller:string ->
   ?span:string ->
   ?batch:int ->
-  ?on_batch:(int -> unit) ->
   ?on_add:(Graph.edge -> int list -> unit) ->
   ?trace:bool ->
   decide:decider ->

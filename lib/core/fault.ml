@@ -51,32 +51,22 @@ let random_adversarial rng mode g ~f =
   if Graph.m g = 0 then empty mode
   else begin
     let e = Graph.edge g (Rng.int rng (Graph.m g)) in
-    let u = e.Graph.u and v = e.Graph.v in
-    match mode with
-    | VFT ->
-        (* Candidates: common and one-sided neighbors of the target edge,
-           excluding its endpoints. *)
-        let candidates = ref [] in
-        Graph.iter_neighbors g u (fun x _ -> if x <> v then candidates := x :: !candidates);
-        Graph.iter_neighbors g v (fun x _ -> if x <> u then candidates := x :: !candidates);
-        let cands = Array.of_list (dedup !candidates) in
-        if Array.length cands = 0 then empty VFT
-        else begin
-          Rng.shuffle rng cands;
-          let k = min f (Array.length cands) in
-          of_vertices (Array.to_list (Array.sub cands 0 k))
-        end
-    | EFT ->
-        let candidates = ref [] in
-        Graph.iter_neighbors g u (fun _ id -> if id <> e.Graph.id then candidates := id :: !candidates);
-        Graph.iter_neighbors g v (fun _ id -> if id <> e.Graph.id then candidates := id :: !candidates);
-        let cands = Array.of_list (dedup !candidates) in
-        if Array.length cands = 0 then empty EFT
-        else begin
-          Rng.shuffle rng cands;
-          let k = min f (Array.length cands) in
-          of_edges (Array.to_list (Array.sub cands 0 k))
-        end
+    (* Candidates around the target edge, which is itself excluded: the
+       other neighbours of its endpoints (VFT) or the other edges
+       incident to them (EFT). *)
+    let candidates = ref [] in
+    let collect x id =
+      match mode with
+      | VFT ->
+          if x <> e.Graph.u && x <> e.Graph.v then candidates := x :: !candidates
+      | EFT -> if id <> e.Graph.id then candidates := id :: !candidates
+    in
+    Graph.iter_neighbors g e.Graph.u collect;
+    Graph.iter_neighbors g e.Graph.v collect;
+    let cands = Array.of_list (dedup !candidates) in
+    Rng.shuffle rng cands;
+    let k = min f (Array.length cands) in
+    { mode; members = dedup (Array.to_list (Array.sub cands 0 k)) }
   end
 
 let enumerate mode g ~f fn =

@@ -25,7 +25,7 @@ module Workspace : sig
   (** Reusable scratch space (BFS arrays plus fault masks).  One workspace
       serves any number of sequential calls, growing as graphs grow.  A
       workspace must not be shared between concurrent calls: give each
-      domain its own (as {!Batch_greedy.build} does with a pool). *)
+      domain its own (as {!Poly_greedy.build} does with a pool). *)
   type t
 
   val create : unit -> t

@@ -33,25 +33,34 @@ let decider ~ws ~mode ~k ~f : Engine.decider =
       | Lbc.No _ -> ()
     done
 
-let build_impl ?order ?on_add ~mode ~k ~f g =
+let build_impl ?order ?batch ?pool ?on_add ~mode ~k ~f g =
   if k < 1 then invalid_arg "Poly_greedy.build: k must be >= 1";
   if f < 0 then invalid_arg "Poly_greedy.build: f must be >= 0";
   let calls0 = Obs.Counter.value c_lbc_calls in
   let yes0 = Obs.Counter.value c_lbc_yes in
   let rounds0 = Obs.Counter.value c_lbc_bfs_rounds in
-  (* Sequential (batch 1): every decision sees all earlier additions, and
-     each block is one considered edge. *)
-  let on_batch _ = Obs.Counter.incr m_considered in
+  (* Each block's decisions fan out over the workers (the caller alone
+     without a pool), each deciding with its own decider and workspace,
+     created on its first chunk and reused across this build's blocks.
+     Verdicts land by index, so the selection is bit-identical at every
+     domain count. *)
+  let deciders =
+    Exec.Worker_local.create ?pool (fun _ ->
+        decider ~ws:(Lbc.Workspace.create ()) ~mode ~k ~f)
+  in
+  let decide h edges decisions lo hi =
+    Exec.parallel_for ?pool ~lo ~hi (fun ~worker l r ->
+        (Exec.Worker_local.get deciders ~worker) h edges decisions l r)
+  in
   let on_add e cut =
     Obs.Counter.incr m_added;
     match on_add with Some fn -> fn e cut | None -> ()
   in
   let res =
-    Engine.run ?order ~caller:"Poly_greedy" ~span:"poly_greedy.build" ~on_batch
-      ~on_add
-      ~decide:(decider ~ws:(Lbc.Workspace.create ()) ~mode ~k ~f)
-      g
+    Engine.run ?order ~caller:"Poly_greedy" ~span:"poly_greedy.build" ?batch
+      ~on_add ~decide g
   in
+  Obs.Counter.add m_considered (Graph.m g);
   ( res.Engine.selection,
     {
       lbc_calls = Obs.Counter.value c_lbc_calls - calls0;
@@ -61,7 +70,8 @@ let build_impl ?order ?on_add ~mode ~k ~f g =
 
 let build_traced ?order ~mode ~k ~f g = build_impl ?order ~mode ~k ~f g
 
-let build ?order ~mode ~k ~f g = fst (build_traced ?order ~mode ~k ~f g)
+let build ?order ?batch ?pool ~mode ~k ~f g =
+  fst (build_impl ?order ?batch ?pool ~mode ~k ~f g)
 
 type certificate = { edge : Graph.edge; cut : int list }
 

@@ -35,8 +35,8 @@ type order = Engine.order =
     {!Engine.decider}: one {!Lbc.decide} call per candidate with
     [t = 2k - 1] and [alpha = f], recording [Keep { cut }] on [Yes].  It
     decides with the caller's workspace [ws], so concurrent deciders
-    (one per worker) need one workspace each.  {!build}, {!Batch_greedy}
-    and {!Shard_build}'s clusters all decide through it. *)
+    (one per worker) need one workspace each.  {!build} and
+    {!Shard_build}'s clusters both decide through it. *)
 val decider :
   ws:Lbc.Workspace.t -> mode:Fault.mode -> k:int -> f:int -> Engine.decider
 
@@ -48,14 +48,42 @@ type trace = {
 (** The trace is a delta of the telemetry counters [lbc.calls],
     [lbc.bfs_rounds] and [lbc.yes] across the build (see {!Obs}); if
     collection is disabled via [Obs.set_enabled false], the trace reads
-    all zeros.  Builds additionally record the [poly_greedy.build] span
-    and the [poly_greedy.edges_considered] / [poly_greedy.edges_added]
-    counters. *)
+    all zeros.  Every build additionally records the [poly_greedy.build]
+    span and the [poly_greedy.edges_considered] (+m per build) /
+    [poly_greedy.edges_added] counters, whatever its [batch] and [pool]. *)
 
-(** [build ?order ~mode ~k ~f g] runs the modified greedy.  Requires
-    [k >= 1] and [f >= 0] ([f = 0] degenerates to the classic greedy
-    test). *)
-val build : ?order:order -> mode:Fault.mode -> k:int -> f:int -> Graph.t -> Selection.t
+(** [build ?order ?batch ?pool ~mode ~k ~f g] runs the modified greedy.
+    Requires [k >= 1], [f >= 0] ([f = 0] degenerates to the classic
+    greedy test) and [batch >= 1].
+
+    {b Blocks} — the parallelization probe the paper's conclusion asks
+    about.  Every decision depends on all earlier additions, which is
+    what makes the greedy hard to parallelize.  [batch] (default [1], the
+    fully sequential Algorithm 3) relaxes that: edges are decided in
+    blocks of [batch] against the {e same} partial spanner, then every
+    YES edge of the block is added at once.  Correctness is unaffected:
+    an edge rejected against [H_r] stays rejected for [H_final ⊇ H_r],
+    because Theorem 4's NO guarantee ("every length-(2k-1) cut of [H_r]
+    for [u,v] exceeds [f]") is monotone under edge additions.  What
+    degrades is the {e size}: edges of one block cannot see each other,
+    so with [batch >= m] the output is the whole graph.  Experiment E12
+    measures that trade-off.
+
+    {b Pool.}  With [pool], each block's decisions fan out over the
+    pool's domains via {!Exec.parallel_for}; [H] is read-only during a
+    decision phase, and each worker decides with its own {!decider} and
+    {!Lbc.Workspace} ({!Exec.Worker_local}).  Verdicts are written by
+    index, so the selection is {b bit-identical} to the pool-less build
+    with the same [batch], for every domain count and steal order. *)
+val build :
+  ?order:order ->
+  ?batch:int ->
+  ?pool:Exec.Pool.t ->
+  mode:Fault.mode ->
+  k:int ->
+  f:int ->
+  Graph.t ->
+  Selection.t
 
 (** [build_traced] additionally reports work counters for the running-time
     experiments. *)

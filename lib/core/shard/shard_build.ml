@@ -101,22 +101,17 @@ let clusters ?(engine = Polynomial) ?pool ~mode ~k ~f g part =
   let tasks = tasks_of g part in
   let results = Array.make (Array.length tasks) [] in
   let backend = Graph.backend g in
-  let run_all pool =
-    let scratch =
-      Exec.Worker_local.create pool (fun _ ->
-          (Lbc.Workspace.create (), Array.make (Graph.n g) (-1)))
-    in
-    Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:(Array.length tasks)
-      (fun ~worker lo hi ->
-        let ws, local = Exec.Worker_local.get scratch ~worker in
-        for i = lo to hi - 1 do
-          results.(i) <-
-            run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local tasks.(i)
-        done)
+  let scratch =
+    Exec.Worker_local.create ?pool (fun _ ->
+        (Lbc.Workspace.create (), Array.make (Graph.n g) (-1)))
   in
-  (match pool with
-  | Some pool -> run_all pool
-  | None -> Exec.Pool.with_pool ~domains:1 run_all);
+  Exec.parallel_for ~chunk:1 ?pool ~lo:0 ~hi:(Array.length tasks)
+    (fun ~worker lo hi ->
+      let ws, local = Exec.Worker_local.get scratch ~worker in
+      for i = lo to hi - 1 do
+        results.(i) <-
+          run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local tasks.(i)
+      done);
   Array.mapi
     (fun i task -> { partition = task.part; center = task.ctr; kept = results.(i) })
     tasks

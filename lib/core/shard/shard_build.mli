@@ -51,7 +51,7 @@ type cluster = {
     with at least two members, partition by partition, centres in
     increasing order.  Each subgraph numbers its vertices in ascending
     parent order and adds its edges in parent-id order.  [pool = None]
-    runs on a private single-domain pool; the output is the same at any
+    runs the clusters inline on the caller; the output is the same at any
     pool size.  Counts nothing: the [shard.*] counters belong to
     {!build}.  Raises [Invalid_argument] if [k < 1] or [f < 0]. *)
 val clusters :
@@ -75,8 +75,8 @@ type t = {
     sharded spanner: sample the decomposition, run {!clusters} over it,
     and union, force-keeping the boundary edges.  [rng] (default seed [0x5eed]) drives only the
     decomposition; [beta]/[partitions] pass through to
-    {!Shard_partition.run}.  [pool = None] runs the same code on a
-    private single-domain pool — same output, no parallelism.  Raises
+    {!Shard_partition.run}.  [pool = None] runs the same code on the
+    caller alone — same output, no parallelism.  Raises
     [Invalid_argument] if [k < 1] or [f < 0]. *)
 val build :
   ?rng:Rng.t ->

@@ -39,14 +39,8 @@ let build ?rng ?(algorithm = Greedy_poly) ?(options = default_options) params g
   | Greedy_poly when options.shard -> sharded Shard_build.Polynomial
   | Greedy_exponential when options.shard -> sharded Shard_build.Exponential
   | Greedy_poly ->
-      if options.batch = 1 && options.pool = None then
-        (* The exact historical path (and its poly_greedy.* telemetry):
-           default options change nothing. *)
-        Poly_greedy.build ?order:options.order ~mode ~k ~f g
-      else
-        (Batch_greedy.build ?order:options.order ?pool:options.pool ~mode ~k ~f
-           ~batch:options.batch g)
-          .Batch_greedy.selection
+      Poly_greedy.build ?order:options.order ~batch:options.batch
+        ?pool:options.pool ~mode ~k ~f g
   | Greedy_exponential -> Exp_greedy.build ~mode ~k ~f g
   | Dinitz_krauthgamer -> Dk11.build rng ~mode ~k ~f ?pool:options.pool g
 

@@ -24,7 +24,7 @@ val stretch : params -> float
 
 (** Execution options, threaded through {!build} so every facade caller
     (CLI, bench, examples) reaches the batched/parallel greedy without
-    dropping to {!Batch_greedy} directly.
+    dropping to {!Poly_greedy} directly.
 
     - [order]: edge processing order for the greedy family ([None] = the
       algorithm's default, nondecreasing weight);
@@ -32,12 +32,10 @@ val stretch : params -> float
     - [pool]: a persistent {!Exec.Pool.t} the per-batch decision phase
       fans out over.
 
-    Without [shard], [Greedy_poly] consumes [batch]/[pool]:
-    [batch > 1] or a [pool] routes the build through [Batch_greedy.build]
-    (whose selection is bit-identical at every domain count for a fixed
-    [batch], but grows with [batch] — the E12 trade-off); the defaults
-    reproduce the historical [Poly_greedy.build] path exactly, telemetry
-    included.  [Dinitz_krauthgamer] always fans its iterations out over
+    Without [shard], [Greedy_poly] passes [order]/[batch]/[pool] to
+    {!Poly_greedy.build}, whose selection is bit-identical at every
+    domain count for a fixed [batch] but grows with [batch] (the E12
+    trade-off); the defaults are the sequential Algorithm 3/4.  [Dinitz_krauthgamer] always fans its iterations out over
     the [pool] (see {!Dk11.build}); its selection is the same at every
     pool size and without one.
 

@@ -112,36 +112,30 @@ type config = {
   pool : Exec.Pool.t option;
   trials : int;
   rng : Rng.t option;
-  seed : int;
   max_sets : float;
 }
 
-let default =
-  { pool = None; trials = 200; rng = None; seed = 0x5eed; max_sets = 2e6 }
+let default = { pool = None; trials = 200; rng = None; max_sets = 2e6 }
 
-let config ?pool ?(trials = default.trials) ?rng ?(seed = default.seed)
+let config ?pool ?(trials = default.trials) ?rng
     ?(max_sets = default.max_sets) () =
   if trials < 1 then invalid_arg "Verify.config: trials must be >= 1";
   if max_sets <= 0. then invalid_arg "Verify.config: max_sets must be > 0";
-  { pool; trials; rng; seed; max_sets }
+  { pool; trials; rng; max_sets }
 
 (* A shared [rng] in the config threads one stream through successive
    batteries (the CLI's adversarial -> random -> profile chain); without
-   one, each call derives a fresh deterministic stream from [seed]. *)
+   one, each call starts a fresh stream from a fixed seed. *)
 let cfg_rng cfg =
-  match cfg.rng with Some r -> r | None -> Rng.create ~seed:cfg.seed
+  match cfg.rng with Some r -> r | None -> Rng.create ~seed:0x5eed
 
 let stretch_many ?(cfg = default) sel faults =
-  let n = Array.length faults in
-  let out = Array.make n 1.0 in
-  let body ~worker:_ lo hi =
-    for i = lo to hi - 1 do
-      out.(i) <- max_stretch_under_fault sel faults.(i)
-    done
-  in
-  (match cfg.pool with
-  | None -> if n > 0 then body ~worker:0 0 n
-  | Some pool -> Exec.parallel_for pool ~lo:0 ~hi:n body);
+  let out = Array.make (Array.length faults) 1.0 in
+  Exec.parallel_for ?pool:cfg.pool ~lo:0 ~hi:(Array.length faults)
+    (fun ~worker:_ lo hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- max_stretch_under_fault sel faults.(i)
+      done);
   out
 
 type profile = {
@@ -193,11 +187,19 @@ let profile ?(cfg = default) sel ~mode ~f =
     disconnections = !disconnections;
   }
 
-let run_faults sel ~stretch faults =
-  let checked = ref 0 in
-  let violation = ref None in
+(* The one streaming scan: up to [max_sets] fault sets cannot be
+   pre-drawn, so enumeration stops at the first violation. *)
+let exhaustive ?(cfg = default) sel ~mode ~stretch ~f =
+  let g = sel.Selection.source in
+  let universe = match mode with Fault.VFT -> Graph.n g | Fault.EFT -> Graph.m g in
+  let total = Fault.count_subsets ~universe ~f in
+  if total > cfg.max_sets then
+    invalid_arg
+      (Printf.sprintf "Verify.exhaustive: %.3g fault sets exceed the %.3g cap"
+         total cfg.max_sets);
+  let checked = ref 0 and violation = ref None in
   (try
-     faults (fun fault ->
+     Fault.enumerate mode g ~f (fun fault ->
          incr checked;
          match check_under_fault sel ~stretch fault with
          | Some x ->
@@ -207,24 +209,16 @@ let run_faults sel ~stretch faults =
    with Exit -> ());
   { checked = !checked; violation = !violation }
 
-let exhaustive ?(cfg = default) sel ~mode ~stretch ~f =
-  let g = sel.Selection.source in
-  let universe = match mode with Fault.VFT -> Graph.n g | Fault.EFT -> Graph.m g in
-  let total = Fault.count_subsets ~universe ~f in
-  if total > cfg.max_sets then
-    invalid_arg
-      (Printf.sprintf "Verify.exhaustive: %.3g fault sets exceed the %.3g cap"
-         total cfg.max_sets);
-  run_faults sel ~stretch (fun fn -> Fault.enumerate mode g ~f fn)
-
-(* Parallel flavour of [run_faults] for a pre-drawn battery: every fault
-   is evaluated (results by index), then the report is read off in sample
-   order, so [checked] and the reported violation match what the
-   sequential early-exit scan would have produced. *)
-let run_fault_battery pool sel ~stretch faults =
+(* A sampled battery: [trials] faults drawn in sample order, every one
+   evaluated (results by index, over [cfg.pool] when given), then the
+   report read off in sample order — [checked] counts to the first
+   violation, as an early-exit scan would. *)
+let check_sampled cfg draw sel ~stretch =
+  let rng = cfg_rng cfg in
+  let faults = Array.init cfg.trials (fun _ -> draw rng) in
   let n = Array.length faults in
   let found = Array.make n None in
-  Exec.parallel_for pool ~lo:0 ~hi:n (fun ~worker:_ lo hi ->
+  Exec.parallel_for ?pool:cfg.pool ~lo:0 ~hi:n (fun ~worker:_ lo hi ->
       for i = lo to hi - 1 do
         found.(i) <- check_under_fault sel ~stretch faults.(i)
       done);
@@ -236,18 +230,6 @@ let run_fault_battery pool sel ~stretch faults =
       | None -> first (i + 1)
   in
   first 0
-
-let check_sampled cfg draw sel ~stretch =
-  let rng = cfg_rng cfg and trials = cfg.trials in
-  match cfg.pool with
-  | None -> run_faults sel ~stretch (fun fn -> for _ = 1 to trials do fn (draw rng) done)
-  | Some _ when trials < 1 -> { checked = 0; violation = None }
-  | Some pool ->
-      let faults = Array.make trials (draw rng) in
-      for i = 1 to trials - 1 do
-        faults.(i) <- draw rng
-      done;
-      run_fault_battery pool sel ~stretch faults
 
 let random ?(cfg = default) sel ~mode ~stretch ~f =
   check_sampled cfg

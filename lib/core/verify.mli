@@ -18,20 +18,20 @@
 
     Every battery reads its tunables — pool, trial count, sampling rng,
     exhaustive cap — from one {!config} record (the builder's defaults
-    cover the common case); the historical labelled-argument entry points remain
-    as deprecated wrappers for one release.
+    cover the common case).
 
     Fault batteries are embarrassingly parallel — one fault's evaluation
     touches only freshly allocated masks and BFS arrays over the
     read-only source graph — so the samplers and {!stretch_many}
     accept a [config.pool] ({!Exec.Pool.t}) to fan the sweep out over
-    domains.
-    Faults are always drawn from the rng in sample order and results are
-    recorded by index, so every figure a parallel run reports is
-    identical to the sequential run's; the one observable difference is
-    that a parallel battery evaluates {e every} sampled fault even when
-    an early one already violates (the report still counts to the first
-    violation in sample order). *)
+    domains.  With or without a pool, a sampled battery is one path: it
+    draws all [trials] faults from the rng in sample order, evaluates
+    them by index, and reports the first violation in sample order, so
+    every figure is identical at every domain count.  A battery
+    therefore evaluates {e every} sampled fault even when an early one
+    already violates ([checked] still counts to the first violation).
+    {!exhaustive} alone streams its fault sets and stops at the first
+    violation, because up to [max_sets] of them cannot be pre-drawn. *)
 
 type violation = {
   fault : Fault.t;
@@ -68,23 +68,19 @@ type config = {
   rng : Rng.t option;
       (** explicit sampling stream, shared across successive batteries —
           the CLI threads one through adversarial, then random, then the
-          profile, so the chain's figures are a function of one seed *)
-  seed : int;
-      (** used only when [rng] is [None]: each battery then derives its
-          own fresh deterministic stream *)
+          profile, so the chain's figures are a function of one seed;
+          [None] gives each battery a fresh stream from a fixed seed *)
   max_sets : float;
       (** refusal cap for {!exhaustive} (default [2e6]) *)
 }
 
-(** [config ?pool ?trials ?rng ?seed ?max_sets ()] builds a config from
-    the defaults [{pool = None; trials = 200; rng = None; seed = 0x5eed;
-    max_sets = 2e6}].  Raises [Invalid_argument] if [trials < 1] or
+(** [config ?pool ?trials ?rng ?max_sets ()] builds a config from the
+    defaults [{pool = None; trials = 200; rng = None; max_sets = 2e6}].  Raises [Invalid_argument] if [trials < 1] or
     [max_sets <= 0]. *)
 val config :
   ?pool:Exec.Pool.t ->
   ?trials:int ->
   ?rng:Rng.t ->
-  ?seed:int ->
   ?max_sets:float ->
   unit ->
   config

@@ -248,15 +248,6 @@ let hot_edges ?(top = 10) net =
            he_rounds = net.slot_rounds.(s);
          })
 
-let charge_rounds net k =
-  if k < 0 then invalid_arg "Net.charge_rounds: negative";
-  if net.record_history then
-    for _ = 1 to k do
-      net.past_rounds <- [] :: net.past_rounds
-    done;
-  net.round <- net.round + k;
-  Obs.Counter.add m_rounds k
-
 let stats net =
   {
     rounds = net.round;

@@ -122,11 +122,6 @@ val set_skeleton : 'msg t -> bool array -> unit
     negative [top]. *)
 val hot_edges : ?top:int -> 'msg t -> hot_edge list
 
-(** [charge_rounds net k] advances the round counter by [k] without any
-    message traffic — used to account for sub-protocols whose round cost
-    is known but which the caller executes in aggregate form. *)
-val charge_rounds : 'msg t -> int -> unit
-
 (** [stats net] snapshots the accounting counters. *)
 val stats : 'msg t -> stats
 

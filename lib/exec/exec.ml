@@ -152,84 +152,94 @@ let record_region _pool ~tasks ~steals ~busy ~elapsed =
     Obs.Histogram.observe h_utilization
       (100. *. total_busy /. (elapsed *. float_of_int (Array.length busy)))
 
-let parallel_for ?chunk pool ~lo ~hi body =
-  if hi > lo then begin
-    let span = hi - lo in
-    let workers = Pool.size pool in
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Exec.parallel_for: chunk must be >= 1"
-      | None -> max 1 (min 64 (span / (workers * 8)))
-    in
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_trace.Phase
-           { name = "pool.parallel_for"; index = Atomic.fetch_and_add region_seq 1 });
-    Obs.with_span "pool.parallel_for" @@ fun () ->
-    if workers = 1 || span <= chunk || pool.Pool.in_region then begin
-      (* Sequential fast path: a 1-domain pool, a range too small to
-         split, or a nested submission from inside a region (helpers do
-         not re-enter the scheduler; the work runs inline instead). *)
-      let t0 = Unix.gettimeofday () in
-      body ~worker:0 lo hi;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt > 0. then Obs.Timer.record pool.Pool.busy_timers.(0) dt;
-      let busy = Array.make workers 0. in
-      busy.(0) <- dt;
-      record_region pool ~tasks:1 ~steals:0 ~busy ~elapsed:dt;
-      Obs_heartbeat.pulse ()
-    end
-    else begin
-      let next = Atomic.make lo in
-      let failure = Atomic.make None in
-      let tasks = Atomic.make 0 and steals = Atomic.make 0 in
-      let busy = Array.make workers 0. in
-      let run w =
-        let t0 = Unix.gettimeofday () in
-        let continue = ref true in
-        while !continue do
-          let l = Atomic.fetch_and_add next chunk in
-          if l >= hi then continue := false
-          else begin
-            Atomic.incr tasks;
-            if w <> 0 then Atomic.incr steals;
-            let h = min hi (l + chunk) in
-            try body ~worker:w l h
-            with e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-              (* Stop the cursor so no further chunk is claimed; chunks
-                 already claimed finish on their own workers. *)
-              Atomic.set next hi;
-              continue := false
-          end
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        (* Recorded on the worker's own domain: the sharded timer makes
-           this exact, where a caller-side flush was best-effort. *)
-        if dt > 0. then Obs.Timer.record pool.Pool.busy_timers.(w) dt;
-        busy.(w) <- busy.(w) +. dt
-      in
-      let t0 = Unix.gettimeofday () in
-      pool.Pool.in_region <- true;
-      Fun.protect
-        ~finally:(fun () -> pool.Pool.in_region <- false)
-        (fun () -> Pool.run_region pool run);
-      record_region pool ~tasks:(Atomic.get tasks) ~steals:(Atomic.get steals)
-        ~busy
-        ~elapsed:(Unix.gettimeofday () -. t0);
-      Obs_heartbeat.pulse ();
-      match Atomic.get failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
+(* The pooled region behind [parallel_for]; [hi > lo] and [chunk] is
+   validated. *)
+let region ?chunk pool ~lo ~hi body =
+  let span = hi - lo in
+  let workers = Pool.size pool in
+  let chunk =
+    match chunk with Some c -> c | None -> max 1 (min 64 (span / (workers * 8)))
+  in
+  if Obs_trace.enabled () then
+    Obs_trace.emit
+      (Obs_trace.Phase
+         { name = "pool.parallel_for"; index = Atomic.fetch_and_add region_seq 1 });
+  Obs.with_span "pool.parallel_for" @@ fun () ->
+  if workers = 1 || span <= chunk || pool.Pool.in_region then begin
+    (* Sequential fast path: a 1-domain pool, a range too small to
+       split, or a nested submission from inside a region (helpers do
+       not re-enter the scheduler; the work runs inline instead). *)
+    let t0 = Unix.gettimeofday () in
+    body ~worker:0 lo hi;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt > 0. then Obs.Timer.record pool.Pool.busy_timers.(0) dt;
+    let busy = Array.make workers 0. in
+    busy.(0) <- dt;
+    record_region pool ~tasks:1 ~steals:0 ~busy ~elapsed:dt;
+    Obs_heartbeat.pulse ()
   end
+  else begin
+    let next = Atomic.make lo in
+    let failure = Atomic.make None in
+    let tasks = Atomic.make 0 and steals = Atomic.make 0 in
+    let busy = Array.make workers 0. in
+    let run w =
+      let t0 = Unix.gettimeofday () in
+      let continue = ref true in
+      while !continue do
+        let l = Atomic.fetch_and_add next chunk in
+        if l >= hi then continue := false
+        else begin
+          Atomic.incr tasks;
+          if w <> 0 then Atomic.incr steals;
+          let h = min hi (l + chunk) in
+          try body ~worker:w l h
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+            (* Stop the cursor so no further chunk is claimed; chunks
+               already claimed finish on their own workers. *)
+            Atomic.set next hi;
+            continue := false
+        end
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      (* Recorded on the worker's own domain: the sharded timer makes
+         this exact, where a caller-side flush was best-effort. *)
+      if dt > 0. then Obs.Timer.record pool.Pool.busy_timers.(w) dt;
+      busy.(w) <- busy.(w) +. dt
+    in
+    let t0 = Unix.gettimeofday () in
+    pool.Pool.in_region <- true;
+    Fun.protect
+      ~finally:(fun () -> pool.Pool.in_region <- false)
+      (fun () -> Pool.run_region pool run);
+    record_region pool ~tasks:(Atomic.get tasks) ~steals:(Atomic.get steals)
+      ~busy
+      ~elapsed:(Unix.gettimeofday () -. t0);
+    Obs_heartbeat.pulse ();
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+  end
+
+(* Without a pool the caller is the only worker: [body] runs once,
+   inline, over the whole range, and nothing is recorded. *)
+let parallel_for ?chunk ?pool ~lo ~hi body =
+  Option.iter
+    (fun c -> if c < 1 then invalid_arg "Exec.parallel_for: chunk must be >= 1")
+    chunk;
+  if hi > lo then
+    Option.fold pool
+      ~none:(fun () -> body ~worker:0 lo hi)
+      ~some:(fun pool () -> region ?chunk pool ~lo ~hi body)
+      ()
 
 module Worker_local = struct
   type 'a t = { init : int -> 'a; slots : 'a option array }
 
-  let create pool init = { init; slots = Array.make (Pool.size pool) None }
+  let create ?pool init =
+    { init; slots = Array.make (Option.fold ~none:1 ~some:Pool.size pool) None }
 
   let get t ~worker =
     match t.slots.(worker) with
@@ -238,4 +248,6 @@ module Worker_local = struct
         let v = t.init worker in
         t.slots.(worker) <- Some v;
         v
+
+  let iter t f = Array.iter (Option.iter f) t.slots
 end

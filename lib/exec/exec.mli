@@ -16,11 +16,18 @@
     chunks and promises only {e that every index is passed to [body]
     exactly once} (in some order, on some worker).  Callers that write
     results {e by index} into pre-sized arrays — the way
-    {!Batch_greedy.build} records verdicts and {!Verify.stretch_many}
+    {!Poly_greedy.build} records verdicts and {!Verify.stretch_many}
     records stretches — therefore produce {e bit-identical} results
     regardless of the domain count, the chunk size, or which worker stole
     which range.  Do not fold results in completion order; index-addressed
     writes are the contract.
+
+    {b No pool.}  Every entry point takes the pool as an option, and
+    "no pool" means one thing: the caller is the only worker.
+    {!parallel_for} then runs [body ~worker:0 lo hi] once, inline, and
+    {!Worker_local} has one slot, so a sequential run is the one-worker
+    case of the same code and callers never branch on whether a pool was
+    given.
 
     Telemetry (all under the [pool.] prefix, which the bench regression
     gate deliberately ignores — chunk claims are scheduling, not
@@ -30,7 +37,8 @@
     [pool.utilization] histogram of percent-busy per region.  While
     {!Obs_trace} collects, each region additionally emits a
     [Phase {name = "pool.parallel_for"}] event and runs inside a
-    [pool.parallel_for] span, so the trace viewer shows the fan-out. *)
+    [pool.parallel_for] span, so the trace viewer shows the fan-out.
+    A pool-less call records none of this. *)
 
 (** Default worker count for tools: the value set by {!set_default_jobs}
     ([bench/main.exe]'s [--jobs]), else the [FTSPAN_JOBS] environment variable,
@@ -81,9 +89,11 @@ module Pool : sig
   val with_pool : domains:int -> (t -> 'a) -> 'a
 end
 
-(** [parallel_for ?chunk pool ~lo ~hi body] runs
+(** [parallel_for ?chunk ?pool ~lo ~hi body] runs
     [body ~worker l h] over disjoint subranges [\[l, h)] covering
     [\[lo, hi)] exactly once, fanned out over the pool's workers.
+    Without [pool] it is [body ~worker:0 lo hi], run once and inline:
+    no region, span, trace phase, [pool.*] counter or heartbeat pulse.
 
     Ranges are claimed dynamically: workers repeatedly take the next
     [chunk] indices from a shared cursor until the range is exhausted, so
@@ -107,7 +117,7 @@ end
     Empty ranges ([hi <= lo]) return immediately and record nothing. *)
 val parallel_for :
   ?chunk:int ->
-  Pool.t ->
+  ?pool:Pool.t ->
   lo:int ->
   hi:int ->
   (worker:int -> int -> int -> unit) ->
@@ -121,12 +131,17 @@ module Worker_local : sig
       builds on the same pool. *)
   type 'a t
 
-  (** [create pool init] allocates one empty slot per pool worker;
-      [init w] runs on worker [w] at its first {!get}. *)
-  val create : Pool.t -> (int -> 'a) -> 'a t
+  (** [create ?pool init] allocates one empty slot per pool worker (one
+      slot without [pool]); [init w] runs on worker [w] at its first
+      {!get}. *)
+  val create : ?pool:Pool.t -> (int -> 'a) -> 'a t
 
   (** [get t ~worker] is worker [worker]'s slot, initializing it on first
       use.  Must only be called with the caller's own worker index (from
       a {!parallel_for} body, or [~worker:0] outside any region). *)
   val get : 'a t -> worker:int -> 'a
+
+  (** [iter t f] applies [f] to every slot initialized so far, in worker
+      order.  Call it outside any region, once the workers are done. *)
+  val iter : 'a t -> ('a -> unit) -> unit
 end

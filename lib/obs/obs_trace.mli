@@ -66,8 +66,8 @@ type payload =
   | Cluster_stats of { partition : int; clusters : int; max_depth : int }
       (** one partition of a padded decomposition converged *)
   | Phase of { name : string; index : int }
-      (** a numbered algorithm phase boundary (DK11 iteration, greedy
-          batch) *)
+      (** a numbered algorithm phase boundary (CONGEST iteration,
+          dynamic batch, pool region) *)
   | Counter_sample of { name : string; value : int }
       (** a point-in-time sample of a named counter (a Chrome counter
           track) *)

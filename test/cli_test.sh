@@ -386,4 +386,19 @@ echo 0 > "$TMP/one-edge.sel"
 "$BIN" verify -k 2 -f 1 --trials 10 "$TMP/g.graph" "$TMP/one-edge.sel" >/dev/null 2>&1
 [ $? -eq 1 ] || fail "verify on a violating selection must exit 1"
 
+# argument checks are usage errors, never an uncaught exception (125)
+expect2() { "$@" >/dev/null 2>&1; [ $? -eq 2 ] || fail "$* must exit 2"; }
+printf 'n 4\nadd 0 1\n' > "$TMP/k0.ops"
+for sub in build local congest oracle; do
+  expect2 "$BIN" $sub -k 0 "$TMP/s.graph"
+done
+expect2 "$BIN" dynamic -k 0 "$TMP/k0.ops"
+expect2 "$BIN" verify --trials 0 "$TMP/s.graph" "$TMP/ssel.txt"
+printf '1\nabc\n' > "$TMP/nonint.sel"
+expect2 "$BIN" prune -k 2 -f 1 "$TMP/s.graph" "$TMP/nonint.sel"
+printf '1\n99999\n' > "$TMP/range.sel"
+expect2 "$BIN" prune -k 2 -f 1 "$TMP/s.graph" "$TMP/range.sel"
+expect2 "$BIN" generate --family hypercube -n 70 -o "$TMP/x.graph"
+expect2 "$BIN" verify -k 2 -f 9 --exhaustive "$TMP/g.graph" "$TMP/sel.txt"
+
 echo "cli_test OK"

@@ -83,6 +83,29 @@ let test_fault_adversarial_near_edge () =
     checkb "size within f" true (Fault.size fault <= 3)
   done
 
+(* Members drawn for f = 1, 2, 3 from one stream per (mode, seed), and
+   the stream's next draw: the candidate scan and every rng draw are
+   pinned, so both modes keep sampling exactly what they did. *)
+let test_fault_adversarial_pinned () =
+  let g = Generators.connected_gnp (Rng.create ~seed:3) ~n:20 ~p:0.3 in
+  let pin mode seed expect next =
+    let r = Rng.create ~seed in
+    let got =
+      List.init 3 (fun i -> (Fault.random_adversarial r mode g ~f:(i + 1)).Fault.members)
+    in
+    let name = Format.asprintf "%a seed=%d" Fault.pp_mode mode seed in
+    check (Alcotest.list (Alcotest.list Alcotest.int)) name expect got;
+    checki (name ^ " next draw") next (Rng.int r 1000000)
+  in
+  pin Fault.VFT 1 [ [ 12 ]; [ 8; 12 ]; [ 5; 9; 10 ] ] 570435;
+  pin Fault.VFT 2 [ [ 5 ]; [ 5; 19 ]; [ 5; 12; 13 ] ] 577104;
+  pin Fault.VFT 3 [ [ 11 ]; [ 10; 18 ]; [ 0; 3; 8 ] ] 415555;
+  pin Fault.VFT 42 [ [ 9 ]; [ 10; 13 ]; [ 0; 11; 13 ] ] 1342;
+  pin Fault.EFT 1 [ [ 19 ]; [ 16; 34 ]; [ 8; 38; 55 ] ] 975714;
+  pin Fault.EFT 2 [ [ 38 ]; [ 14; 42 ]; [ 19; 32; 53 ] ] 6115;
+  pin Fault.EFT 3 [ [ 11 ]; [ 42; 43 ]; [ 13; 28; 29 ] ] 759029;
+  pin Fault.EFT 42 [ [ 55 ]; [ 2; 53 ]; [ 4; 48; 62 ] ] 609586
+
 (* -------------------------- Selection ------------------------------- *)
 
 let test_selection_of_ids_and_mem () =
@@ -441,6 +464,7 @@ let () =
           Alcotest.test_case "enumerate counts" `Quick test_fault_enumerate_counts;
           Alcotest.test_case "enumerate distinct" `Quick test_fault_enumerate_distinct;
           Alcotest.test_case "adversarial" `Quick test_fault_adversarial_near_edge;
+          Alcotest.test_case "adversarial pinned" `Quick test_fault_adversarial_pinned;
         ] );
       ( "selection",
         [

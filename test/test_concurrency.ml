@@ -66,8 +66,7 @@ let test_concurrent_batch_builds () =
   let g = geometric ~seed:0xBA7C ~n:300 in
   let build pool =
     Selection.ids
-      (Batch_greedy.build ?pool ~mode:Fault.VFT ~k:2 ~f:1 ~batch:16 g)
-        .Batch_greedy.selection
+      (Poly_greedy.build ~batch:16 ?pool ~mode:Fault.VFT ~k:2 ~f:1 g)
   in
   let seq = build None in
   let run_builds () =
@@ -96,7 +95,7 @@ let test_observability_polled_while_emitting () =
   let emitter =
     Domain.spawn (fun () ->
         Exec.Pool.with_pool ~domains:2 (fun pool ->
-            Exec.parallel_for pool ~lo:0 ~hi:events (fun ~worker:_ lo hi ->
+            Exec.parallel_for ~pool ~lo:0 ~hi:events (fun ~worker:_ lo hi ->
                 for _ = lo to hi - 1 do
                   Obs_trace.emit (Obs_trace.Mark "poll-race");
                   Obs_heartbeat.pulse ()

@@ -64,12 +64,6 @@ let test_net_congest_violations () =
   checki "one oversized send" 1 s.Net.congest_violations;
   checki "edge load sums" 109 s.Net.max_edge_round_bits
 
-let test_net_charge_rounds () =
-  let g = Generators.path 2 in
-  let net = Net.create ~model:Net.Local ~bits:(fun _ -> 1) g in
-  Net.charge_rounds net 5;
-  checki "rounds charged" 5 (Net.stats net).Net.rounds
-
 let test_net_history () =
   let g = Generators.path 3 in
   let net = Net.create ~record_history:true ~model:(Net.Congest 64) ~bits:(fun _ -> 10) g in
@@ -589,7 +583,6 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_net_broadcast;
           Alcotest.test_case "stats" `Quick test_net_stats_accounting;
           Alcotest.test_case "congest violations" `Quick test_net_congest_violations;
-          Alcotest.test_case "charge rounds" `Quick test_net_charge_rounds;
           Alcotest.test_case "history" `Quick test_net_history;
         ] );
       ( "decomposition (Thm 11)",

@@ -264,26 +264,24 @@ let test_batch_one_equals_sequential () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:30 ~p:0.3 in
   let seq = Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:1 g in
+  let bat = Poly_greedy.build ~batch:1 ~mode:Fault.VFT ~k:2 ~f:1 g in
   check (Alcotest.list Alcotest.int) "identical" (Selection.ids seq)
-    (Selection.ids bat.Batch_greedy.selection);
-  checki "m batches" (Graph.m g) bat.Batch_greedy.batches
+    (Selection.ids bat)
 
 let test_batch_full_is_whole_graph () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:25 ~p:0.3 in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:(Graph.m g) g in
-  checki "one batch" 1 bat.Batch_greedy.batches;
-  checki "everything accepted" (Graph.m g) bat.Batch_greedy.selection.Selection.size
+  let bat = Poly_greedy.build ~batch:(Graph.m g) ~mode:Fault.VFT ~k:2 ~f:1 g in
+  checki "everything accepted" (Graph.m g) bat.Selection.size
 
 let test_batch_valid_at_any_batch_size () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:13 ~p:0.4 in
   List.iter
     (fun batch ->
-      let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g in
+      let bat = Poly_greedy.build ~batch ~mode:Fault.VFT ~k:2 ~f:1 g in
       let report =
-        Verify.exhaustive bat.Batch_greedy.selection ~mode:Fault.VFT
+        Verify.exhaustive bat ~mode:Fault.VFT
           ~stretch:(stretch 2) ~f:1
       in
       checkb (Printf.sprintf "batch=%d valid" batch) true (Verify.ok report))
@@ -294,8 +292,7 @@ let test_batch_size_monotone_tendency () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:60 ~p:0.25 in
   let size batch =
-    (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g).Batch_greedy.selection
-      .Selection.size
+    (Poly_greedy.build ~batch ~mode:Fault.VFT ~k:2 ~f:1 g).Selection.size
   in
   let s1 = size 1 and s16 = size 16 and sall = size (Graph.m g) in
   checkb "batch 16 >= sequential" true (s16 >= s1);
@@ -305,9 +302,9 @@ let test_batch_weighted_valid () =
   let r = rng () in
   let g0 = Generators.connected_gnp r ~n:12 ~p:0.5 in
   let g = Generators.with_uniform_weights r g0 ~lo:1.0 ~hi:6.0 in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:8 g in
+  let bat = Poly_greedy.build ~batch:8 ~mode:Fault.VFT ~k:2 ~f:1 g in
   let report =
-    Verify.exhaustive bat.Batch_greedy.selection ~mode:Fault.VFT
+    Verify.exhaustive bat ~mode:Fault.VFT
       ~stretch:(stretch 2) ~f:1
   in
   checkb "weighted batched valid" true (Verify.ok report)
@@ -317,15 +314,14 @@ let test_batch_parallel_matches_sequential () =
   let g = Generators.connected_gnp r ~n:60 ~p:0.25 in
   List.iter
     (fun (batch, domains) ->
-      let seq = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 ~batch g in
+      let seq = Poly_greedy.build ~batch ~mode:Fault.VFT ~k:2 ~f:2 g in
       let par =
         Exec.Pool.with_pool ~domains (fun pool ->
-            Batch_greedy.build ~pool ~mode:Fault.VFT ~k:2 ~f:2 ~batch g)
+            Poly_greedy.build ~batch ~pool ~mode:Fault.VFT ~k:2 ~f:2 g)
       in
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "batch=%d domains=%d" batch domains)
-        (Selection.ids seq.Batch_greedy.selection)
-        (Selection.ids par.Batch_greedy.selection))
+        (Selection.ids seq) (Selection.ids par))
     [ (8, 2); (64, 3); (1000, 4) ]
 
 (* The facade's [Spanner.options ?pool ?batch] is the supported route to
@@ -334,7 +330,7 @@ let test_batch_parallel_matches_sequential () =
 let test_batch_parallel_via_facade () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:40 ~p:0.3 in
-  let seq = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:16 g in
+  let seq = Poly_greedy.build ~batch:16 ~mode:Fault.VFT ~k:2 ~f:1 g in
   let par =
     Exec.Pool.with_pool ~domains:2 (fun pool ->
         Spanner.build
@@ -343,13 +339,12 @@ let test_batch_parallel_via_facade () =
           g)
   in
   check (Alcotest.list Alcotest.int) "facade route matches"
-    (Selection.ids seq.Batch_greedy.selection)
-    (Selection.ids par)
+    (Selection.ids seq) (Selection.ids par)
 
 let test_batch_rejects_bad_batch () =
   let g = Generators.cycle 4 in
   try
-    ignore (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:0 g);
+    ignore (Poly_greedy.build ~batch:0 ~mode:Fault.VFT ~k:2 ~f:1 g);
     Alcotest.fail "batch=0 should fail"
   with Invalid_argument _ -> ()
 

@@ -386,9 +386,9 @@ let prop_batch_greedy_valid_any_batch =
     (fun (desc, batch) ->
       let seed, n, p = desc in
       let g = graph_of (seed, min n 12, p) in
-      let res = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g in
+      let sel = Poly_greedy.build ~batch ~mode:Fault.VFT ~k:2 ~f:1 g in
       Verify.ok
-        (Verify.exhaustive res.Batch_greedy.selection ~mode:Fault.VFT
+        (Verify.exhaustive sel ~mode:Fault.VFT
            ~stretch:3.0 ~f:1))
 
 let prop_synchronizer_completes =

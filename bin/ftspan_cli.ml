@@ -195,12 +195,7 @@ let info_cmd =
 let algo_arg =
   let doc = "Algorithm: greedy-poly (Algorithms 3/4), greedy-exp (Algorithm 1), dk11." in
   let enum_conv =
-    Arg.enum
-      [
-        ("greedy-poly", Spanner.Greedy_poly);
-        ("greedy-exp", Spanner.Greedy_exponential);
-        ("dk11", Spanner.Dinitz_krauthgamer);
-      ]
+    Arg.enum (List.map (fun a -> (Spanner.algorithm_name a, a)) Spanner.all_algorithms)
   in
   Arg.(value & opt enum_conv Spanner.Greedy_poly & info [ "algo" ] ~docv:"ALGO" ~doc)
 

@@ -82,27 +82,34 @@ let check_vertex t what x =
   if x < 0 || x >= t.nv then
     invalid_arg (Printf.sprintf "Dynamic.%s: vertex %d out of range" what x)
 
-(* Rebuild the spanner graph from the live kept edges (insertion order).
-   O(|H|) materialization only — never a greedy re-run; deferred to the
-   next LBC decision so a burst of deletions pays it once. *)
+(* The one materializer: a graph of the live edges in store order, only
+   the kept ones when [kept_only], plus the ids it gave the kept ones.
+   O(live) — never a greedy re-run. *)
+let materialize t ~kept_only =
+  let g = Graph.create ~backend:t.backend t.nv in
+  let kept = ref [] in
+  for i = 0 to t.n_edges - 1 do
+    let e = t.edges.(i) in
+    if e.alive && (e.kept || not kept_only) then begin
+      let id = Graph.add_edge g e.eu e.ev ~w:e.ew in
+      if e.kept then kept := id :: !kept
+    end
+  done;
+  (g, !kept)
+
+(* Deletions mark H stale; the next LBC decision re-materializes it, so a
+   burst of deletions pays that once. *)
 let refresh_spanner t =
   if t.spanner_dirty then begin
-    let g = Graph.create ~backend:t.backend t.nv in
-    for i = 0 to t.n_edges - 1 do
-      let e = t.edges.(i) in
-      if e.alive && e.kept then ignore (Graph.add_edge g e.eu e.ev ~w:e.ew)
-    done;
-    t.spanner <- g;
+    t.spanner <- fst (materialize t ~kept_only:true);
     t.spanner_dirty <- false
   end
 
+let no_edge = { eu = 0; ev = 0; ew = 0.; alive = false; kept = false }
+
 let store_edge t u v w =
   if t.n_edges = Array.length t.edges then begin
-    let bigger =
-      Array.make
-        (max 16 (2 * Array.length t.edges))
-        { eu = 0; ev = 0; ew = 0.; alive = false; kept = false }
-    in
+    let bigger = Array.make (max 16 (2 * Array.length t.edges)) no_edge in
     Array.blit t.edges 0 bigger 0 t.n_edges;
     t.edges <- bigger
   end;
@@ -132,7 +139,40 @@ let admit t idx ~u ~v =
       true
   | Lbc.No _ -> false
 
-let insert_edge t u v w =
+type stats = {
+  inserted : int;
+  kept : int;
+  deleted_edges : int;
+  deleted_vertices : int;
+  touched_vertices : int;
+  rechecked : int;
+  readded : int;
+  shed : int;
+  epoch : int;
+}
+
+let pp_stats ppf s =
+  Format.fprintf ppf
+    "@[<h>+%d (kept %d) -%d edges -%d vertices; repair: touched %d, \
+     rechecked %d, readded %d, shed %d; epoch %d@]"
+    s.inserted s.kept s.deleted_edges s.deleted_vertices s.touched_vertices
+    s.rechecked s.readded s.shed s.epoch
+
+let no_stats =
+  {
+    inserted = 0;
+    kept = 0;
+    deleted_edges = 0;
+    deleted_vertices = 0;
+    touched_vertices = 0;
+    rechecked = 0;
+    readded = 0;
+    shed = 0;
+    epoch = 0;
+  }
+
+(* [s] is the running accounting of one [apply]. *)
+let insert_edge t s u v w =
   check_vertex t "apply" u;
   check_vertex t "apply" v;
   if u = v then invalid_arg "Dynamic.apply: self-loop insert";
@@ -144,41 +184,48 @@ let insert_edge t u v w =
   if w < t.last_w then t.monotone <- false;
   t.last_w <- max t.last_w w;
   let idx = store_edge t u v w in
+  s := { !s with inserted = !s.inserted + 1 };
   Obs.Counter.incr m_inserts;
-  let kept = admit t idx ~u ~v in
-  if kept then Obs.Counter.incr m_insert_kept;
-  kept
+  if admit t idx ~u ~v then begin
+    s := { !s with kept = !s.kept + 1 };
+    Obs.Counter.incr m_insert_kept
+  end
 
 (* Depth-bounded multi-source BFS over the OLD spanner graph (deleted
    edges still present — a sound over-approximation of the affected
    region: any rejected edge whose [<= 2k-1]-hop detour used a deleted
    spanner edge has an endpoint within [2k-1] old-spanner hops of that
-   edge).  Cost is proportional to the region walked, not n. *)
-let affected_region t ~seeds ~depth =
+   edge).  Cost is proportional to the region walked, not n.  Every walk
+   is accounted: its size adds to [touched_vertices], the touched counter,
+   the region histogram and, when tracing, a counter sample. *)
+let affected_region t s ~seeds =
+  let depth = hops_bound t in
   if Array.length t.seen_stamp < t.nv then t.seen_stamp <- Array.make t.nv 0;
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp and seen = t.seen_stamp in
   let g = t.spanner in
-  let region = ref [] in
+  let region = ref [] and touched = ref 0 in
+  let visit x d =
+    if seen.(x) <> stamp then begin
+      seen.(x) <- stamp;
+      region := x :: !region;
+      incr touched;
+      Queue.add (x, d) t.queue
+    end
+  in
   Queue.clear t.queue;
-  List.iter
-    (fun s ->
-      if seen.(s) <> stamp then begin
-        seen.(s) <- stamp;
-        region := s :: !region;
-        Queue.add (s, 0) t.queue
-      end)
-    seeds;
+  List.iter (fun x -> visit x 0) seeds;
   while not (Queue.is_empty t.queue) do
     let x, dx = Queue.pop t.queue in
-    if dx < depth then
-      Graph.iter_neighbors g x (fun y _ ->
-          if seen.(y) <> stamp then begin
-            seen.(y) <- stamp;
-            region := y :: !region;
-            Queue.add (y, dx + 1) t.queue
-          end)
+    if dx < depth then Graph.iter_neighbors g x (fun y _ -> visit y (dx + 1))
   done;
+  s := { !s with touched_vertices = !s.touched_vertices + !touched };
+  Obs.Counter.add m_touched !touched;
+  Obs.Histogram.observe_int h_region !touched;
+  if Obs_trace.enabled () then
+    Obs_trace.emit
+      (Obs_trace.Counter_sample
+         { name = "dynamic.repair.touched_vertices"; value = !touched });
   !region
 
 (* Live edges anchored in [region] whose kept flag is [kept], in
@@ -199,45 +246,17 @@ let anchored t region ~kept =
   |> List.sort compare
   |> List.map snd
 
-type stats = {
-  inserted : int;
-  kept : int;
-  deleted_edges : int;
-  deleted_vertices : int;
-  touched_vertices : int;
-  rechecked : int;
-  readded : int;
-  shed : int;
-  epoch : int;
-}
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<h>+%d (kept %d) -%d edges -%d vertices; repair: touched %d, \
-     rechecked %d, readded %d, shed %d; epoch %d@]"
-    s.inserted s.kept s.deleted_edges s.deleted_vertices s.touched_vertices
-    s.rechecked s.readded s.shed s.epoch
-
-(* Mutable accumulator threaded through one [apply]. *)
-type acc = {
-  mutable a_inserted : int;
-  mutable a_kept : int;
-  mutable a_del_e : int;
-  mutable a_del_v : int;
-  mutable a_touched : int;
-  mutable a_recheck : int;
-  mutable a_readd : int;
-  mutable a_shed : int;
-}
-
-let recheck_region t acc region =
+(* Add-only pass over [region] against a re-materialized H: re-admit the
+   candidates the lost edges may have been covering. *)
+let recheck_region t s region =
+  t.spanner_dirty <- true;
   List.iter
     (fun idx ->
       let e = t.edges.(idx) in
-      acc.a_recheck <- acc.a_recheck + 1;
+      s := { !s with rechecked = !s.rechecked + 1 };
       Obs.Counter.incr m_rechecks;
       if admit t idx ~u:e.eu ~v:e.ev then begin
-        acc.a_readd <- acc.a_readd + 1;
+        s := { !s with readded = !s.readded + 1 };
         Obs.Counter.incr m_readded
       end)
     (anchored t region ~kept:false)
@@ -246,23 +265,11 @@ let recheck_region t acc region =
    [seeds].  Never a rebuild: the spanner graph is re-materialized once
    (O(|H|)), and greedy re-decisions run only over the affected
    neighborhood. *)
-let repair t acc ~seeds =
+let repair t s ~seeds =
   Obs.Counter.incr m_repairs;
-  let depth = hops_bound t in
   (* Region on the OLD spanner, before the deletions take effect. *)
-  let region = affected_region t ~seeds ~depth in
-  let touched = List.length region in
-  acc.a_touched <- acc.a_touched + touched;
-  Obs.Counter.add m_touched touched;
-  Obs.Histogram.observe_int h_region touched;
-  if Obs_trace.enabled () then
-    Obs_trace.emit
-      (Obs_trace.Counter_sample
-         { name = "dynamic.repair.touched_vertices"; value = touched });
-  t.spanner_dirty <- true;
-  (* Add-only pass: re-admit candidates the lost edges may have been
-     covering (first [decide] re-materializes the spanner). *)
-  recheck_region t acc region;
+  let region = affected_region t s ~seeds in
+  recheck_region t s region;
   refresh_spanner t;
   (* Shed probe, heaviest first: a NO on [H \ e] means the spanner
      keeps alpha+1 short detours without [e] — the edge is redundant
@@ -281,30 +288,23 @@ let repair t acc ~seeds =
       | Some gid -> (
           match
             Lbc.decide ~ws:t.ws ~exclude:(gid :: !excluded) ~mode:t.o.mode
-              t.spanner ~u:e.eu ~v:e.ev ~t:depth ~alpha:t.o.f
+              t.spanner ~u:e.eu ~v:e.ev ~t:(hops_bound t) ~alpha:t.o.f
           with
           | Lbc.No _ ->
               e.kept <- false;
               t.kept_n <- t.kept_n - 1;
               excluded := gid :: !excluded;
               shed_seeds := e.eu :: e.ev :: !shed_seeds;
-              acc.a_shed <- acc.a_shed + 1;
+              s := { !s with shed = !s.shed + 1 };
               Obs.Counter.incr m_shed_c
           | Lbc.Yes _ -> ()))
     (List.rev (anchored t region ~kept:true));
-  if !shed_seeds <> [] then begin
+  if !shed_seeds <> [] then
     (* Shedding can invalidate NO verdicts of edges whose detours used
-       a shed edge; those live within [depth] old-spanner hops of it.
+       a shed edge; those live within [2k-1] old-spanner hops of it.
        One final add-only re-check restores the invariant (adds never
        invalidate other verdicts, so this terminates). *)
-    let region2 = affected_region t ~seeds:!shed_seeds ~depth in
-    let touched2 = List.length region2 in
-    acc.a_touched <- acc.a_touched + touched2;
-    Obs.Counter.add m_touched touched2;
-    Obs.Histogram.observe_int h_region touched2;
-    t.spanner_dirty <- true;
-    recheck_region t acc region2
-  end
+    recheck_region t s (affected_region t s ~seeds:!shed_seeds)
 
 let apply t ops =
   guard t "apply";
@@ -315,25 +315,14 @@ let apply t ops =
       if Obs_trace.enabled () then
         Obs_trace.emit
           (Obs_trace.Phase { name = "dynamic.apply"; index = t.cur_epoch });
-      let acc =
-        {
-          a_inserted = 0;
-          a_kept = 0;
-          a_del_e = 0;
-          a_del_v = 0;
-          a_touched = 0;
-          a_recheck = 0;
-          a_readd = 0;
-          a_shed = 0;
-        }
-      in
+      let s = ref no_stats in
       let changed = ref false in
       let pending_seeds = ref [] in
       let flush_repair () =
         if !pending_seeds <> [] then begin
           let seeds = List.rev !pending_seeds in
           pending_seeds := [];
-          repair t acc ~seeds
+          repair t s ~seeds
         end
       in
       let delete_edge_idx idx =
@@ -341,7 +330,7 @@ let apply t ops =
         e.alive <- false;
         Hashtbl.remove t.by_pair (key e.eu e.ev);
         t.live <- t.live - 1;
-        acc.a_del_e <- acc.a_del_e + 1;
+        s := { !s with deleted_edges = !s.deleted_edges + 1 };
         Obs.Counter.incr m_del_edges;
         if e.kept then begin
           e.kept <- false;
@@ -358,8 +347,7 @@ let apply t ops =
           | Insert { u; v; w } ->
               flush_repair ();
               changed := true;
-              acc.a_inserted <- acc.a_inserted + 1;
-              if insert_edge t u v w then acc.a_kept <- acc.a_kept + 1
+              insert_edge t s u v w
           | Delete_edge { u; v } -> (
               check_vertex t "apply" u;
               check_vertex t "apply" v;
@@ -377,7 +365,7 @@ let apply t ops =
                   (Printf.sprintf "Dynamic.apply: vertex %d already retired" x);
               changed := true;
               t.retired.(x) <- true;
-              acc.a_del_v <- acc.a_del_v + 1;
+              s := { !s with deleted_vertices = !s.deleted_vertices + 1 };
               Obs.Counter.incr m_del_vertices;
               List.iter
                 (fun idx -> if t.edges.(idx).alive then delete_edge_idx idx)
@@ -389,36 +377,27 @@ let apply t ops =
         Obs.Counter.incr m_epochs;
         t.snap <- None
       end;
-      {
-        inserted = acc.a_inserted;
-        kept = acc.a_kept;
-        deleted_edges = acc.a_del_e;
-        deleted_vertices = acc.a_del_v;
-        touched_vertices = acc.a_touched;
-        rechecked = acc.a_recheck;
-        readded = acc.a_readd;
-        shed = acc.a_shed;
-        epoch = t.cur_epoch;
-      })
+      { !s with epoch = t.cur_epoch })
 
+(* The seed is one sequential [Poly_greedy.build] — the decide->commit
+   loop every construction shares — recorded in g's id order with its
+   verdicts as the kept flags; H is then materialized once. *)
 let create ?(opts = default_opts) g =
-  if opts.k < 1 then invalid_arg "Dynamic.create: k must be >= 1";
-  if opts.f < 0 then invalid_arg "Dynamic.create: f must be >= 0";
   let nv = Graph.n g in
   let t =
     {
       o = opts;
       nv;
       backend = Graph.backend g;
-      edges = [||];
+      edges = Array.make (Graph.m g) no_edge;
       n_edges = 0;
       by_pair = Hashtbl.create 64;
       adj = Array.make (max 1 nv) [];
       retired = Array.make (max 1 nv) false;
       live = 0;
       kept_n = 0;
-      spanner = Graph.create ~backend:(Graph.backend g) nv;
-      spanner_dirty = false;
+      spanner = g;  (* dirty: [refresh_spanner] below materializes H *)
+      spanner_dirty = true;
       cur_epoch = 0;
       snap = None;
       busy = false;
@@ -430,15 +409,15 @@ let create ?(opts = default_opts) g =
       ws = Lbc.Workspace.create ();
     }
   in
-  (* Seed in nondecreasing (weight, id) order.  [Engine]'s [By_weight]
-     sort breaks weight ties in heap-sort order instead, so the seed
-     equals [Poly_greedy.build] only when all weights are distinct (and
-     [~order:Input_order] on unit weights). *)
-  let edges = Graph.edge_array g in
-  Array.sort
-    (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id))
-    edges;
-  Array.iter (fun e -> ignore (insert_edge t e.Graph.u e.Graph.v e.Graph.w)) edges;
+  let sel = Poly_greedy.build ~mode:opts.mode ~k:opts.k ~f:opts.f g in
+  Graph.iter_edges g (fun e ->
+      let idx = store_edge t e.Graph.u e.Graph.v e.Graph.w in
+      t.edges.(idx).kept <- sel.Selection.selected.(e.Graph.id);
+      t.last_w <- max t.last_w e.Graph.w);
+  t.kept_n <- sel.Selection.size;
+  refresh_spanner t;
+  Obs.Counter.add m_inserts (Graph.m g);
+  Obs.Counter.add m_insert_kept sel.Selection.size;
   t
 
 type query_result = { qu : int; qv : int; distance : float; hops : int }
@@ -454,16 +433,8 @@ let snapshot t =
   match t.snap with
   | Some (e, sel) when e = t.cur_epoch -> sel
   | _ ->
-      let g = Graph.create ~backend:t.backend t.nv in
-      let kept = ref [] in
-      for i = 0 to t.n_edges - 1 do
-        let e = t.edges.(i) in
-        if e.alive then begin
-          let id = Graph.add_edge g e.eu e.ev ~w:e.ew in
-          if e.kept then kept := id :: !kept
-        end
-      done;
-      let sel = Selection.of_ids g !kept in
+      let g, kept = materialize t ~kept_only:false in
+      let sel = Selection.of_ids g kept in
       t.snap <- Some (t.cur_epoch, sel);
       sel
 

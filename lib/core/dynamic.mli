@@ -65,7 +65,9 @@ type op =
   | Delete_edge of { u : int; v : int }
   | Delete_vertex of int
 
-type opts = {
+(** Handle options; {!opts} is the only way to build them, so every
+    value is validated. *)
+type opts = private {
   mode : Fault.mode;
   k : int;  (** stretch parameter: the spanner has stretch [2k-1] *)
   f : int;  (** faults tolerated *)
@@ -84,13 +86,12 @@ val opts :
   opts
 
 (** [create ?opts g] starts a handle over the vertices of [g], seeded
-    with [g]'s edges fed through the greedy in nondecreasing
-    (weight, id) order; {!snapshot} ids follow that seed order.  The
-    seed spanner equals [Poly_greedy.build ~order:Input_order] on unit
-    weights and [Poly_greedy.build] when all weights are distinct.  With
-    tied weights it can differ from [Poly_greedy.build], whose
-    [By_weight] sort breaks ties in heap-sort order rather than by id.
-    [g] itself is not retained or mutated. *)
+    by one sequential [Poly_greedy.build ~mode ~k ~f g] (the default
+    [By_weight] order, no batching, no pool).  The handle records [g]'s
+    edges in [g]'s id order with that build's verdicts, so
+    [snapshot (create g)] has the same edge ids as [g] and a
+    [selected] array bit-identical to [Poly_greedy.build]'s, for every
+    [g].  [g] itself is not retained or mutated. *)
 val create : ?opts:opts -> Graph.t -> t
 
 (** Per-{!apply} accounting.  [touched_vertices] is the total size of
@@ -135,9 +136,10 @@ val pp_query_result : Format.formatter -> query_result -> unit
     [Invalid_argument] on out-of-range endpoints or re-entrant use. *)
 val query_batch : t -> faults:Fault.t -> (int * int) array -> query_result array
 
-(** [snapshot t] materializes the current epoch: the live graph (edges
-    in insertion order, so a given op history always yields the same
-    ids) with the spanner as its selection.  Cached per epoch. *)
+(** [snapshot t] materializes the current epoch: the live graph (the
+    seed's edges in [g]'s id order, then insertions in arrival order,
+    skipping the deleted ones — so a given op history always yields the
+    same ids) with the spanner as its selection.  Cached per epoch. *)
 val snapshot : t -> Selection.t
 
 (** {1 Accessors} *)

@@ -13,8 +13,6 @@ let pp ppf fault =
        Format.pp_print_int)
     fault.members
 
-let size fault = List.length fault.members
-
 let empty mode = { mode; members = [] }
 
 let dedup xs = List.sort_uniq compare xs
@@ -32,11 +30,6 @@ let masks g fault =
       let mask = Array.make (max 1 (Graph.m g)) false in
       List.iter (fun e -> mask.(e) <- true) fault.members;
       (None, Some mask)
-
-let spares fault ~u ~v =
-  match fault.mode with
-  | VFT -> not (List.mem u fault.members || List.mem v fault.members)
-  | EFT -> true
 
 let universe mode g = match mode with VFT -> Graph.n g | EFT -> Graph.m g
 

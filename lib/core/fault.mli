@@ -17,9 +17,6 @@ type t = {
 val pp_mode : Format.formatter -> mode -> unit
 val pp : Format.formatter -> t -> unit
 
-(** [size fault] is the number of faulted elements. *)
-val size : t -> int
-
 (** [empty mode] is the fault-free set — handy for [f = 0] checks. *)
 val empty : mode -> t
 
@@ -32,11 +29,6 @@ val of_edges : int list -> t
     [(blocked_vertices, blocked_edges)] expected by the search routines:
     exactly one of the two is [Some]. *)
 val masks : Graph.t -> t -> bool array option * bool array option
-
-(** [spares fault u v] is [true] when the fault set does not delete [u],
-    [v], or (in EFT mode with [edge_id]) the given edge — i.e. when the
-    spanner condition must still hold for the pair. *)
-val spares : t -> u:int -> v:int -> bool
 
 (** {1 Sampling and enumeration} *)
 

@@ -24,8 +24,6 @@ let union a b =
   let selected = Array.mapi (fun i s -> s || b.selected.(i)) a.selected in
   { source = a.source; selected; size = count selected }
 
-let mem sel id = id >= 0 && id < Array.length sel.selected && sel.selected.(id)
-
 let ids sel =
   let acc = ref [] in
   for id = Array.length sel.selected - 1 downto 0 do

@@ -25,9 +25,6 @@ val full : Graph.t -> t
     graph.  Raises [Invalid_argument] if the sources differ physically. *)
 val union : t -> t -> t
 
-(** [mem sel id] tests whether edge [id] is selected. *)
-val mem : t -> int -> bool
-
 (** [ids sel] lists selected edge ids in increasing order. *)
 val ids : t -> int list
 

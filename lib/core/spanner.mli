@@ -53,13 +53,9 @@ type options = {
   shard : bool;
 }
 
-(** [default_options] is
-    [{order = None; batch = 1; pool = None; shard = false}] — the
-    sequential build. *)
-val default_options : options
-
 (** [options ?order ?batch ?pool ?shard ()] builds an options record from
-    the defaults.  Raises [Invalid_argument] if [batch < 1]. *)
+    the defaults [{order = None; batch = 1; pool = None; shard = false}]
+    — the sequential build.  Raises [Invalid_argument] if [batch < 1]. *)
 val options :
   ?order:Engine.order ->
   ?batch:int ->
@@ -71,7 +67,7 @@ val options :
 (** [build ?rng ?algorithm ?options params g] constructs an
     f-fault-tolerant (2k-1)-spanner of [g].  [rng] is required only by
     randomized algorithms (defaults to a fixed seed); [options] defaults
-    to {!default_options} (the sequential build). *)
+    to [options ()] (the sequential build). *)
 val build :
   ?rng:Rng.t ->
   ?algorithm:algorithm ->

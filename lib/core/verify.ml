@@ -16,94 +16,81 @@ let ok r = Option.is_none r.violation
 
 let eps = 1e-9
 
-(* Distances from [src] in the source graph and in the spanner, both under
-   the fault set.  The spanner-with-faults is the source graph with
-   "unselected or faulted" edges blocked (see {!Selection.blocked_edges}). *)
-let fault_context sel fault =
+(* The one per-fault sweep, over the edges Lemma 3 quantifies: for
+   every surviving source [u] with a surviving edge to a higher-numbered
+   surviving neighbour [v], the distances from [u] in G\F and in H\F,
+   then [visit u v id d_g d_h] on each such edge until [visit] answers
+   [false].  The spanner-with-faults is the source graph with
+   "unselected or faulted" edges blocked (see {!Selection.blocked_edges}).
+   One fault's sweep touches only freshly allocated masks and
+   BFS/Dijkstra arrays plus read-only graph state, so a battery of
+   faults is embarrassingly parallel: results land by fault index,
+   making the parallel sweep bit-identical to the sequential one (Exec's
+   determinism contract). *)
+let sweep sel fault visit =
   let g = sel.Selection.source in
   let bv, be = Fault.masks g fault in
   let h_blocked =
     Selection.blocked_edges sel
       (match fault.Fault.mode with Fault.EFT -> fault.Fault.members | Fault.VFT -> [])
   in
-  (g, bv, be, h_blocked)
-
-let distances_pair ~unit_graph g bv be h_blocked src =
-  if unit_graph then
-    let to_float a =
-      Array.map (fun d -> if d < 0 then infinity else float_of_int d) a
-    in
-    ( to_float (Bfs.distances ?blocked_vertices:bv ?blocked_edges:be g src),
-      to_float (Bfs.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src) )
-  else
-    ( Dijkstra.distances ?blocked_vertices:bv ?blocked_edges:be g src,
-      Dijkstra.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src )
-
-let vertex_faulted bv x =
-  match bv with None -> false | Some a -> a.(x)
-
-let edge_faulted be id =
-  match be with None -> false | Some a -> a.(id)
-
-let check_under_fault sel ~stretch fault =
-  let g, bv, be, h_blocked = fault_context sel fault in
   let unit_graph = Graph.is_unit_weighted g in
-  let found = ref None in
-  let n = Graph.n g in
-  let src = ref 0 in
-  while !found = None && !src < n do
-    let u = !src in
-    if not (vertex_faulted bv u) then begin
+  let distances src =
+    if unit_graph then
+      let to_float a =
+        Array.map (fun d -> if d < 0 then infinity else float_of_int d) a
+      in
+      ( to_float (Bfs.distances ?blocked_vertices:bv ?blocked_edges:be g src),
+        to_float (Bfs.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src) )
+    else
+      ( Dijkstra.distances ?blocked_vertices:bv ?blocked_edges:be g src,
+        Dijkstra.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src )
+  in
+  let vertex_faulted x = match bv with None -> false | Some a -> a.(x) in
+  let surviving u v id =
+    v > u
+    && (match be with None -> true | Some a -> not a.(id))
+    && not (vertex_faulted v)
+  in
+  let go = ref true and u = ref 0 in
+  while !go && !u < Graph.n g do
+    let src = !u in
+    if not (vertex_faulted src) then begin
       let needs_check = ref false in
-      Graph.iter_neighbors g u (fun v id ->
-          if v > u && (not (edge_faulted be id)) && not (vertex_faulted bv v)
-          then needs_check := true);
+      Graph.iter_neighbors g src (fun v id ->
+          if surviving src v id then needs_check := true);
       if !needs_check then begin
-        let d_g, d_h = distances_pair ~unit_graph g bv be h_blocked u in
-        Graph.iter_neighbors g u (fun v id ->
-            if
-              !found = None && v > u
-              && (not (edge_faulted be id))
-              && not (vertex_faulted bv v)
-            then begin
-              let w = Graph.weight g id in
-              (* Lemma 3: the spanner condition need only be checked when
-                 the edge realizes the faulted distance. *)
-              if d_g.(v) >= w -. eps && d_h.(v) > (stretch *. w) +. eps then
-                found :=
-                  Some { fault; u; v; d_source = d_g.(v); d_spanner = d_h.(v) }
-            end)
+        let d_g, d_h = distances src in
+        Graph.iter_neighbors g src (fun v id ->
+            if !go && surviving src v id then go := visit src v id d_g d_h)
       end
     end;
-    incr src
-  done;
+    incr u
+  done
+
+let check_under_fault sel ~stretch fault =
+  let g = sel.Selection.source in
+  let found = ref None in
+  sweep sel fault (fun u v id d_g d_h ->
+      let w = Graph.weight g id in
+      (* Lemma 3: the spanner condition need only be checked when the
+         edge realizes the faulted distance. *)
+      if d_g.(v) >= w -. eps && d_h.(v) > (stretch *. w) +. eps then
+        found := Some { fault; u; v; d_source = d_g.(v); d_spanner = d_h.(v) };
+      Option.is_none !found);
   !found
 
-(* One fault's evaluation touches only freshly allocated masks and
-   BFS/Dijkstra arrays plus read-only graph state, so a battery of faults
-   is embarrassingly parallel: results land by fault index, making the
-   parallel sweep bit-identical to the sequential one (Exec's determinism
-   contract). *)
 let max_stretch_under_fault sel fault =
-  let g, bv, be, h_blocked = fault_context sel fault in
-  let unit_graph = Graph.is_unit_weighted g in
   let worst = ref 1.0 in
-  for u = 0 to Graph.n g - 1 do
-    if not (vertex_faulted bv u) then begin
-      let d_g, d_h = distances_pair ~unit_graph g bv be h_blocked u in
-      Graph.iter_neighbors g u (fun v id ->
-          if v > u && (not (edge_faulted be id)) && not (vertex_faulted bv v)
-          then begin
-            let ratio =
-              if d_g.(v) = infinity then 1.0
-              else if d_h.(v) = infinity then infinity
-              else if d_g.(v) <= eps then 1.0
-              else d_h.(v) /. d_g.(v)
-            in
-            if ratio > !worst then worst := ratio
-          end)
-    end
-  done;
+  sweep sel fault (fun _ v _ d_g d_h ->
+      let ratio =
+        if d_g.(v) = infinity then 1.0
+        else if d_h.(v) = infinity then infinity
+        else if d_g.(v) <= eps then 1.0
+        else d_h.(v) /. d_g.(v)
+      in
+      if ratio > !worst then worst := ratio;
+      true);
   !worst
 
 (* ------------------------- config surface ------------------------- *)

@@ -6,7 +6,10 @@
     every fault set [F] and every surviving edge [{u,v}] of [G],
     [d_{H\F}(u,v) <= t * d_{G\F}(u,v)].  (The lemma states it for edges
     that are shortest paths; checking all surviving edges is equivalent
-    and simpler.)  That is what {!check_under_fault} implements.
+    and simpler.)  Every battery and {!max_stretch_under_fault} evaluate
+    a fault set by that one sweep: per surviving source vertex, distances
+    in [G\F] and [H\F], then a look at each surviving edge to a
+    higher-numbered neighbour.
 
     The fault-set quantifier is genuinely exponential; the module offers
     - {!exhaustive}: all fault sets up to size [f] (small inputs —
@@ -50,10 +53,6 @@ type report = {
 
 (** [ok report] is [true] when no violation was found. *)
 val ok : report -> bool
-
-(** [check_under_fault sel ~stretch fault] verifies the (Lemma 3) spanner
-    condition for one fault set; [None] means it holds. *)
-val check_under_fault : Selection.t -> stretch:float -> Fault.t -> violation option
 
 (** {1 Configuration}
 

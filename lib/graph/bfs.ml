@@ -212,9 +212,5 @@ let distances ?blocked_vertices ?blocked_edges g src =
     dist
   end
 
-let hop_distance g u v =
-  let d = (distances g u).(v) in
-  if d < 0 then None else Some d
-
 let eccentricity g u =
   Array.fold_left (fun acc d -> if d > acc then d else acc) 0 (distances g u)

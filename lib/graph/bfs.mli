@@ -79,10 +79,6 @@ val distances :
   int ->
   int array
 
-(** [hop_distance g u v] is the unweighted distance, [None] if
-    disconnected. *)
-val hop_distance : Graph.t -> int -> int -> int option
-
 (** [eccentricity g u] is the largest hop distance from [u] to any vertex
     reachable from [u]. *)
 val eccentricity : Graph.t -> int -> int

@@ -2,16 +2,6 @@ type t = { vertices : int list; edges : int list }
 
 let hops p = List.length p.edges
 
-let source p =
-  match p.vertices with
-  | v :: _ -> v
-  | [] -> invalid_arg "Path.source: empty path"
-
-let target p =
-  match List.rev p.vertices with
-  | v :: _ -> v
-  | [] -> invalid_arg "Path.target: empty path"
-
 let interior p =
   match p.vertices with
   | [] | [ _ ] -> []

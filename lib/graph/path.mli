@@ -13,12 +13,6 @@ type t = {
 (** [hops p] is the number of edges on [p]. *)
 val hops : t -> int
 
-(** [source p] and [target p] are the endpoints.  Raise [Invalid_argument]
-    on the empty path. *)
-val source : t -> int
-
-val target : t -> int
-
 (** [interior p] is the vertex list with both endpoints removed — exactly
     the vertices a length-bounded {e vertex} cut is allowed to delete. *)
 val interior : t -> int list

@@ -9,8 +9,6 @@ let create ~capacity =
   { keys = Array.make cap 0.; payloads = Array.make cap 0; len = 0 }
 
 let is_empty h = h.len = 0
-let length h = h.len
-let clear h = h.len <- 0
 
 let grow h =
   let cap = Array.length h.keys in

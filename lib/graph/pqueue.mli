@@ -9,12 +9,9 @@ type t
 val create : capacity:int -> t
 
 val is_empty : t -> bool
-val length : t -> int
 
 (** [push h key payload] inserts an entry. *)
 val push : t -> float -> int -> unit
 
 (** [pop_min h] removes and returns the entry with the smallest key. *)
 val pop_min : t -> (float * int) option
-
-val clear : t -> unit

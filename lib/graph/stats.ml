@@ -29,14 +29,6 @@ let compute g =
     components = Components.count g;
   }
 
-let degree_histogram g =
-  let hist = Array.make (Graph.max_degree g + 1) 0 in
-  for v = 0 to Graph.n g - 1 do
-    let d = Graph.degree g v in
-    hist.(d) <- hist.(d) + 1
-  done;
-  hist
-
 let diameter g =
   let best = ref 0 in
   for v = 0 to Graph.n g - 1 do

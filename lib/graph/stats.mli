@@ -13,10 +13,6 @@ type t = {
 
 val compute : Graph.t -> t
 
-(** [degree_histogram g] maps degree [d] to the number of vertices with that
-    degree; indices up to [max_degree g]. *)
-val degree_histogram : Graph.t -> int array
-
 (** [diameter g] is the largest finite hop eccentricity, [None] when [g] is
     edgeless or disconnected pairs dominate (we report the max over the
     largest component). *)

@@ -95,7 +95,6 @@ let buf = ref (Array.make 0 placeholder)
 let seen_count = ref 0
 let stored_count = ref 0
 let origin = ref 0.
-let sink : (event -> unit) option ref = ref None
 let sampler : sampler option ref = ref None
 
 let emit payload =
@@ -106,18 +105,13 @@ let emit payload =
     let keep =
       match !sampler with None -> true | Some smp -> admit smp payload
     in
-    let consumer =
-      if not keep then None
-      else begin
-        let ev = { seq; ts_s = Obs.now_s () -. !origin; payload } in
-        let cap = Array.length !buf in
-        if cap > 0 then !buf.(!stored_count mod cap) <- ev;
-        stored_count := !stored_count + 1;
-        match !sink with Some f -> Some (f, ev) | None -> None
-      end
-    in
-    Mutex.unlock lock;
-    match consumer with Some (f, ev) -> f ev | None -> ()
+    if keep then begin
+      let ev = { seq; ts_s = Obs.now_s () -. !origin; payload } in
+      let cap = Array.length !buf in
+      if cap > 0 then !buf.(!stored_count mod cap) <- ev;
+      stored_count := !stored_count + 1
+    end;
+    Mutex.unlock lock
   end
 
 let span_hook phase name =
@@ -162,11 +156,6 @@ let start ?(capacity = default_capacity) ?sample
 let stop () =
   Atomic.set enabled_flag false;
   Obs.set_span_hook None
-
-let set_sink s =
-  Mutex.lock lock;
-  sink := s;
-  Mutex.unlock lock
 
 (* Read under [lock]: worker domains may be emitting. *)
 let seen () = Mutex.protect lock (fun () -> !seen_count)

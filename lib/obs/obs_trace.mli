@@ -1,4 +1,4 @@
-(** Streaming structured-event trace: the time-ordered complement to the
+(** Structured-event trace: the time-ordered complement to the
     aggregates of {!Obs}.
 
     Counters and histograms answer "how much in total"; the questions the
@@ -122,11 +122,6 @@ val stop : unit -> unit
     should still test {!enabled} first so the payload is never
     allocated. *)
 val emit : payload -> unit
-
-(** [set_sink s] installs a streaming consumer called with every event as
-    it is emitted (after it is stored; outside the buffer lock).  Sinks
-    must not call {!emit}.  [None] removes it. *)
-val set_sink : (event -> unit) option -> unit
 
 (** [events ()] lists the retained events, oldest first.  After an
     overflow this is the {e suffix} of the sampled stream: [List.length]

@@ -81,6 +81,20 @@ EOF
   || fail "script B second replay"
 cmp -s "$TMP/b1.out" "$TMP/b2.out" || fail "script B replay not deterministic"
 
+# The seed is the greedy build itself: a replay with no updates writes
+# build's selection (-j 1: build decides in blocks of 512 when jobs > 1)
+# and the input graph back unchanged.
+printf 'query 0 20\nfaults 5\nquery 5 35\n' > "$TMP/b-read.ops"
+"$BIN" dynamic -k 2 -f 1 --graph "$TMP/g.graph" "$TMP/b-read.ops" \
+  -o "$TMP/b-sel.txt" --out-graph "$TMP/b-final.graph" > /dev/null \
+  || fail "script B read-only replay"
+"$BIN" build -j 1 -k 2 -f 1 "$TMP/g.graph" -o "$TMP/build-sel.txt" > /dev/null \
+  || fail "build"
+cmp -s "$TMP/b-sel.txt" "$TMP/build-sel.txt" \
+  || fail "a replay with no updates must select what build selects"
+cmp -s "$TMP/b-final.graph" "$TMP/g.graph" \
+  || fail "a replay with no updates must write the input graph back"
+
 # ---- exit-code contract --------------------------------------------
 # usage/spec errors -> 2
 printf 'bogus 1 2\n' > "$TMP/bad.ops"

@@ -32,31 +32,39 @@ let test_fault_masks_eft () =
   | _ -> Alcotest.fail "expected edge mask only"
 
 let test_fault_dedup () =
-  checki "dedup" 2 (Fault.size (Fault.of_vertices [ 3; 1; 3; 1 ]))
+  checki "dedup" 2 (List.length (Fault.of_vertices [ 3; 1; 3; 1 ]).Fault.members)
 
+(* Whether a fault set spares a pair's endpoints, read off the masks the
+   searches consume. *)
 let test_fault_spares () =
+  let g = Generators.path 4 in
+  let spares fault u v =
+    match fst (Fault.masks g fault) with
+    | None -> true
+    | Some bv -> not (bv.(u) || bv.(v))
+  in
   let f = Fault.of_vertices [ 2 ] in
-  checkb "pair away from fault" true (Fault.spares f ~u:0 ~v:1);
-  checkb "pair hit by fault" false (Fault.spares f ~u:2 ~v:1);
+  checkb "pair away from fault" true (spares f 0 1);
+  checkb "pair hit by fault" false (spares f 2 1);
   let fe = Fault.of_edges [ 0 ] in
-  checkb "EFT never removes endpoints" true (Fault.spares fe ~u:0 ~v:1)
+  checkb "EFT never removes endpoints" true (spares fe 0 1)
 
 let test_fault_random_size_and_range () =
   let r = rng () in
   let g = Generators.cycle 10 in
   for _ = 1 to 20 do
     let fv = Fault.random r Fault.VFT g ~f:3 in
-    checki "vft size" 3 (Fault.size fv);
+    checki "vft size" 3 (List.length fv.Fault.members);
     List.iter (fun x -> checkb "vertex range" true (x >= 0 && x < 10)) fv.Fault.members;
     let fe = Fault.random r Fault.EFT g ~f:4 in
-    checki "eft size" 4 (Fault.size fe);
+    checki "eft size" 4 (List.length fe.Fault.members);
     List.iter (fun x -> checkb "edge range" true (x >= 0 && x < 10)) fe.Fault.members
   done
 
 let test_fault_random_capped_by_universe () =
   let r = rng () in
   let g = Generators.path 3 in
-  checki "capped" 3 (Fault.size (Fault.random r Fault.VFT g ~f:50))
+  checki "capped" 3 (List.length (Fault.random r Fault.VFT g ~f:50).Fault.members)
 
 let test_fault_enumerate_counts () =
   let g = Generators.path 4 in
@@ -80,7 +88,7 @@ let test_fault_adversarial_near_edge () =
   let g = Generators.complete 8 in
   for _ = 1 to 10 do
     let fault = Fault.random_adversarial r Fault.VFT g ~f:3 in
-    checkb "size within f" true (Fault.size fault <= 3)
+    checkb "size within f" true (List.length fault.Fault.members <= 3)
   done
 
 (* Members drawn for f = 1, 2, 3 from one stream per (mode, seed), and
@@ -112,8 +120,8 @@ let test_selection_of_ids_and_mem () =
   let g = Generators.cycle 5 in
   let sel = Selection.of_ids g [ 0; 2 ] in
   checki "size" 2 sel.Selection.size;
-  checkb "mem 0" true (Selection.mem sel 0);
-  checkb "mem 1" false (Selection.mem sel 1);
+  checkb "mem 0" true sel.Selection.selected.(0);
+  checkb "mem 1" false sel.Selection.selected.(1);
   check (Alcotest.list Alcotest.int) "ids sorted" [ 0; 2 ] (Selection.ids sel)
 
 let test_selection_union () =

@@ -23,33 +23,32 @@ let path_graph n =
   done;
   d
 
+(* [create g] is [Poly_greedy.build g] plus bookkeeping: the snapshot
+   keeps g's edge ids and the greedy's verdicts bit for bit, including
+   on tied weights, where the order the greedy breaks ties in decides
+   which edges survive. *)
 let test_create_seeds_like_build () =
-  let r = Rng.create ~seed:11 in
-  let g = Generators.connected_gnp r ~n:30 ~p:0.3 in
-  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) g in
-  let fresh =
-    Poly_greedy.build ~order:Poly_greedy.Input_order ~mode:Fault.VFT ~k:2 ~f:1 g
+  let case name ~mode g =
+    let d = Dynamic.create ~opts:(Dynamic.opts ~mode ~k:2 ~f:1 ()) g in
+    let sel = Dynamic.snapshot d in
+    let fresh = Poly_greedy.build ~mode ~k:2 ~f:1 g in
+    checkb (name ^ ": selected = Poly_greedy.build") true
+      (sel.Selection.selected = fresh.Selection.selected);
+    checki (name ^ ": size") fresh.Selection.size (Dynamic.size d);
+    checkb (name ^ ": g's edge ids") true
+      (List.init (Graph.m g) (Graph.endpoints sel.Selection.source)
+      = List.init (Graph.m g) (Graph.endpoints g));
+    checki (name ^ ": epoch starts at 0") 0 (Dynamic.epoch d);
+    checki (name ^ ": all edges live") (Graph.m g) (Dynamic.live_edges d)
   in
-  checki "seed spanner = fresh build" fresh.Selection.size (Dynamic.size d);
-  check (Alcotest.list Alcotest.int) "same selection" (Selection.ids fresh)
-    (Selection.ids (Dynamic.snapshot d));
-  checki "epoch starts at 0" 0 (Dynamic.epoch d);
-  checki "all edges live" (Graph.m g) (Dynamic.live_edges d);
-  (* With distinct weights the seed order (weight, id) is the only
-     nondecreasing order, so the seed keeps the same edges as
-     [Poly_greedy.build]; the snapshot renumbers them in seed order, so
-     compare endpoints. *)
-  let gw = Generators.with_uniform_weights (Rng.create ~seed:12) g ~lo:1.0 ~hi:9.0 in
-  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) gw in
-  let endpoints sel =
-    let src = sel.Selection.source in
-    List.sort compare (List.map (Graph.endpoints src) (Selection.ids sel))
-  in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "distinct weights: same kept edges as Poly_greedy.build"
-    (endpoints (Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 gw))
-    (endpoints (Dynamic.snapshot d))
+  let gnp ~seed ~n = Generators.connected_gnp (Rng.create ~seed) ~n ~p:0.3 in
+  case "gnp n=60" ~mode:Fault.VFT (gnp ~seed:11 ~n:60);
+  case "grid 10x10" ~mode:Fault.VFT (Generators.grid ~rows:10 ~cols:10);
+  case "gnp n=30" ~mode:Fault.VFT (gnp ~seed:11 ~n:30);
+  case "weighted gnp" ~mode:Fault.VFT
+    (Generators.with_uniform_weights (Rng.create ~seed:12) (gnp ~seed:11 ~n:30)
+       ~lo:1.0 ~hi:9.0);
+  case "EFT gnp" ~mode:Fault.EFT (gnp ~seed:13 ~n:24)
 
 let test_delete_and_query () =
   let d = path_graph 6 in
@@ -242,16 +241,16 @@ let prop_random_scripts_eft =
 
 (* The shed pass promises validity, not size (its closing re-check may
    re-admit more than it shed), so the size side is not asserted.  On
-   this 8-vertex graph, deleting two spanner edges sheds three
-   redundant ones; the result must still verify exhaustively. *)
+   this 8-vertex graph, inserted edge by edge in the listed order,
+   deleting two spanner edges sheds three redundant ones; the result
+   must still verify exhaustively. *)
 let test_shed_after_deletions () =
-  let g =
-    Graph.of_edges 8
-      [ (0, 1); (0, 3); (0, 4); (0, 5); (0, 6); (0, 7); (1, 3); (1, 4);
-        (1, 5); (1, 7); (2, 3); (2, 4); (2, 5); (3, 4); (3, 5); (4, 5);
-        (4, 6); (5, 6); (5, 7) ]
-  in
-  let d = Dynamic.create ~opts:(Dynamic.opts ~mode:Fault.VFT ~k:2 ~f:1 ()) g in
+  let d = dyn ~mode:Fault.VFT ~k:2 ~f:1 8 in
+  List.iter
+    (fun (u, v) -> insert d u v)
+    [ (0, 1); (0, 3); (0, 4); (0, 5); (0, 6); (0, 7); (1, 3); (1, 4);
+      (1, 5); (1, 7); (2, 3); (2, 4); (2, 5); (3, 4); (3, 5); (4, 5);
+      (4, 6); (5, 6); (5, 7) ];
   let s =
     Dynamic.apply d
       [ Dynamic.Delete_edge { u = 0; v = 1 }; Dynamic.Delete_edge { u = 0; v = 3 } ]
@@ -309,7 +308,7 @@ let test_pinned_script () =
   check
     (Alcotest.list Alcotest.int)
     "final selection"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 13; 14; 15; 16; 21; 24; 25; 26 ]
+    [ 0; 1; 3; 4; 5; 6; 7; 8; 10; 11; 14; 15; 16; 17; 18; 19; 20; 24; 25; 26 ]
     (Selection.ids (Dynamic.snapshot d));
   checki "final size" 20 (Dynamic.size d)
 

@@ -243,7 +243,7 @@ let test_spanner_options_facade () =
   let params = { Spanner.k = 2; f = 1; mode = Fault.VFT } in
   let plain = Spanner.build params g in
   (* Default options are the historical sequential path. *)
-  let dflt = Spanner.build ~options:Spanner.default_options params g in
+  let dflt = Spanner.build ~options:(Spanner.options ()) params g in
   check (Alcotest.list Alcotest.int) "default options = plain" (ids plain)
     (ids dflt);
   (* batch=1 through a pool still equals the sequential greedy. *)

@@ -88,7 +88,7 @@ let test_blocking_certificates_per_edge () =
     (fun c ->
       checkb "certificate within Lemma 6 size" true
         (List.length c.Poly_greedy.cut <= 3 * 2);
-      checkb "edge was selected" true (Selection.mem sel c.Poly_greedy.edge.Graph.id))
+      checkb "edge was selected" true sel.Selection.selected.(c.Poly_greedy.edge.Graph.id))
     certs
 
 let test_blocking_is_blocking_set () =

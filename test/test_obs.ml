@@ -511,18 +511,6 @@ let test_trace_span_hook () =
   Obs.with_span "unhooked" (fun () -> ());
   checki "no events after stop" 2 (Obs_trace.seen ())
 
-let test_trace_sink_streams () =
-  fresh ();
-  let streamed = ref [] in
-  with_tracing (fun () ->
-      Obs_trace.set_sink (Some (fun ev -> streamed := ev.Obs_trace.seq :: !streamed));
-      Obs_trace.emit (Obs_trace.Mark "a");
-      Obs_trace.emit (Obs_trace.Mark "b");
-      Obs_trace.set_sink None;
-      Obs_trace.emit (Obs_trace.Mark "c"));
-  checkb "sink saw exactly the events while installed" true
-    (List.rev !streamed = [ 0; 1 ])
-
 let test_chrome_wellformed () =
   fresh ();
   with_tracing (fun () ->
@@ -1184,7 +1172,6 @@ let () =
           Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
           Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_noop;
           Alcotest.test_case "span hook" `Quick test_trace_span_hook;
-          Alcotest.test_case "streaming sink" `Quick test_trace_sink_streams;
           Alcotest.test_case "chrome well-formed" `Quick test_chrome_wellformed;
           Alcotest.test_case "chrome orphan end elided" `Quick
             test_chrome_unmatched_end_elided;

@@ -219,7 +219,7 @@ let prop_fault_enumerate_size_bound =
       let count = ref 0 in
       Fault.enumerate Fault.VFT g ~f (fun fault ->
           incr count;
-          if Fault.size fault > f then ok := false);
+          if List.length fault.Fault.members > f then ok := false);
       !ok
       && abs_float (float_of_int !count -. Fault.count_subsets ~universe:(Graph.n g) ~f)
          < 0.5)

@@ -182,8 +182,9 @@ let test_short_masks_ignored_beyond_length () =
 let test_fault_empty_set () =
   let g = Generators.cycle 5 in
   let sel = Selection.full g in
-  checkb "empty fault trivially ok" true
-    (Verify.check_under_fault sel ~stretch:1.0 (Fault.empty Fault.VFT) = None)
+  let r = Verify.exhaustive sel ~mode:Fault.VFT ~stretch:1.0 ~f:0 in
+  checki "only the empty fault set" 1 r.Verify.checked;
+  checkb "empty fault trivially ok" true (Verify.ok r)
 
 let test_selection_empty_mask () =
   let g = Generators.cycle 4 in

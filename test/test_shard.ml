@@ -211,7 +211,7 @@ let test_boundary_edges_force_kept () =
         checkb
           (Printf.sprintf "uncovered edge %d kept" id)
           true
-          (Selection.mem res.Shard_build.selection id)
+          res.Shard_build.selection.Selection.selected.(id)
       end)
     res.Shard_build.partition.Shard_partition.covered;
   checki "boundary counter matches uncovered edges" !uncovered

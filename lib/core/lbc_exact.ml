@@ -1,16 +1,5 @@
-let masks_for ~mode g members =
-  match mode with
-  | Fault.VFT ->
-      let mask = Array.make (Graph.n g) false in
-      List.iter (fun x -> mask.(x) <- true) members;
-      (Some mask, None)
-  | Fault.EFT ->
-      let mask = Array.make (max 1 (Graph.m g)) false in
-      List.iter (fun id -> mask.(id) <- true) members;
-      (None, Some mask)
-
 let is_cut ~mode g ~u ~v ~t members =
-  let blocked_vertices, blocked_edges = masks_for ~mode g members in
+  let blocked_vertices, blocked_edges = Fault.masks g { Fault.mode; members } in
   Option.is_none
     (Bfs.hop_bounded_path ?blocked_vertices ?blocked_edges g ~src:u ~dst:v
        ~max_hops:t)

@@ -7,83 +7,19 @@ type t = {
 
 let build rng ~k g =
   if k < 1 then invalid_arg "Oracle.build: k must be >= 1";
-  let n = Graph.n g in
-  let levels = Thorup_zwick.sample_hierarchy rng ~k ~n in
-  let sources_at level =
-    let acc = ref [] in
-    for v = 0 to n - 1 do
-      if levels.(v) >= level then acc := v :: !acc
-    done;
-    !acc
+  (* Bunches: w \in B(v) iff v \in C(w); filled as every cluster grows. *)
+  let bunches = Array.init (Graph.n g) (fun _ -> Hashtbl.create 4) in
+  let h =
+    Thorup_zwick.clusters rng ~k g (fun w members ->
+        List.iter (fun (v, d, _) -> Hashtbl.replace bunches.(v) w d) members)
   in
-  (* Pivots and their distances per level (level 0: the vertex itself). *)
-  let pivots = Array.make k [||] in
-  let pivot_dist = Array.make k [||] in
-  pivots.(0) <- Array.init n (fun v -> v);
-  pivot_dist.(0) <- Array.make n 0.;
-  let delta = Array.make (k + 1) [||] in
-  delta.(0) <- Array.make n 0.;
-  for i = 1 to k do
-    let sources = if i > k - 1 then [] else sources_at i in
-    if sources = [] then delta.(i) <- Array.make n infinity
-    else begin
-      (* distances and witnesses via multi-source Dijkstra with witness
-         propagation: run one Dijkstra per source set, tracking the
-         argmin.  We re-run a single multi-source pass and then recover
-         witnesses by a second pass over the shortest-path DAG; simpler:
-         run the pass with per-vertex witness updates inline. *)
-      let dist = Array.make n infinity in
-      let witness = Array.make n (-1) in
-      let settled = Array.make n false in
-      let heap = Pqueue.create ~capacity:n in
-      List.iter
-        (fun s ->
-          dist.(s) <- 0.;
-          witness.(s) <- s;
-          Pqueue.push heap 0. s)
-        sources;
-      let rec drain () =
-        match Pqueue.pop_min heap with
-        | None -> ()
-        | Some (d, x) ->
-            if not settled.(x) then begin
-              settled.(x) <- true;
-              Graph.iter_neighbors g x (fun y id ->
-                  let nd = d +. Graph.weight g id in
-                  if nd < dist.(y) then begin
-                    dist.(y) <- nd;
-                    witness.(y) <- witness.(x);
-                    Pqueue.push heap nd y
-                  end);
-              drain ()
-            end
-            else drain ()
-      in
-      drain ();
-      delta.(i) <- dist;
-      if i <= k - 1 then begin
-        pivots.(i) <- witness;
-        pivot_dist.(i) <- Array.copy dist
-      end
-    end
-  done;
-  (* Guard: levels > 0 may still be empty only when the hierarchy sampler
-     gave up (it force-promotes, so pivots.(i) is always set); keep a
-     defensive default. *)
-  for i = 1 to k - 1 do
-    if pivots.(i) = [||] then begin
-      pivots.(i) <- Array.make n (-1);
-      pivot_dist.(i) <- Array.make n infinity
-    end
-  done;
-  (* Bunches: w \in B(v) iff v \in C(w); fill by growing every cluster. *)
-  let bunches = Array.init n (fun _ -> Hashtbl.create 4) in
-  for w = 0 to n - 1 do
-    let i = levels.(w) in
-    let members = Thorup_zwick.cluster g ~center:w ~bound:delta.(i + 1) in
-    List.iter (fun (v, d, _) -> Hashtbl.replace bunches.(v) w d) members
-  done;
-  { k; pivots; pivot_dist; bunches }
+  (* Level 0 is A_0 = V: every vertex is its own pivot at distance 0. *)
+  {
+    k;
+    pivots = Array.sub h.Thorup_zwick.pivots 0 k;
+    pivot_dist = Array.sub h.Thorup_zwick.delta 0 k;
+    bunches;
+  }
 
 let stretch_bound t = float_of_int ((2 * t.k) - 1)
 

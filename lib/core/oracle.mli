@@ -12,6 +12,11 @@
     - query(u, v): walk [w = p_i(u)] for growing [i], swapping [u] and
       [v] each step, until [w ∈ B(v)]; answer [d(w,u) + d(w,v)].
 
+    The hierarchy, pivots and clusters come from {!Thorup_zwick.clusters},
+    the same pass {!Thorup_zwick.build} runs, so an oracle and a spanner
+    built from equal seeds share their hierarchy; [build] only files each
+    cluster's members into bunches.
+
     Combined with a fault-tolerant spanner, this is the "routing under
     failures" stack: build the oracle over the FT spanner and the answers
     keep their guarantee relative to the spanner's (faulted) distances —

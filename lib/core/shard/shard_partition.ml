@@ -35,43 +35,27 @@ let members c =
 let default_partitions n =
   max 1 (int_of_float (ceil (2. *. log (float_of_int (max 2 n)) /. log 2.)))
 
-(* Multi-source Dijkstra over the hop metric with initial costs
-   [-delta_v]: vertex [w] settles at cost [-(delta_c - d(c, w))] for the
-   centre [c] maximizing [delta_c - d(c, w)].  This is the fixed point
-   the flooded offers of [Decomposition.run] converge to — each hop
-   subtracts an exact [1.0] from the key, adoption is strict improvement
-   in both, and a winning offer always travels fewer than [delta_c <=
-   horizon] hops, so the simulation's round cap never truncates it. *)
+(* Seeded Dijkstra over the hop metric with seed keys [-delta_v]: vertex
+   [w] settles at key [-(delta_c - d(c, w))] for the centre [c]
+   maximizing [delta_c - d(c, w)], and the improvement hook carries the
+   centre, parent and depth along.  This is the fixed point the flooded
+   offers of [Decomposition.run] converge to — each hop adds an exact
+   [1.0] to the key, adoption is strict improvement in both, and a
+   winning offer always travels fewer than [delta_c <= horizon] hops, so
+   the simulation's round cap never truncates it. *)
 let assign g delta =
   let n = Graph.n g in
-  let cost = Array.make n 0.0 in
   let center_of = Array.init n (fun v -> v) in
   let parent_of = Array.make n (-1) in
   let depth_of = Array.make n 0 in
-  let settled = Array.make n false in
-  let heap = Pqueue.create ~capacity:(max 1 (2 * n)) in
-  for v = 0 to n - 1 do
-    cost.(v) <- -.delta.(v);
-    Pqueue.push heap cost.(v) v
-  done;
-  let exhausted = ref false in
-  while not !exhausted do
-    match Pqueue.pop_min heap with
-    | None -> exhausted := true
-    | Some (c, v) ->
-        if not settled.(v) then begin
-          settled.(v) <- true;
-          let cand = c +. 1.0 in
-          Graph.iter_neighbors g v (fun w _eid ->
-              if (not settled.(w)) && cand < cost.(w) then begin
-                cost.(w) <- cand;
-                center_of.(w) <- center_of.(v);
-                parent_of.(w) <- v;
-                depth_of.(w) <- depth_of.(v) + 1;
-                Pqueue.push heap cand w
-              end)
-        end
-  done;
+  let adopt w v _ =
+    center_of.(w) <- center_of.(v);
+    parent_of.(w) <- v;
+    depth_of.(w) <- depth_of.(v) + 1
+  in
+  ignore
+    (Dijkstra.seeded ~length:(fun _ -> 1.0) ~on_improve:adopt g
+       (List.init n (fun v -> (v, -.delta.(v)))));
   { center_of; parent_of; depth_of }
 
 type shifts = { beta : float; delta : float array array; horizon : int }

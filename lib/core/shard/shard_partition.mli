@@ -8,9 +8,11 @@
     metric), so that w.h.p. every edge is {e interior} to some cluster of
     some partition.  {!Decomposition.run} realizes that by flooding
     offers through the simulated {!Net}; this module computes the {e same
-    fixed point} directly with a multi-source Dijkstra per partition — no
-    network, no rounds, just the clustering — which is what the sharded
-    builder ({!Shard_build}) fans out over the {!Exec} pool.
+    fixed point} directly with one {!Dijkstra.seeded} run per partition —
+    hop lengths, seed keys [-delta_v] in vertex order, and an improvement
+    hook that carries centre, parent and depth — with no network and no
+    rounds, just the clustering the sharded builder ({!Shard_build}) fans
+    out over the {!Exec} pool.
 
     {b Agreement with the simulation.}  Given the same [rng] seed, [beta]
     and partition count, [run] draws the same shifts as

@@ -1,67 +1,12 @@
+type hierarchy = {
+  levels : int array;
+  delta : float array array;
+  pivots : int array array;
+}
+
 type state = { levels : int array; cluster_count : int }
 
-(* Multi-source Dijkstra: distance from the nearest vertex of [sources]. *)
-let multi_source_distances g sources =
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let settled = Array.make n false in
-  let heap = Pqueue.create ~capacity:n in
-  List.iter
-    (fun s ->
-      dist.(s) <- 0.;
-      Pqueue.push heap 0. s)
-    sources;
-  let rec drain () =
-    match Pqueue.pop_min heap with
-    | None -> ()
-    | Some (d, x) ->
-        if not settled.(x) then begin
-          settled.(x) <- true;
-          Graph.iter_neighbors g x (fun y id ->
-              let nd = d +. Graph.weight g id in
-              if nd < dist.(y) then begin
-                dist.(y) <- nd;
-                Pqueue.push heap nd y
-              end)
-        end;
-        drain ()
-  in
-  drain ();
-  dist
-
-(* Truncated Dijkstra growing the cluster of [center]: only vertices with
-   [d(center, v) < bound.(v)] are entered. *)
-let cluster g ~center ~bound =
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Pqueue.create ~capacity:16 in
-  dist.(center) <- 0.;
-  Pqueue.push heap 0. center;
-  let members = ref [] in
-  let rec drain () =
-    match Pqueue.pop_min heap with
-    | None -> ()
-    | Some (d, x) ->
-        if not settled.(x) then begin
-          settled.(x) <- true;
-          members := (x, d, parent.(x)) :: !members;
-          Graph.iter_neighbors g x (fun y id ->
-              let nd = d +. Graph.weight g id in
-              if nd < dist.(y) && nd < bound.(y) then begin
-                dist.(y) <- nd;
-                parent.(y) <- id;
-                Pqueue.push heap nd y
-              end)
-        end;
-        drain ()
-  in
-  drain ();
-  !members
-
 let sample_hierarchy rng ~k ~n =
-  if k < 1 then invalid_arg "Thorup_zwick.sample_hierarchy: k must be >= 1";
   if n < 1 then [||]
   else begin
     let p = if n <= 1 then 1.0 else float_of_int n ** (-1. /. float_of_int k) in
@@ -78,19 +23,8 @@ let sample_hierarchy rng ~k ~n =
       done;
       levels
     in
-    let populated levels =
-      let seen = Array.make k false in
-      Array.iter (fun l -> seen.(l) <- true) levels;
-      (* level i nonempty iff some vertex has top level >= i *)
-      let ok = ref true in
-      for i = 1 to k - 1 do
-        let nonempty = ref false in
-        Array.iter (fun l -> if l >= i then nonempty := true) levels;
-        if not !nonempty then ok := false
-      done;
-      ignore seen;
-      !ok
-    in
+    (* Levels 1 .. k-1 are all nonempty iff some vertex reaches k-1. *)
+    let populated levels = Array.exists (fun l -> l >= k - 1) levels in
     let rec attempt tries =
       let levels = draw () in
       if populated levels || tries <= 0 then levels else attempt (tries - 1)
@@ -105,35 +39,67 @@ let sample_hierarchy rng ~k ~n =
     levels
   end
 
+(* d(A_i, v) for every v, and the A_i vertex realizing it (-1 if none):
+   one seeded Dijkstra from A_i.  The sources are seeded in decreasing
+   vertex order, which fixes the witness on equal distances.  A_0 = V
+   needs no search: every vertex is its own witness at distance 0. *)
+let level_distances g levels i =
+  let n = Graph.n g in
+  if i = 0 then (Array.make n 0., Array.init n Fun.id)
+  else begin
+    let witness = Array.make n (-1) in
+    let sources = ref [] in
+    Array.iteri
+      (fun v l ->
+        if l >= i then begin
+          witness.(v) <- v;
+          sources := (v, 0.) :: !sources
+        end)
+      levels;
+    let dist =
+      Dijkstra.seeded
+        ~on_improve:(fun y x _ -> witness.(y) <- witness.(x))
+        g !sources
+    in
+    (dist, witness)
+  end
+
+(* Truncated Dijkstra growing the cluster of [center]: only vertices with
+   [d(center, v) < bound.(v)] are entered. *)
+let cluster g ~center ~bound =
+  let parent = Array.make (Graph.n g) (-1) in
+  let entered = ref [] in
+  let dist =
+    Dijkstra.seeded
+      ~admit:(fun y d -> d < bound.(y))
+      ~on_improve:(fun y _ id ->
+        if parent.(y) < 0 then entered := y :: !entered;
+        parent.(y) <- id)
+      g [ (center, 0.) ]
+  in
+  List.map (fun v -> (v, dist.(v), parent.(v))) (center :: !entered)
+
+let clusters rng ~k g f =
+  if k < 1 then invalid_arg "Thorup_zwick.clusters: k must be >= 1";
+  let levels = sample_hierarchy rng ~k ~n:(Graph.n g) in
+  let per_level = Array.init (k + 1) (level_distances g levels) in
+  let delta = Array.map fst per_level in
+  Array.iteri (fun w i -> f w (cluster g ~center:w ~bound:delta.(i + 1))) levels;
+  { levels; delta; pivots = Array.map snd per_level }
+
 let build_with_state rng ~k g =
   if k < 1 then invalid_arg "Thorup_zwick.build: k must be >= 1";
-  let n = Graph.n g in
   let selected = Array.make (Graph.m g) false in
-  let levels = sample_hierarchy rng ~k ~n in
-  let sources_at level =
-    let acc = ref [] in
-    for v = 0 to n - 1 do
-      if levels.(v) >= level then acc := v :: !acc
-    done;
-    !acc
-  in
-  (* delta.(i) = distances to A_i; A_k is empty, so delta.(k) = infinity. *)
-  let delta = Array.make (k + 1) [||] in
-  for i = 1 to k do
-    let sources = if i > k - 1 then [] else sources_at i in
-    delta.(i) <-
-      (if sources = [] then Array.make n infinity
-       else multi_source_distances g sources)
-  done;
   let cluster_count = ref 0 in
-  for w = 0 to n - 1 do
-    let i = levels.(w) in
-    let members = cluster g ~center:w ~bound:delta.(i + 1) in
-    List.iter
-      (fun (_, _, parent_edge) -> if parent_edge >= 0 then selected.(parent_edge) <- true)
-      members;
-    if List.length members > 1 then incr cluster_count
-  done;
-  (Selection.of_mask g selected, { levels; cluster_count = !cluster_count })
+  let h =
+    clusters rng ~k g (fun _ members ->
+        List.iter
+          (fun (_, _, parent_edge) ->
+            if parent_edge >= 0 then selected.(parent_edge) <- true)
+          members;
+        if List.length members > 1 then incr cluster_count)
+  in
+  ( Selection.of_mask g selected,
+    { levels = h.levels; cluster_count = !cluster_count } )
 
 let build rng ~k g = fst (build_with_state rng ~k g)

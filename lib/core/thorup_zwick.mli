@@ -27,19 +27,37 @@ val build : Rng.t -> k:int -> Graph.t -> Selection.t
 (** [build_with_state] additionally exposes the sampled hierarchy. *)
 val build_with_state : Rng.t -> k:int -> Graph.t -> Selection.t * state
 
-(** {1 Lower-level pieces}
+(** {1 The hierarchy shared with {!Oracle}}
 
-    Shared with the {!Oracle} application (the TZ approximate distance
-    oracle is the same hierarchy/cluster computation plus bunches). *)
+    The TZ approximate distance oracle is the same hierarchy and cluster
+    computation plus bunches, so both builds run {!clusters}.  Every
+    shortest-path search in it is one {!Dijkstra.seeded} call. *)
 
-(** [sample_hierarchy rng ~k ~n] draws per-vertex top levels in
-    [0 .. k-1] (level [i] kept with probability [n^{-i/k}]).  Levels
-    [1 .. k-1] are re-drawn (and, as a last resort, force-promoted) to be
-    nonempty, which the oracle's query walk requires. *)
-val sample_hierarchy : Rng.t -> k:int -> n:int -> int array
+type hierarchy = {
+  levels : int array;  (** as in {!state} *)
+  delta : float array array;
+      (** [delta.(i).(v) = d(A_i, v)] for [i] in [0 .. k], where
+          [A_0 = V] (all zeros) and [A_k] is empty (all [infinity]) *)
+  pivots : int array array;
+      (** [pivots.(i).(v)]: the [A_i] vertex at distance [delta.(i).(v)]
+          from [v] (the pivot [p_i(v)]), [-1] if none; [pivots.(0)] is the
+          identity *)
+}
 
-(** [cluster g ~center ~bound] grows the truncated shortest-path tree of
-    [center]: the vertices [v] with [d(center, v) < bound.(v)], as
-    [(vertex, distance, parent_edge)] triples ([parent_edge = -1] at the
-    center). *)
-val cluster : Graph.t -> center:int -> bound:float array -> (int * float * int) list
+(** [clusters rng ~k g f] samples the hierarchy [A_0 ⊇ … ⊇ A_{k-1}]
+    (level [i] kept with probability [n^{-i/k}]; levels [1 .. k-1] are
+    re-drawn, and as a last resort force-promoted, to be nonempty, which
+    the oracle's query walk requires), computes each level's distances and
+    pivots, and then grows the cluster
+    [C(w) = { v : d(w, v) < d(A_{i+1}, v) }] of every centre [w] of level
+    [i] in increasing [w], calling [f w members] with its truncated
+    shortest-path tree as [(vertex, distance, parent_edge)] triples
+    ([parent_edge = -1] at [w]; no order promised).  Each level's sources
+    are seeded in decreasing vertex order, which fixes the pivot on equal
+    distances.  Requires [k >= 1]. *)
+val clusters :
+  Rng.t ->
+  k:int ->
+  Graph.t ->
+  (int -> (int * float * int) list -> unit) ->
+  hierarchy

@@ -1,3 +1,9 @@
+(* The one reading of a fault mask, shared by every masked traversal in
+   the library; the hot loops below call it within this module, where it
+   is a direct call.  Traversals resolve an absent mask to [[||]] once,
+   so the per-edge test never matches an option. *)
+let blocked mask i = i < Array.length mask && mask.(i)
+
 module Workspace = struct
   type t = {
     mutable seen : int array;  (* stamp marking, never cleared *)
@@ -17,8 +23,6 @@ module Workspace = struct
     visit : int -> int -> unit;
     mark_near : int -> int -> unit;
   }
-
-  let blocked mask i = i < Array.length mask && mask.(i)
 
   (* [mark_near]: graphs are simple, so each neighbour has one edge to
      [dst]; keeping the first unblocked one in scan order would still
@@ -90,9 +94,6 @@ let m_searches = Obs.counter "bfs.searches"
 let m_nodes = Obs.counter "bfs.nodes_scanned"
 let m_edges = Obs.counter "bfs.edges_scanned"
 
-let no_mask = [||]
-let blocked = Workspace.blocked
-
 (* Hop-bounded BFS from [src], stopping as soon as [dst] is reached.
 
    The last level is never expanded.  [dst]'s unblocked neighbours are
@@ -147,8 +148,8 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
       end
     done;
     (* A per-domain workspace outlives the call: do not pin its masks. *)
-    ws.bv <- no_mask;
-    ws.be <- no_mask;
+    ws.bv <- [||];
+    ws.be <- [||];
     Obs.Counter.add m_nodes !head;
     Obs.Counter.add m_edges !scanned;
     !found
@@ -171,21 +172,17 @@ let extract_path ws ~src ~dst =
    dynamic query per request) do not pay ~7n words per call. *)
 let default_ws = Domain.DLS.new_key Workspace.create
 
-let hop_bounded_path ?ws ?blocked_vertices ?blocked_edges g ~src ~dst ~max_hops =
+let hop_bounded_path ?ws ?(blocked_vertices = [||]) ?(blocked_edges = [||]) g
+    ~src ~dst ~max_hops =
   let ws = match ws with Some ws -> ws | None -> Domain.DLS.get default_ws in
-  let mask = function Some a -> a | None -> no_mask in
-  if
-    search ws ~blocked_vertices:(mask blocked_vertices)
-      ~blocked_edges:(mask blocked_edges) g ~src ~dst ~max_hops
-  then Some (extract_path ws ~src ~dst)
+  if search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops then
+    Some (extract_path ws ~src ~dst)
   else None
 
-let distances ?blocked_vertices ?blocked_edges g src =
+let distances ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g src =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
   Obs.Counter.incr m_searches;
-  let bv = Option.value blocked_vertices ~default:no_mask in
-  let be = Option.value blocked_edges ~default:no_mask in
   if blocked bv src then dist
   else begin
     let scan = Csr.scanner (Graph.adjacency g) in

@@ -17,6 +17,13 @@
     once up front and never expands the last level, so vertices at depth
     [max_hops] are neither dequeued nor counted. *)
 
+(** [blocked mask i] is the fault-mask rule every masked traversal
+    ({!Bfs}, {!Dijkstra}, {!Hop_dp}, {!Components}) reads: [i] is
+    blocked iff [i < Array.length mask] and [mask.(i)].  A mask may be
+    shorter than the id range (later ids are open) or longer (extra
+    entries are never read); [[||]] blocks nothing. *)
+val blocked : bool array -> int -> bool
+
 module Workspace : sig
   type t
 

@@ -1,19 +1,6 @@
-let vertex_blocked mask x =
-  match mask with
-  | None -> false
-  | Some a -> x < Array.length a && a.(x)
-
-let edge_blocked mask id =
-  match mask with
-  | None -> false
-  | Some a -> id < Array.length a && a.(id)
-
-let min_hop_path ?blocked_vertices ?blocked_edges g ~src ~dst ~budget ~max_hops =
-  if
-    vertex_blocked blocked_vertices src
-    || vertex_blocked blocked_vertices dst
-    || budget < 0.
-  then None
+let min_hop_path ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g ~src
+    ~dst ~budget ~max_hops =
+  if Bfs.blocked bv src || Bfs.blocked bv dst || budget < 0. then None
   else if src = dst then Some { Path.vertices = [ src ]; edges = [] }
   else begin
     let n = Graph.n g in
@@ -39,10 +26,7 @@ let min_hop_path ?blocked_vertices ?blocked_edges g ~src ~dst ~budget ~max_hops 
       for x = 0 to n - 1 do
         if dist.(x) < infinity then begin
           let relax y id =
-            if
-              (not (edge_blocked blocked_edges id))
-              && not (vertex_blocked blocked_vertices y)
-            then begin
+            if (not (Bfs.blocked be id)) && not (Bfs.blocked bv y) then begin
               let nd = dist.(x) +. Graph.weight g id in
               if nd <= budget && nd < next.(y) then begin
                 next.(y) <- nd;

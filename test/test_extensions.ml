@@ -73,6 +73,54 @@ let test_tz_inside_dk11 () =
   in
   checkb "dk11 over TZ valid" true (Verify.ok report)
 
+(* Literal outputs of Thorup-Zwick and the oracle on fixed seeds: they
+   follow from the exact sequence of heap pushes and pops in Dijkstra's
+   seeded loop, so a refactor that keeps that sequence keeps every bit.
+   The unit-weight oracle pins the tie order too: its pivots on equal
+   distances depend on the order a level's sources are seeded. *)
+let test_tz_oracle_pinned () =
+  let unit = Generators.connected_gnp (Rng.create ~seed:24) ~n:30 ~p:0.2 in
+  let g =
+    Generators.with_uniform_weights (Rng.create ~seed:25) unit ~lo:0.5 ~hi:5.
+  in
+  checki "m" 86 (Graph.m g);
+  let tz k =
+    Selection.ids (Thorup_zwick.build (Rng.create ~seed:(100 + k)) ~k g)
+  in
+  check Alcotest.(list int) "tz k=2"
+    [ 0; 2; 4; 5; 6; 7; 8; 10; 11; 13; 14; 15; 16; 18; 19; 20; 21; 22; 23; 24;
+      25; 26; 27; 31; 32; 34; 36; 37; 38; 39; 40; 41; 43; 44; 46; 47; 48; 49;
+      50; 51; 52; 53; 54; 55; 56; 57; 59; 60; 62; 63; 64; 65; 66; 67; 68; 69;
+      71; 72; 73; 75; 77; 78; 80; 81; 82; 83; 84 ]
+    (tz 2);
+  check Alcotest.(list int) "tz k=3"
+    [ 0; 4; 6; 7; 8; 11; 13; 15; 16; 18; 19; 20; 21; 22; 23; 24; 25; 26; 27;
+      30; 31; 34; 35; 36; 37; 38; 39; 41; 42; 44; 46; 47; 48; 49; 50; 51; 52;
+      53; 54; 55; 56; 57; 59; 61; 62; 63; 64; 65; 66; 67; 68; 69; 71; 72; 73;
+      75; 77; 80; 81; 82; 83; 84; 85 ]
+    (tz 3);
+  let pairs = [ (0, 29); (3, 17); (5, 5); (8, 21); (12, 1); (26, 14) ] in
+  let oracle ?(g = g) k storage answers =
+    let o = Oracle.build (Rng.create ~seed:(200 + k)) ~k g in
+    checki (Printf.sprintf "oracle k=%d storage" k) storage (Oracle.storage o);
+    (* Exact float equality: the answers are sums of the same edge
+       weights in the same order. *)
+    List.iter2
+      (fun (u, v) want ->
+        check Alcotest.(float 0.)
+          (Printf.sprintf "oracle k=%d query %d %d" k u v)
+          want (Oracle.query o u v))
+      pairs answers
+  in
+  oracle 2 401
+    [ 0x1.9cc0743053b3dp+1; 0x1.62de37a8bddep+0; 0x0p+0; 0x1.9f8103365dcedp+2;
+      0x1.f71d847354272p+2; 0x1.2552a6f9ce0d7p+2 ];
+  oracle 3 249
+    [ 0x1.9cc0743053b3dp+1; 0x1.62de37a8bddep+0; 0x0p+0; 0x1.d4ba6327ac688p+2;
+      0x1.112e418bc4faep+2; 0x1.3be81cd865007p+2 ];
+  oracle ~g:unit 2 362 [ 3.; 1.; 0.; 4.; 3.; 2. ];
+  oracle ~g:unit 3 204 [ 4.; 1.; 0.; 4.; 3.; 3. ]
+
 (* ------------------------- Blocking sets ----------------------------- *)
 
 let greedy_with_blocking g ~k ~f =
@@ -360,6 +408,7 @@ let () =
           Alcotest.test_case "state levels" `Quick test_tz_state_levels;
           Alcotest.test_case "connectivity" `Quick test_tz_spanning_when_connected;
           Alcotest.test_case "inside dk11" `Quick test_tz_inside_dk11;
+          Alcotest.test_case "pinned tz and oracle" `Quick test_tz_oracle_pinned;
         ] );
       ( "blocking (Lemmas 6-7)",
         [

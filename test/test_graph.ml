@@ -421,6 +421,71 @@ let test_dijkstra_blocked_matches_bfs_on_unit () =
       checkf (Printf.sprintf "v%d" v) expected dd.(v)
   done
 
+(* Property of the seeded loop behind every shortest-path search: on
+   random weighted graphs, seed sets, keys and masks (some shorter and
+   some longer than the id range), with the default and an explicit
+   length function, each distance is the least seed key plus that
+   seed's single-source distance, and the last improvement hook call
+   for a vertex names a tight, unblocked edge to its parent. *)
+let test_dijkstra_seeded_property () =
+  let r = Rng.create ~seed:2024 in
+  for trial = 1 to 300 do
+    let n = 1 + Rng.int r 25 in
+    let g =
+      Generators.with_uniform_weights r
+        (Generators.gnp r ~n ~p:(Rng.float r 0.4))
+        ~lo:0.5 ~hi:4.
+    in
+    let mask len = Array.init len (fun _ -> Rng.bernoulli r ~p:0.15) in
+    let maybe_mask len =
+      if Rng.bernoulli r ~p:0.5 then None
+      else Some (mask (max 0 (len - 2 + Rng.int r 5)))
+    in
+    let bv = maybe_mask n and be = maybe_mask (Graph.m g) in
+    let seeds =
+      List.init (Rng.int r 5) (fun _ -> (Rng.int r n, Rng.float r 6. -. 3.))
+    in
+    let last = Array.make n None in
+    let dist =
+      Dijkstra.seeded ?blocked_vertices:bv ?blocked_edges:be
+        ?length:(if trial mod 2 = 0 then Some (Graph.weight g) else None)
+        ~on_improve:(fun y x id -> last.(y) <- Some (x, id))
+        g seeds
+    in
+    let blocked mask i =
+      match mask with Some a -> i < Array.length a && a.(i) | None -> false
+    in
+    let expected =
+      List.fold_left
+        (fun acc (s, key) ->
+          let d =
+            Dijkstra.distances ?blocked_vertices:bv ?blocked_edges:be g s
+          in
+          Array.mapi (fun v a -> Float.min a (key +. d.(v))) acc)
+        (Array.make n infinity) seeds
+    in
+    let own_key v =
+      List.fold_left
+        (fun acc (s, key) ->
+          if s = v && not (blocked bv s) then Float.min acc key else acc)
+        infinity seeds
+    in
+    for v = 0 to n - 1 do
+      let name what = Printf.sprintf "trial %d v%d %s" trial v what in
+      if expected.(v) = infinity then
+        checkb (name "unreached") true (dist.(v) = infinity)
+      else checkf (name "distance") expected.(v) dist.(v);
+      match last.(v) with
+      | None -> checkb (name "seed key") true (dist.(v) = own_key v)
+      | Some (x, id) ->
+          checkb (name "edge joins parent") true
+            (Graph.endpoints g id = (min x v, max x v));
+          checkb (name "open edge") false (blocked be id);
+          checkb (name "open vertex") false (blocked bv v);
+          checkb (name "tight") true (dist.(v) = dist.(x) +. Graph.weight g id)
+    done
+  done
+
 (* -------------------------------------------------------------------- *)
 (* Hop_dp                                                               *)
 
@@ -1028,6 +1093,7 @@ let () =
           Alcotest.test_case "cutoff" `Quick test_dijkstra_distance_upto_cutoff;
           Alcotest.test_case "shortest path" `Quick test_dijkstra_shortest_path_valid;
           Alcotest.test_case "matches bfs on unit" `Quick test_dijkstra_blocked_matches_bfs_on_unit;
+          Alcotest.test_case "seeded loop property" `Quick test_dijkstra_seeded_property;
         ] );
       ( "hop_dp",
         [

@@ -16,80 +16,156 @@ let ok r = Option.is_none r.violation
 
 let eps = 1e-9
 
-(* The one per-fault sweep, over the edges Lemma 3 quantifies: for
-   every surviving source [u] with a surviving edge to a higher-numbered
-   surviving neighbour [v], the distances from [u] in G\F and in H\F,
-   then [visit u v id d_g d_h] on each such edge until [visit] answers
-   [false].  The spanner-with-faults is the source graph with
-   "unselected or faulted" edges blocked (see {!Selection.blocked_edges}).
-   One fault's sweep touches only freshly allocated masks and
-   BFS/Dijkstra arrays plus read-only graph state, so a battery of
+(* One fault evaluation's view of G\F and H\F.  The spanner-with-faults
+   is the source graph with "unselected or faulted" edges blocked (see
+   {!Selection.blocked_edges}).  Everything here is allocated per fault
+   evaluation and read-only graph state is shared, so a battery of
    faults is embarrassingly parallel: results land by fault index,
    making the parallel sweep bit-identical to the sequential one (Exec's
    determinism contract). *)
-let sweep sel fault visit =
+type scope = {
+  g : Graph.t;
+  bv : bool array;  (* faulted vertices, [[||]] under EFT *)
+  be : bool array;  (* faulted edges, [[||]] under VFT *)
+  h_blocked : bool array;  (* edges absent from H\F *)
+  ws : Bfs.Workspace.t option;  (* BFS scratch, unit-weight graphs only *)
+}
+
+let scope sel fault =
   let g = sel.Selection.source in
   let bv, be = Fault.masks g fault in
   let h_blocked =
     Selection.blocked_edges sel
       (match fault.Fault.mode with Fault.EFT -> fault.Fault.members | Fault.VFT -> [])
   in
-  let unit_graph = Graph.is_unit_weighted g in
-  let distances src =
-    if unit_graph then
-      let to_float a =
-        Array.map (fun d -> if d < 0 then infinity else float_of_int d) a
+  {
+    g;
+    bv = Option.value bv ~default:[||];
+    be = Option.value be ~default:[||];
+    h_blocked;
+    ws = (if Graph.is_unit_weighted g then Some (Bfs.Workspace.create ()) else None);
+  }
+
+(* An edge Lemma 3 quantifies, seen from its lower endpoint [u] (itself
+   surviving): the edge and its other endpoint survive. *)
+let surviving s u v id =
+  v > u && (not (Bfs.blocked s.be id)) && not (Bfs.blocked s.bv v)
+
+(* Distances from [src] in G\F minus [blocked_edges]: exact up to
+   [radius], [infinity] beyond it.  Admission keeps a distance bit for
+   bit, because float addition of positive lengths is monotone.  On a
+   unit-weight graph the answer reads the workspace, so it holds until
+   the next search of the same scope. *)
+let search s ~blocked_edges ~radius src =
+  match s.ws with
+  | Some ws ->
+      let n = Graph.n s.g in
+      let max_hops =
+        if radius >= float_of_int n then n
+        else if radius >= 0. then int_of_float radius
+        else 0
       in
-      ( to_float (Bfs.distances ?blocked_vertices:bv ?blocked_edges:be g src),
-        to_float (Bfs.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src) )
-    else
-      ( Dijkstra.distances ?blocked_vertices:bv ?blocked_edges:be g src,
-        Dijkstra.distances ?blocked_vertices:bv ~blocked_edges:h_blocked g src )
-  in
-  let vertex_faulted x = match bv with None -> false | Some a -> a.(x) in
-  let surviving u v id =
-    v > u
-    && (match be with None -> true | Some a -> not a.(id))
-    && not (vertex_faulted v)
-  in
+      Bfs.ball ws ~blocked_vertices:s.bv ~blocked_edges s.g ~src ~max_hops;
+      fun v ->
+        let d = Bfs.Workspace.depth ws v in
+        if d < 0 then infinity else float_of_int d
+  | None ->
+      let cutoff = if radius = infinity then None else Some radius in
+      Array.get
+        (Dijkstra.distances ~blocked_vertices:s.bv ~blocked_edges ?cutoff s.g src)
+
+(* The one per-fault sweep: every surviving source in index order, while
+   [visit] answers [true].  A source is visited only if some surviving
+   edge to a higher-numbered neighbour passes [keep], with the largest
+   [reach id] among those edges; [visit] then looks at them in
+   adjacency order. *)
+let sweep s ~keep ~reach visit =
   let go = ref true and u = ref 0 in
-  while !go && !u < Graph.n g do
+  while !go && !u < Graph.n s.g do
     let src = !u in
-    if not (vertex_faulted src) then begin
-      let needs_check = ref false in
-      Graph.iter_neighbors g src (fun v id ->
-          if surviving src v id then needs_check := true);
-      if !needs_check then begin
-        let d_g, d_h = distances src in
-        Graph.iter_neighbors g src (fun v id ->
-            if !go && surviving src v id then go := visit src v id d_g d_h)
-      end
+    if not (Bfs.blocked s.bv src) then begin
+      let any = ref false and radius = ref neg_infinity in
+      Graph.iter_neighbors s.g src (fun v id ->
+          if surviving s src v id && keep id then begin
+            any := true;
+            if reach id > !radius then radius := reach id
+          end);
+      if !any then go := visit src !radius
     end;
     incr u
   done
 
+(* Lemma 3, edge by edge: a surviving edge {u,v} breaks the spanner iff
+   d_{G\F}(u,v) >= w - eps (the edge realizes the faulted distance) and
+   d_{H\F}(u,v) > stretch*w + eps.  A kept surviving edge has
+   d_{H\F} <= w, so with [stretch >= 1] only the edges H drops are
+   candidates.  Per source, one search in H\F bounded by the largest
+   candidate bound decides every candidate; only a failing one pays for
+   d_{G\F} (1 on a unit-weight graph, else a search cut off at w, exact
+   since the edge survives), and only a reported one for an unbounded
+   search to fill in d_spanner.  The sweep's order makes the first
+   violation the one a look at every surviving edge would meet first. *)
 let check_under_fault sel ~stretch fault =
-  let g = sel.Selection.source in
+  let s = scope sel fault in
+  let g = s.g in
+  let bound id = (stretch *. Graph.weight g id) +. eps in
+  let keep id = stretch < 1. || Bfs.blocked s.h_blocked id in
+  let d_source u v id =
+    match s.ws with
+    | Some _ -> 1.0
+    | None -> (
+        match
+          Dijkstra.distance_upto ~blocked_vertices:s.bv ~blocked_edges:s.be g
+            ~src:u ~dst:v ~cutoff:(Graph.weight g id)
+        with
+        | Some d -> d
+        | None -> infinity)
+  in
   let found = ref None in
-  sweep sel fault (fun u v id d_g d_h ->
-      let w = Graph.weight g id in
-      (* Lemma 3: the spanner condition need only be checked when the
-         edge realizes the faulted distance. *)
-      if d_g.(v) >= w -. eps && d_h.(v) > (stretch *. w) +. eps then
-        found := Some { fault; u; v; d_source = d_g.(v); d_spanner = d_h.(v) };
+  sweep s ~keep ~reach:bound (fun src radius ->
+      let d_h = search s ~blocked_edges:s.h_blocked ~radius src in
+      Graph.iter_neighbors g src (fun v id ->
+          if
+            Option.is_none !found && surviving s src v id && keep id
+            && d_h v > bound id
+          then begin
+            let d_g = d_source src v id in
+            if d_g >= Graph.weight g id -. eps then begin
+              let d_spanner =
+                if d_h v < infinity then d_h v
+                else search s ~blocked_edges:s.h_blocked ~radius:infinity src v
+              in
+              found := Some { fault; u = src; v; d_source = d_g; d_spanner }
+            end
+          end);
       Option.is_none !found);
   !found
 
+(* The exact ratio needs d_{H\F} unbounded, but a surviving edge has
+   d_{G\F} <= w: 1 on a unit-weight graph, else a search cut off at the
+   source's heaviest surviving edge. *)
 let max_stretch_under_fault sel fault =
+  let s = scope sel fault in
+  let g = s.g in
   let worst = ref 1.0 in
-  sweep sel fault (fun _ v _ d_g d_h ->
-      let ratio =
-        if d_g.(v) = infinity then 1.0
-        else if d_h.(v) = infinity then infinity
-        else if d_g.(v) <= eps then 1.0
-        else d_h.(v) /. d_g.(v)
+  sweep s ~keep:(fun _ -> true) ~reach:(Graph.weight g) (fun src heaviest ->
+      let d_h = search s ~blocked_edges:s.h_blocked ~radius:infinity src in
+      let d_g =
+        match s.ws with
+        | Some _ -> fun _ -> 1.0
+        | None -> search s ~blocked_edges:s.be ~radius:heaviest src
       in
-      if ratio > !worst then worst := ratio;
+      Graph.iter_neighbors g src (fun v id ->
+          if surviving s src v id then begin
+            let d_g = d_g v and d_h = d_h v in
+            let ratio =
+              if d_g = infinity then 1.0
+              else if d_h = infinity then infinity
+              else if d_g <= eps then 1.0
+              else d_h /. d_g
+            in
+            if ratio > !worst then worst := ratio
+          end);
       true);
   !worst
 

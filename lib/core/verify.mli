@@ -6,10 +6,31 @@
     every fault set [F] and every surviving edge [{u,v}] of [G],
     [d_{H\F}(u,v) <= t * d_{G\F}(u,v)].  (The lemma states it for edges
     that are shortest paths; checking all surviving edges is equivalent
-    and simpler.)  Every battery and {!max_stretch_under_fault} evaluate
-    a fault set by that one sweep: per surviving source vertex, distances
-    in [G\F] and [H\F], then a look at each surviving edge to a
-    higher-numbered neighbour.
+    and simpler.)  The check is therefore edge-local: a surviving edge
+    [{u,v}] only asks whether [d_{H\F}(u,v) <= t * w(u,v)], a question
+    about the ball of radius [t * w(u,v)] around [u].  The batteries
+    evaluate a fault set source by source (surviving sources in index
+    order, their edges to higher-numbered surviving neighbours in
+    adjacency order).  The {e candidates} of a source are the edges H
+    drops (every surviving edge when [t < 1]): a kept surviving edge has
+    [d_{H\F} <= w], so it cannot break the bound.  One search in [H\F]
+    from the source, bounded by the largest candidate's [t * w], decides
+    them all: a hop ball on a unit-weight graph, a Dijkstra cut off at
+    that radius otherwise.  [G\F] is searched only for a candidate that
+    fails, to see whether the edge realizes the faulted distance: on a
+    unit-weight graph that distance is 1 and needs no search, otherwise
+    one search cut off at [w(u,v)].  A reported violation also pays for
+    one unbounded search, to fill in [d_spanner].  A fault set
+    therefore costs one bounded search per source with a candidate,
+    against two full searches per source for a sweep that computes both
+    distances everywhere.  The hop balls share one workspace per fault
+    evaluation and allocate nothing per source.  Every distance the
+    bounds admit is the full search's, bit for bit (float addition of
+    positive lengths is monotone), so reports are exactly those of a
+    sweep over all sources.  {!max_stretch_under_fault} needs the exact
+    ratio on every surviving edge, so it keeps one unbounded search in
+    [H\F] per source; it searches [G\F] only on weighted graphs, cut
+    off at the source's heaviest surviving edge.
 
     The fault-set quantifier is genuinely exponential; the module offers
     - {!exhaustive}: all fault sets up to size [f] (small inputs —
@@ -24,8 +45,8 @@
     cover the common case).
 
     Fault batteries are embarrassingly parallel — one fault's evaluation
-    touches only freshly allocated masks and BFS arrays over the
-    read-only source graph — so the samplers and {!stretch_many}
+    touches only its own masks and search scratch over the read-only
+    source graph — so the samplers and {!stretch_many}
     accept a [config.pool] ({!Exec.Pool.t}) to fan the sweep out over
     domains.  With or without a pool, a sampled battery is one path: it
     draws all [trials] faults from the rng in sample order, evaluates

@@ -86,6 +86,7 @@ module Workspace = struct
 
   let parent ws x = ws.parent_vertex.(x)
   let parent_edge ws x = ws.parent_edge.(x)
+  let depth ws x = if ws.seen.(x) = ws.stamp then ws.depth.(x) else -1
 end
 
 (* Work counters flushed once per traversal: the loops below accumulate
@@ -153,6 +154,40 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
     Obs.Counter.add m_nodes !head;
     Obs.Counter.add m_edges !scanned;
     !found
+  end
+
+(* Every vertex within [max_hops] hops of [src], on the stamps of
+   [search]: the queue holds depths in nondecreasing order, so the first
+   dequeued vertex at depth [max_hops] ends the expansion and no vertex
+   beyond the ball is ever stamped.  Only expanded vertices count as
+   scanned nodes, as in [search]. *)
+let ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops =
+  let open Workspace in
+  ensure ws (Graph.n g);
+  ws.stamp <- ws.stamp + 1;
+  Obs.Counter.incr m_searches;
+  if not (blocked blocked_vertices src) then begin
+    let adj = Graph.adjacency g in
+    let scan = Csr.scanner adj in
+    ws.bv <- blocked_vertices;
+    ws.be <- blocked_edges;
+    ws.seen.(src) <- ws.stamp;
+    ws.depth.(src) <- 0;
+    ws.parent_edge.(src) <- -1;
+    ws.queue.(0) <- src;
+    ws.tail <- 1;
+    let head = ref 0 and scanned = ref 0 in
+    while !head < ws.tail && ws.depth.(ws.queue.(!head)) < max_hops do
+      let x = ws.queue.(!head) in
+      incr head;
+      ws.cur <- x;
+      scanned := !scanned + Csr.degree adj x;
+      scan x ws.visit
+    done;
+    ws.bv <- [||];
+    ws.be <- [||];
+    Obs.Counter.add m_nodes !head;
+    Obs.Counter.add m_edges !scanned
   end
 
 let extract_path ws ~src ~dst =

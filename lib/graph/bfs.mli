@@ -39,6 +39,10 @@ module Workspace : sig
   val parent : t -> int -> int
 
   val parent_edge : t -> int -> int
+
+  (** After a {!ball}, [depth ws x] is [x]'s hop distance from [src] if
+      [x] lies in the ball, and [-1] otherwise. *)
+  val depth : t -> int -> int
 end
 
 (** [search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops] is
@@ -55,6 +59,22 @@ val search :
   dst:int ->
   max_hops:int ->
   bool
+
+(** [ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops] runs a
+    BFS from [src] that never expands the last level: afterwards
+    {!Workspace.depth} gives the exact hop distance of every vertex at
+    most [max_hops] hops from [src] and [-1] for every other one (for
+    all of them if [src] is blocked).  Like {!search} it allocates
+    nothing once [ws] fits [g], and only the vertices it expands count
+    under [bfs.nodes_scanned].  The masks follow {!search}. *)
+val ball :
+  Workspace.t ->
+  blocked_vertices:bool array ->
+  blocked_edges:bool array ->
+  Graph.t ->
+  src:int ->
+  max_hops:int ->
+  unit
 
 (** [hop_bounded_path ?ws ?blocked_vertices ?blocked_edges g ~src ~dst
     ~max_hops] returns a path from [src] to [dst] with a minimum number of

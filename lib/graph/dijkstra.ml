@@ -85,18 +85,23 @@ let seeded ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) ?admit
 
 (* The single-source entry points: one seed at key 0, edge weights as
    lengths, and the only searches counted under [dijkstra.*]. *)
-let from ~bv ~be ?admit ?on_improve ?stop_at g src =
+let from ~bv ~be ?admit ?on_improve ?stop_at ?capacity g src =
+  let capacity = Option.value capacity ~default:(Graph.n g) in
   let dist, settled, relaxed =
-    search ~bv ~be ?admit ?on_improve ?stop_at ~capacity:(Graph.n g) g
-      [ (src, 0.) ]
+    search ~bv ~be ?admit ?on_improve ?stop_at ~capacity g [ (src, 0.) ]
   in
   Obs.Counter.incr m_runs;
   Obs.Counter.add m_settled settled;
   Obs.Counter.add m_relaxed relaxed;
   dist
 
-let distances ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g src =
-  from ~bv ~be g src
+(* A bounded search settles a ball, not the graph: its heap starts small
+   and grows as needed, which changes no push or pop. *)
+let distances ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) ?cutoff
+    g src =
+  match cutoff with
+  | None -> from ~bv ~be g src
+  | Some c -> from ~bv ~be ~admit:(fun _ d -> d <= c) ~capacity:16 g src
 
 let distance_upto ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g
     ~src ~dst ~cutoff =

@@ -51,12 +51,16 @@ val seeded :
   (int * float) list ->
   float array
 
-(** [distances ?blocked_vertices ?blocked_edges g src] returns weighted
-    distances from [src]; unreachable (or blocked) vertices get
-    [infinity]. *)
+(** [distances ?blocked_vertices ?blocked_edges ?cutoff g src] returns
+    weighted distances from [src]; unreachable (or blocked) vertices get
+    [infinity].  With [cutoff], vertices are admitted only at keys
+    [<= cutoff] (the admission bound of {!seeded}): every vertex at
+    distance [<= cutoff] still gets its exact distance, bit for bit, and
+    every other one gets [infinity]. *)
 val distances :
   ?blocked_vertices:bool array ->
   ?blocked_edges:bool array ->
+  ?cutoff:float ->
   Graph.t ->
   int ->
   float array

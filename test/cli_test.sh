@@ -383,8 +383,10 @@ printf 'p 3 1\nbogus 0 1\n' > "$TMP/bad-record.graph"
 "$BENCH" no-such-experiment >/dev/null 2>&1
 [ $? -eq 2 ] || fail "bench unknown experiment id must exit 2"
 echo 0 > "$TMP/one-edge.sel"
-"$BIN" verify -k 2 -f 1 --trials 10 "$TMP/g.graph" "$TMP/one-edge.sel" >/dev/null 2>&1
+"$BIN" verify -k 2 -f 1 --trials 10 "$TMP/g.graph" "$TMP/one-edge.sel" > "$TMP/one-edge.out" 2>/dev/null
 [ $? -eq 1 ] || fail "verify on a violating selection must exit 1"
+grep -qxF 'VIOLATION: VFT{48} breaks {0,42}: d_G\F=1, d_H\F=inf' "$TMP/one-edge.out" \
+  || fail "verify on a violating selection reports another violation"
 
 # argument checks are usage errors, never an uncaught exception (125)
 expect2() { "$@" >/dev/null 2>&1; [ $? -eq 2 ] || fail "$* must exit 2"; }

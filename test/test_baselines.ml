@@ -173,7 +173,20 @@ let test_verify_detects_bad_spanner () =
   let g = Generators.cycle 6 in
   let sel = Selection.of_ids g [ 0; 1; 2; 3; 4 ] (* drop edge 5 *) in
   let report = Verify.exhaustive sel ~mode:Fault.EFT ~stretch:(stretch 2) ~f:1 in
-  checkb "violation found" false (Verify.ok report)
+  checkb "violation found" false (Verify.ok report);
+  (* The whole record, pinned: the empty fault set already breaks the
+     dropped edge {0,5}, whose detour in H is the other five edges. *)
+  checki "checked" 1 report.Verify.checked;
+  checkb "record" true
+    (report.Verify.violation
+    = Some
+        {
+          Verify.fault = Fault.of_edges [];
+          u = 0;
+          v = 5;
+          d_source = 1.0;
+          d_spanner = 5.0;
+        })
 
 let test_verify_spanning_tree_f0 () =
   (* A BFS tree of a cycle is a valid (n-1)-spanner at f=0 but breaks at

@@ -18,24 +18,27 @@ let seed_arg =
   let doc = "PRNG seed (all randomness in the tool is derived from it)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* An integer option that must be >= 1: anything smaller is a parse
+(* An integer option with a lower bound: anything smaller is a parse
    error (exit 2), reported against the option that carried it. *)
-let positive_int =
+let int_at_least lo =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "must be >= 1 (got %d)" n))
+    | Ok n when n >= lo -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be >= %d (got %d)" lo n))
     | Error _ as e -> e
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
 
 let k_arg =
   let doc = "Stretch parameter: the spanner has stretch 2k-1 (k >= 1)." in
   Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc)
 
 let f_arg =
-  let doc = "Number of faults to tolerate." in
-  Arg.(value & opt int 1 & info [ "f" ] ~docv:"F" ~doc)
+  let doc = "Number of faults to tolerate (f >= 0)." in
+  Arg.(value & opt non_negative_int 1 & info [ "f" ] ~docv:"F" ~doc)
 
 let mode_arg =
   let doc = "Fault mode: $(b,vertex) (VFT) or $(b,edge) (EFT)." in

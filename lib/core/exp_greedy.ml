@@ -1,51 +1,4 @@
-(* Witness-path search shared by the decision procedure: a path whose
-   weight is within [budget], with as few hops as possible (small branching
-   factor).  In unit-weight graphs weight and hops coincide, so plain BFS
-   with [max_hops = budget] is both exact and fast. *)
 let m_decisions = Obs.counter "exp_greedy.decisions"
-let m_witness = Obs.counter "exp_greedy.witness_searches"
-
-let witness_path ~unit_graph ~blocked_v ~blocked_e h ~u ~v ~budget =
-  Obs.Counter.incr m_witness;
-  if unit_graph then
-    let max_hops = int_of_float (floor (budget +. 1e-9)) in
-    if max_hops < 1 then None
-    else
-      Bfs.hop_bounded_path ~blocked_vertices:blocked_v ~blocked_edges:blocked_e
-        h ~src:u ~dst:v ~max_hops
-  else
-    Hop_dp.min_hop_path ~blocked_vertices:blocked_v ~blocked_edges:blocked_e h
-      ~src:u ~dst:v ~budget ~max_hops:(Graph.n h - 1)
-
-let exists_fault_set ~mode h ~u ~v ~budget ~f =
-  let unit_graph = Graph.is_unit_weighted h in
-  let blocked_v = Array.make (Graph.n h) false in
-  let blocked_e = Array.make (max 1 (Graph.m h)) false in
-  (* DFS for a fault set of size <= f destroying all budget-paths: if no
-     witness path survives, the current deletions are such a set. *)
-  let rec search depth =
-    match witness_path ~unit_graph ~blocked_v ~blocked_e h ~u ~v ~budget with
-    | None -> true
-    | Some p ->
-        depth < f
-        &&
-        let try_vertex x =
-          blocked_v.(x) <- true;
-          let hit = search (depth + 1) in
-          blocked_v.(x) <- false;
-          hit
-        in
-        let try_edge id =
-          blocked_e.(id) <- true;
-          let hit = search (depth + 1) in
-          blocked_e.(id) <- false;
-          hit
-        in
-        (match mode with
-        | Fault.VFT -> List.exists try_vertex (Path.interior p)
-        | Fault.EFT -> List.exists try_edge p.Path.edges)
-  in
-  search 0
 
 (* The literal decision of BDPW18/BP19: try all fault sets.  The fault set
    never usefully contains u or v (VFT faults on terminals exempt the pair
@@ -99,7 +52,12 @@ let build_greedy ~decide ~mode ~k ~f g =
   in
   res.Engine.selection
 
-let build ~mode ~k ~f g = build_greedy ~decide:exists_fault_set ~mode ~k ~f g
+let build ~mode ~k ~f g =
+  let decide ~mode h ~u ~v ~budget ~f =
+    Option.is_some
+      (Lbc_exact.find_cut ~mode h ~u ~v ~within:(Weight budget) ~limit:f)
+  in
+  build_greedy ~decide ~mode ~k ~f g
 
 let build_naive ~mode ~k ~f g =
   build_greedy ~decide:exists_fault_set_naive ~mode ~k ~f g

@@ -8,10 +8,11 @@
     spanner, but the existence check is NP-hard, so the construction takes
     exponential time — the weakness this paper's Algorithm 3/4 removes.
 
-    Our implementation of the existence check is exact branch-and-bound
-    (branch over the members of a minimum-hop path within the stretch
-    budget — any valid [F] must hit it) rather than brute-force enumeration
-    of all [C(n,f)] sets; both are exponential in the worst case, but the
+    The existence check is {!Lbc_exact.find_cut} with a [Weight] budget:
+    exact branch-and-bound (branch over the members of a minimum-hop path
+    within the stretch budget — any valid [F] must hit it) that stops at
+    the first fault set found, rather than brute-force enumeration of all
+    [C(n,f)] sets; both are exponential in the worst case, but the
     branching version makes the baseline runnable on the instance sizes the
     comparison experiments use. *)
 
@@ -19,13 +20,6 @@
     [f >= 0].  Worst-case time grows like [(2k-1)^f] per edge in unweighted
     graphs (worse in weighted ones); keep [n], [f] small. *)
 val build : mode:Fault.mode -> k:int -> f:int -> Graph.t -> Selection.t
-
-(** [exists_fault_set ~mode h ~u ~v ~budget ~f] is the inner decision: does
-    some fault set of size at most [f] push the [u]-[v] distance in [h]
-    above [budget]?  Exposed for testing and for the LOCAL-model cluster
-    centers. *)
-val exists_fault_set :
-  mode:Fault.mode -> Graph.t -> u:int -> v:int -> budget:float -> f:int -> bool
 
 (** [build_naive ~mode ~k ~f g] is the greedy with the decision implemented
     exactly as in BDPW18/BP19: enumerate {e every} fault set of size at

@@ -5,22 +5,21 @@ type result = { pruned : Selection.t; removed : int; candidates : int }
    the masked spanner above (2k-1)·w(u,v); kept edges are their own
    detour (and in EFT mode, faulting a kept edge shifts the obligation to
    the surviving edges of the pair's shortest path, which are each checked
-   here themselves).  Exact in both fault modes and for arbitrary weights,
-   via the exponential-greedy decision procedure. *)
+   here themselves).  Exact in both fault modes and for arbitrary weights:
+   the existence search is Lbc_exact.find_cut with a weight budget. *)
 let still_spanner ~mode ~k ~f g mask =
   let stretch = float_of_int ((2 * k) - 1) in
-  let sub = Subgraph.of_edge_subset g mask in
-  let h = sub.Subgraph.graph in
-  let ok = ref true in
-  Graph.iter_edges g (fun e ->
-      if !ok && not mask.(e.Graph.id) then
-        if
-          Exp_greedy.exists_fault_set ~mode h ~u:e.Graph.u ~v:e.Graph.v
-            ~budget:(stretch *. e.Graph.w) ~f
-        then ok := false);
-  !ok
+  let h = (Subgraph.of_edge_subset g mask).Subgraph.graph in
+  Graph.fold_edges g true (fun ok e ->
+      let within = Lbc_exact.Weight (stretch *. e.Graph.w) in
+      ok
+      && (mask.(e.Graph.id)
+         || Option.is_none
+              (Lbc_exact.find_cut ~mode h ~u:e.Graph.u ~v:e.Graph.v ~within ~limit:f)))
 
 let minimalize ~mode ~k ~f sel =
+  if k < 1 then invalid_arg "Prune.minimalize: k must be >= 1";
+  if f < 0 then invalid_arg "Prune.minimalize: f must be >= 0";
   let g = sel.Selection.source in
   let mask = Array.copy sel.Selection.selected in
   (* Heaviest first: removing an expensive edge is worth the most, and the

@@ -2,9 +2,10 @@
 
     The exponential-time greedy baseline (Algorithm 1 of the paper) must
     decide, exactly, whether some fault set [F] with [|F| <= f] destroys
-    every path of weight at most [(2k-1) * w(u,v)].  Our branch-and-bound
-    search for such an [F] branches over the members of a {e minimum-hop}
-    witness path within the weight budget; this module finds that witness.
+    every path of weight at most [(2k-1) * w(u,v)]; so must [Prune].
+    [Lbc_exact.find_cut] searches for such an [F] by branching over the
+    members of a {e minimum-hop} witness path within the weight budget; on
+    weighted graphs this module finds that witness.
 
     [min_hop_path g ~src ~dst ~budget ~max_hops] computes, among all
     [src]-[dst] paths of total weight at most [budget] and at most

@@ -68,9 +68,12 @@ fi
 # prune keeps validity
 "$BIN" generate --family gnp -n 24 -p 0.35 --connect --seed 3 -o "$TMP/s.graph" \
   >/dev/null || fail "generate small"
-"$BIN" build -k 2 -f 1 "$TMP/s.graph" -o "$TMP/ssel.txt" >/dev/null || fail "build small"
+# -j 1 keeps the batch default at 1 under FTSPAN_JOBS, so the pruned line
+# below is pinned for every jobs count
+"$BIN" build -j 1 -k 2 -f 1 "$TMP/s.graph" -o "$TMP/ssel.txt" >/dev/null \
+  || fail "build small"
 "$BIN" prune -k 2 -f 1 "$TMP/s.graph" "$TMP/ssel.txt" -o "$TMP/pruned.txt" \
-  | grep -q "pruned" || fail "prune"
+  | grep -qxF "pruned 10 of 58 edges (17.2%); 48 remain" || fail "prune"
 "$BIN" verify -k 2 -f 1 --exhaustive "$TMP/s.graph" "$TMP/pruned.txt" \
   | grep -q "OK" || fail "pruned selection stays valid"
 
@@ -174,7 +177,11 @@ grep -q "net.drops" "$TMP/congest-chaos-metrics.txt" \
 
 # dk11 and exponential algorithms through the facade
 "$BIN" build -k 2 -f 1 --algo dk11 "$TMP/s.graph" >/dev/null || fail "build dk11"
-"$BIN" build -k 2 -f 1 --algo greedy-exp "$TMP/s.graph" >/dev/null || fail "build exp"
+"$BIN" build -k 2 -f 1 --algo greedy-exp "$TMP/s.graph" > "$TMP/exp.out" \
+  || fail "build exp"
+head -n 1 "$TMP/exp.out" | grep -qxF \
+  "greedy-exp  k=2 f=1 VFT n=24: 55/97 edges (56.7%), weight 55.0/97.0, bound ratio 0.4678" \
+  || fail "build exp selects another spanner"
 
 # telemetry: --metrics pretty listing and --metrics=json schema
 # (bare --metrics goes after the positional: with an optional value the
@@ -395,6 +402,15 @@ for sub in build local congest oracle; do
   expect2 "$BIN" $sub -k 0 "$TMP/s.graph"
 done
 expect2 "$BIN" dynamic -k 0 "$TMP/k0.ops"
+for algo in greedy-poly greedy-exp dk11; do
+  expect2 "$BIN" build --algo $algo -f-1 "$TMP/s.graph"
+done
+for sub in local congest; do
+  expect2 "$BIN" $sub -f-1 "$TMP/s.graph"
+done
+expect2 "$BIN" dynamic -f-1 "$TMP/k0.ops"
+expect2 "$BIN" verify -f-1 "$TMP/s.graph" "$TMP/ssel.txt"
+expect2 "$BIN" prune -f-1 "$TMP/s.graph" "$TMP/ssel.txt"
 expect2 "$BIN" verify --trials 0 "$TMP/s.graph" "$TMP/ssel.txt"
 printf '1\nabc\n' > "$TMP/nonint.sel"
 expect2 "$BIN" prune -k 2 -f 1 "$TMP/s.graph" "$TMP/nonint.sel"

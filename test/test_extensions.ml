@@ -306,6 +306,15 @@ let test_prune_removes_redundancy () =
     (Printf.sprintf "removed %d of %d" res.Prune.removed (Graph.m g))
     true (res.Prune.removed > 0)
 
+let test_prune_rejects_bad_args () =
+  let sel = Selection.full (Generators.cycle 5) in
+  List.iter
+    (fun (label, k, f) ->
+      match Prune.minimalize ~mode:Fault.VFT ~k ~f sel with
+      | _ -> Alcotest.failf "%s should fail" label
+      | exception Invalid_argument _ -> ())
+    [ ("k = 0", 0, 1); ("f = -1", 2, -1) ]
+
 (* -------------------------- Batch greedy ------------------------------ *)
 
 let test_batch_one_equals_sequential () =
@@ -433,6 +442,7 @@ let () =
           Alcotest.test_case "weighted valid" `Quick test_prune_weighted_still_valid;
           Alcotest.test_case "cycle minimal" `Quick test_prune_cycle_is_minimal;
           Alcotest.test_case "removes redundancy" `Quick test_prune_removes_redundancy;
+          Alcotest.test_case "rejects bad args" `Quick test_prune_rejects_bad_args;
         ] );
       ( "batch greedy",
         [

@@ -121,13 +121,19 @@ let test_exp_greedy_weighted () =
   let sel = Exp_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g in
   assert_ft_spanner_exhaustive sel ~mode:Fault.VFT ~k:2 ~f:1 "exp greedy weighted"
 
-let test_exp_exists_fault_set_basic () =
+(* The exponential greedy's decision: does a fault set of size <= f push
+   the u-v distance above the weight budget? *)
+let exp_decision ~mode g ~u ~v ~budget ~f =
+  Option.is_some
+    (Lbc_exact.find_cut ~mode g ~u ~v ~within:(Lbc_exact.Weight budget) ~limit:f)
+
+let test_exp_decision_basic () =
   (* Path 0-1-2: removing vertex 1 kills the only detour. *)
   let g = Generators.path 3 in
   checkb "single path is cuttable" true
-    (Exp_greedy.exists_fault_set ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:3. ~f:1);
+    (exp_decision ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:3. ~f:1);
   checkb "f=0 cannot cut an existing path" false
-    (Exp_greedy.exists_fault_set ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:3. ~f:0)
+    (exp_decision ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:3. ~f:0)
 
 let test_exp_naive_agrees_with_branching () =
   (* The literal try-all-sets decision and the branch-and-bound decision
@@ -152,11 +158,11 @@ let test_exp_naive_agrees_with_branching () =
   check (Alcotest.list Alcotest.int) "same weighted selection" (Selection.ids a)
     (Selection.ids b)
 
-let test_exp_exists_fault_set_budget () =
+let test_exp_decision_budget () =
   (* 0-1 (1), 1-2 (1): total 2. budget 1.5 -> already no path, even f=0 *)
   let g = Graph.of_weighted_edges 3 [ (0, 1, 1.); (1, 2, 1.) ] in
   checkb "budget below distance" true
-    (Exp_greedy.exists_fault_set ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:1.5 ~f:0)
+    (exp_decision ~mode:Fault.VFT g ~u:0 ~v:2 ~budget:1.5 ~f:0)
 
 (* --------------------- polynomial greedy ---------------------------- *)
 
@@ -393,8 +399,8 @@ let () =
           Alcotest.test_case "gnp exhaustive" `Quick test_exp_greedy_random_exhaustive;
           Alcotest.test_case "weighted" `Quick test_exp_greedy_weighted;
           Alcotest.test_case "naive agrees" `Quick test_exp_naive_agrees_with_branching;
-          Alcotest.test_case "decision basics" `Quick test_exp_exists_fault_set_basic;
-          Alcotest.test_case "decision budget" `Quick test_exp_exists_fault_set_budget;
+          Alcotest.test_case "decision basics" `Quick test_exp_decision_basic;
+          Alcotest.test_case "decision budget" `Quick test_exp_decision_budget;
         ] );
       ( "polynomial (Algorithms 3/4)",
         [

@@ -250,6 +250,99 @@ let test_lbc_does_not_mutate_graph () =
   ignore (Lbc.decide ~mode:Fault.EFT g ~u:0 ~v:4 ~t:4 ~alpha:2);
   checki "m unchanged" before (Graph.m g)
 
+(* The smallest non-terminal fault set of size <= limit that is a
+   length-t cut, by trying every set. *)
+let brute_min_cut ~mode g ~u ~v ~t ~limit =
+  let best = ref None in
+  Fault.enumerate mode g ~f:limit (fun { Fault.members; _ } ->
+      let terminal = mode = Fault.VFT && (List.mem u members || List.mem v members) in
+      let size = List.length members in
+      let smaller = match !best with None -> true | Some b -> size < b in
+      if (not terminal) && smaller && Lbc_exact.is_cut ~mode g ~u ~v ~t members
+      then best := Some size);
+  !best
+
+let test_exact_matches_brute_force () =
+  let r = Rng.create ~seed:77 in
+  for i = 0 to 7 do
+    let n = 7 + (i mod 3) in
+    let g = Generators.connected_gnp r ~n ~p:0.4 in
+    List.iter
+      (fun mode ->
+        for t = 1 to 5 do
+          for limit = 0 to 3 do
+            let u = Rng.int r n in
+            let v = (u + 1 + Rng.int r (n - 1)) mod n in
+            let label = Printf.sprintf "graph %d u=%d v=%d t=%d limit=%d" i u v t limit in
+            match (Lbc_exact.min_cut ~mode g ~u ~v ~t ~limit, brute_min_cut ~mode g ~u ~v ~t ~limit) with
+            | None, None -> ()
+            | Some cut, Some size ->
+                checki (label ^ ": minimum size") size (List.length cut);
+                checkb (label ^ ": is a cut") true (Lbc_exact.is_cut ~mode g ~u ~v ~t cut)
+            | found, brute ->
+                Alcotest.failf "%s: min_cut %s, brute force %s" label
+                  (if found = None then "None" else "Some")
+                  (if brute = None then "None" else "Some")
+          done
+        done)
+      [ Fault.VFT; Fault.EFT ]
+  done
+
+(* Literal cuts recorded from the branch-and-bound that min_cut replaced:
+   the same first minimum cut in DFS preorder, not just one of equal size. *)
+let test_exact_pinned_cuts () =
+  let r = Rng.create ~seed:31 in
+  let graphs = Array.init 4 (fun _ -> Generators.connected_gnp r ~n:14 ~p:0.35) in
+  List.iter
+    (fun (i, mode, u, v, t, expected) ->
+      check
+        Alcotest.(option (list int))
+        (Printf.sprintf "graph %d %d-%d t=%d" i u v t)
+        expected
+        (Lbc_exact.min_cut ~mode graphs.(i) ~u ~v ~t ~limit:4))
+    [
+      (0, Fault.VFT, 0, 13, 3, Some [ 3; 10; 12 ]);
+      (0, Fault.VFT, 2, 9, 4, Some [ 4; 8; 12 ]);
+      (0, Fault.VFT, 5, 11, 5, None);
+      (0, Fault.EFT, 0, 13, 3, Some [ 2; 24; 26 ]);
+      (0, Fault.EFT, 2, 9, 4, Some [ 13; 20; 23 ]);
+      (0, Fault.EFT, 5, 11, 5, Some [ 9; 15; 25 ]);
+      (1, Fault.VFT, 2, 9, 4, Some [ 10; 11 ]);
+      (1, Fault.VFT, 5, 11, 5, Some [ 3; 6; 7; 8 ]);
+      (1, Fault.EFT, 0, 13, 3, None);
+      (1, Fault.EFT, 5, 11, 5, Some [ 12; 18; 19; 20 ]);
+      (2, Fault.VFT, 2, 9, 4, Some [ 5; 11; 13 ]);
+      (2, Fault.VFT, 5, 11, 5, Some [ 3; 9; 12 ]);
+      (2, Fault.EFT, 0, 13, 3, Some [ 0; 1 ]);
+      (2, Fault.EFT, 2, 9, 4, Some [ 19; 27; 28 ]);
+      (3, Fault.EFT, 2, 9, 4, Some [ 11; 15 ]);
+    ]
+
+let test_find_cut_existence () =
+  (* Theta graph with 3 disjoint 2-hop paths: the 3 middle vertices form a
+     cut, 2 vertices do not. *)
+  let g, u, v = theta ~paths:3 ~len:2 in
+  let find within limit = Lbc_exact.find_cut ~mode:Fault.VFT g ~u ~v ~within ~limit in
+  check Alcotest.(option (list int)) "three paths need three faults" None
+    (find (Lbc_exact.Weight 2.) 2);
+  check Alcotest.(option (list int)) "the middle vertices" (Some [ 2; 3; 4 ])
+    (find (Lbc_exact.Hops 2) 3)
+
+let test_exact_rejects_bad_args () =
+  let g = Generators.path 3 in
+  let rejects label f =
+    match f () with
+    | _ -> Alcotest.failf "%s should fail" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "u = v" (fun () -> Lbc_exact.min_cut ~mode:Fault.VFT g ~u:1 ~v:1 ~t:1 ~limit:1);
+  rejects "t = 0" (fun () -> Lbc_exact.min_cut ~mode:Fault.VFT g ~u:0 ~v:2 ~t:0 ~limit:1);
+  rejects "limit < 0" (fun () -> Lbc_exact.min_cut ~mode:Fault.VFT g ~u:0 ~v:2 ~t:2 ~limit:(-1));
+  rejects "Hops 0" (fun () ->
+      Lbc_exact.find_cut ~mode:Fault.VFT g ~u:0 ~v:2 ~within:(Lbc_exact.Hops 0) ~limit:1);
+  rejects "find_cut limit < 0" (fun () ->
+      Lbc_exact.find_cut ~mode:Fault.EFT g ~u:0 ~v:2 ~within:(Lbc_exact.Weight 2.) ~limit:(-1))
+
 let () =
   Alcotest.run "length-bounded cut"
     [
@@ -261,6 +354,10 @@ let () =
           Alcotest.test_case "limit respected" `Quick test_exact_limit_respected;
           Alcotest.test_case "t sensitivity" `Quick test_exact_t_sensitivity;
           Alcotest.test_case "certificates" `Quick test_exact_cut_certificate_valid;
+          Alcotest.test_case "matches brute force" `Quick test_exact_matches_brute_force;
+          Alcotest.test_case "pinned cuts" `Quick test_exact_pinned_cuts;
+          Alcotest.test_case "find_cut existence" `Quick test_find_cut_existence;
+          Alcotest.test_case "rejects bad args" `Quick test_exact_rejects_bad_args;
         ] );
       ( "algorithm 2",
         [

@@ -90,6 +90,26 @@ let batch_greedy_test =
            (Poly_greedy.build ~batch:32 ~mode:Fault.VFT ~k:2 ~f:2
               (Lazy.force graph_small))))
 
+(* Registered on first use, so runs that skip the micro benches never
+   list it among their metrics. *)
+let micro_hist = lazy (Obs.histogram_log "micro.observe")
+
+let histogram_test =
+  Test.make ~name:"obs: Histogram.observe_int (log-linear)"
+    (Staged.stage (fun () -> Obs.Histogram.observe_int (Lazy.force micro_hist) 1234))
+
+(* Theorem 15 under loss: the Reliable layer's retransmissions feed the
+   per-step congestion rows, so this times the simulation together with
+   its schedule. *)
+let congest_ft_test =
+  let g = lazy (Generators.connected_gnp (Rng.create ~seed) ~n:64 ~p:0.1) in
+  let chaos = Chaos.plan ~drop:0.1 ~dup:0.05 ~seed:7 () in
+  Test.make ~name:"e7: congest_ft k=2 f=2 under drop/dup (n=64)"
+    (Staged.stage (fun () ->
+         ignore
+           (Congest_ft.build (Rng.create ~seed) ~c:0.1 ~chaos ~mode:Fault.VFT
+              ~k:2 ~f:2 (Lazy.force g))))
+
 let tests =
   Test.make_grouped ~name:"ftspan"
     [
@@ -104,6 +124,8 @@ let tests =
       decomposition_test;
       batch_greedy_test;
       verify_test;
+      histogram_test;
+      congest_ft_test;
     ]
 
 let run () =

@@ -424,9 +424,20 @@ let local_cmd =
 
 (* ----------------------------- congest -------------------------------- *)
 
+(* A finite positive float: [c <= 0], [nan] or [inf] would collapse the
+   reduction to one iteration and drop fault tolerance without a word. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x > 0. -> Ok x
+    | Ok x -> Error (`Msg (Printf.sprintf "must be finite and > 0 (got %g)" x))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let c_arg =
-  let doc = "Iteration constant of the DK11 reduction." in
-  Arg.(value & opt float 1.0 & info [ "c" ] ~docv:"C" ~doc)
+  let doc = "Iteration constant of the DK11 reduction (finite, > 0)." in
+  Arg.(value & opt positive_float 1.0 & info [ "c" ] ~docv:"C" ~doc)
 
 let congest_cmd =
   let run seed k f mode c chaos metrics trace stream file =

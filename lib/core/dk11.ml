@@ -1,6 +1,8 @@
 type algo = Rng.t -> Graph.t -> Selection.t
 
 let iterations ?(c = 1.0) ~f ~n () =
+  if not (Float.is_finite c && c > 0.) then
+    invalid_arg (Printf.sprintf "Dk11.iterations: c must be finite and > 0 (got %g)" c);
   if f <= 0 then 1
   else begin
     (* A fixed pair (edge, fault set) is "hit" by an iteration with
@@ -36,9 +38,9 @@ let build rng ~mode ~k ~f ?(c = 1.0) ?algo ?pool g =
   if f < 0 then invalid_arg "Dk11.build: f must be >= 0";
   let algo = match algo with Some a -> a | None -> fun rng g -> Baswana_sen.build rng ~k g in
   let n = Graph.n g in
+  let j = iterations ~c ~f ~n () in
   if f = 0 then algo rng g
   else begin
-    let j = iterations ~c ~f ~n () in
     let p = 1. /. float_of_int (f + 1) in
     (* Iterations are independent, so each gets a stream pre-split from
        [rng] (sequentially, before the fan-out) and a worker ORs into its

@@ -33,12 +33,15 @@ type algo = Rng.t -> Graph.t -> Selection.t
 (** the plugged-in non-fault-tolerant spanner algorithm *)
 
 (** [iterations ?c ~f ~n ()] is the iteration count
-    [max 1 (ceil (c * e * (f+1)^3 * ln n))] (1 when [f = 0]). *)
+    [max 1 (ceil (c * e * (f+1)^3 * ln n))] (1 when [f = 0]).  Raises
+    [Invalid_argument] unless [c] is finite and positive: a smaller [c]
+    would run a single iteration and silently give up fault tolerance. *)
 val iterations : ?c:float -> f:int -> n:int -> unit -> int
 
 (** [build rng ~mode ~k ~f ?c ?algo ?pool g] runs the reduction.  [algo]
     defaults to Baswana-Sen with parameter [k]; [f = 0] degenerates to a
-    single run of [algo] on [g].
+    single run of [algo] on [g].  [c] is checked as in {!iterations},
+    whatever [f].
 
     The [J] independent iterations fan out over the [pool]'s workers as
     [parallel_for] items (without a [pool], inline on the caller): each

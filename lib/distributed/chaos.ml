@@ -166,10 +166,15 @@ let start plan =
 let plan_of st = st.plan
 let counts st = { c_drops = st.drops; c_dups = st.dups; c_reorders = st.reorders }
 
+(* Asked on every transmit and every non-empty inbox: a plan without
+   crash windows answers before building the [List.exists] closure. *)
 let crashed st ~node ~time =
-  List.exists
-    (fun (v, from_t, until_t) -> v = node && time >= from_t && time < until_t)
-    st.plan.crashes
+  match st.plan.crashes with
+  | [] -> false
+  | crashes ->
+      List.exists
+        (fun (v, from_t, until_t) -> v = node && time >= from_t && time < until_t)
+        crashes
 
 let note_drop ?cid st ~src ~dst =
   st.drops <- st.drops + 1;

@@ -9,11 +9,6 @@ type result = {
   word_bits : int;
 }
 
-(* Per-step load of one parent directed slot, summed over instances. *)
-type load = { mutable bits : int; mutable instances : int }
-
-module Loads = Hashtbl.Make (Int)
-
 let bits_needed x =
   let rec go v acc = if v = 0 then max 1 acc else go (v lsr 1) (acc + 1) in
   go (max 1 x) 0
@@ -21,6 +16,9 @@ let bits_needed x =
 let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
   if k < 1 then invalid_arg "Congest_ft.build: k must be >= 1";
   if f < 0 then invalid_arg "Congest_ft.build: f must be >= 0";
+  (match word_bits with
+  | Some b when b < 1 -> invalid_arg "Congest_ft.build: word_bits must be >= 1"
+  | _ -> ());
   Obs.with_span "congest_ft.build" @@ fun () ->
   let n = Graph.n g in
   let m = Graph.m g in
@@ -77,21 +75,37 @@ let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
      parallel composition by congestion scheduling over the union of
      per-round edge loads. *)
   let union = Array.make m false in
-  let base_rounds = ref 0 in
-  (* loads per BS step, keyed by [step * slots + 2 * parent_edge + dir] *)
+  (* One row per BS step, indexed by parent directed slot ([2 * edge +
+     dir], as in {!Wire}) and allocated when some instance first loads
+     that step.  An entry packs the load summed over instances as
+     [bits * stride + instances]; at most [j < stride] instances add to
+     it, so a non-zero entry is a loaded slot.  The longest instance
+     sets the number of steps. *)
   let slots = Wire.slots g in
-  let loads : load Loads.t = Loads.create 4096 in
+  let stride = j + 1 in
+  let rows = ref [||] in
+  (* Participation lists were built newest-first; reversed, each head is
+     the next iteration its vertex (edge) joins, so one pass over the
+     heads yields iteration [it]'s keep mask. *)
+  let pending =
+    Array.map List.rev
+      (match mode with Fault.VFT -> vertex_iters | Fault.EFT -> edge_iters)
+  in
+  let keep_mask len it =
+    Array.init len (fun x ->
+        match pending.(x) with
+        | next :: rest when next = it ->
+            pending.(x) <- rest;
+            true
+        | _ -> false)
+  in
   for it = 0 to j - 1 do
     if Obs_trace.enabled () then
       Obs_trace.emit (Obs_trace.Phase { name = "congest_ft.iteration"; index = it });
     let sub =
       match mode with
-      | Fault.VFT ->
-          let keep = Array.init n (fun v -> List.mem it vertex_iters.(v)) in
-          Subgraph.induced_mask g keep
-      | Fault.EFT ->
-          let keep = Array.init m (fun id -> List.mem it edge_iters.(id)) in
-          Subgraph.of_edge_subset g keep
+      | Fault.VFT -> Subgraph.induced_mask g (keep_mask n it)
+      | Fault.EFT -> Subgraph.of_edge_subset g (keep_mask m it)
     in
     if Graph.n sub.Subgraph.graph > 1 then begin
       let inst =
@@ -103,38 +117,55 @@ let build rng ?(c = 1.0) ?word_bits ?chaos ~mode ~k ~f g =
           if chosen then union.(sub.Subgraph.to_parent_edge.(sid)) <- true)
         inst.Congest_bs.selection.Selection.selected;
       let hist = inst.Congest_bs.history in
-      if Array.length hist > !base_rounds then base_rounds := Array.length hist;
+      let steps = Array.length hist in
+      if steps > Array.length !rows then begin
+        let grown = Array.make steps [||] in
+        Array.blit !rows 0 grown 0 (Array.length !rows);
+        rows := grown
+      end;
       Array.iteri
         (fun step entries ->
-          List.iter
-            (fun (sub_edge, dir, bits) ->
-              let edge = sub.Subgraph.to_parent_edge.(sub_edge) in
-              let key = (step * slots) + (2 * edge) + dir in
-              match Loads.find_opt loads key with
-              | Some l ->
-                  l.bits <- l.bits + bits;
-                  l.instances <- l.instances + 1
-              | None -> Loads.add loads key { bits; instances = 1 })
-            entries)
+          match entries with
+          | [] -> ()
+          | _ ->
+              let row =
+                match !rows.(step) with
+                | [||] ->
+                    let row = Array.make slots 0 in
+                    !rows.(step) <- row;
+                    row
+                | row -> row
+              in
+              List.iter
+                (fun (sub_edge, dir, bits) ->
+                  let s = (2 * sub.Subgraph.to_parent_edge.(sub_edge)) + dir in
+                  row.(s) <- row.(s) + (bits * stride) + 1)
+                entries)
         hist
     end
   done;
   (* Schedule: physical rounds for BS step r = ceil(max edge load / word). *)
-  let per_step = Array.make (max 1 !base_rounds) 1 in
+  let base_rounds = Array.length !rows in
+  let per_step = Array.make (max 1 base_rounds) 1 in
   let max_overlap = ref 0 in
-  Loads.iter
-    (fun key { bits; instances } ->
-      let step = key / slots in
-      let need = max 1 ((bits + word - 1) / word) in
-      if need > per_step.(step) then per_step.(step) <- need;
-      if instances > !max_overlap then max_overlap := instances)
-    loads;
+  Array.iteri
+    (fun step row ->
+      Array.iter
+        (fun load ->
+          if load > 0 then begin
+            let bits = load / stride and instances = load mod stride in
+            let need = max 1 ((bits + word - 1) / word) in
+            if need > per_step.(step) then per_step.(step) <- need;
+            if instances > !max_overlap then max_overlap := instances
+          end)
+        row)
+    !rows;
   let phase2_rounds = Array.fold_left ( + ) 0 per_step in
   {
     selection = Selection.of_mask g union;
     iterations = j;
     phase1_rounds;
-    phase2_base_rounds = !base_rounds;
+    phase2_base_rounds = base_rounds;
     phase2_rounds;
     total_rounds = phase1_rounds + phase2_rounds;
     max_overlap = !max_overlap;

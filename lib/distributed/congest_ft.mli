@@ -18,6 +18,13 @@
     paper's proof.  W.h.p. at most [O(f log n)] instances share an edge,
     giving [O(k^2 f log n)] rounds for this phase.
 
+    The schedule is computed from one dense row per BS step, indexed by
+    parent directed slot, holding the bits summed over instances and the
+    number of instances that loaded the slot.  A row is allocated when
+    some instance first loads that step, so the schedule's memory is
+    [O(base rounds * 2m)] ints; one scan over the rows gives every
+    step's round count and [max_overlap].
+
     The union of all instance spanners is an f-FT (2k-1)-spanner w.h.p.
     with [O(k f^{2-1/k} n^{1+1/k} log n)] edges.  Edge faults use the
     edge-sampled variant of the reduction (see {!Dk11}). *)
@@ -36,10 +43,12 @@ type result = {
 }
 
 (** [build rng ?c ?word_bits ?chaos ~mode ~k ~f g] runs the construction.
-    [c] is the DK11 iteration constant (default 1.0).  [chaos] makes
-    every instance's network unreliable; the {!Reliable} protocol masks
-    the faults, so the selection is unchanged while the recorded loads
-    include retransmission traffic. *)
+    [c] is the DK11 iteration constant (default 1.0); it must be finite
+    and positive (see {!Dk11.iterations}).  [word_bits] must be [>= 1].
+    [chaos] makes every instance's network unreliable; the {!Reliable}
+    protocol masks the faults, so the selection is unchanged while the
+    recorded loads include retransmission traffic.  Raises
+    [Invalid_argument] on a bad [k], [f], [c] or [word_bits]. *)
 val build :
   Rng.t ->
   ?c:float ->

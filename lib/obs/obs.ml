@@ -143,13 +143,12 @@ module Histogram = struct
 
   let nbuckets_of scheme = Array.length (bounds_of scheme) + 1
 
-  type shard = {
-    mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-    buckets : int array;
-  }
+  (* The float aggregates live in their own all-float record, which
+     OCaml stores flat: updating them in [observe] writes raw doubles
+     instead of allocating a box per field. *)
+  type moments = { mutable sum : float; mutable min : float; mutable max : float }
+
+  type shard = { mutable count : int; moments : moments; buckets : int array }
 
   type t = { name : string; scheme : scheme; shards : shard Shards.t }
 
@@ -163,17 +162,18 @@ module Histogram = struct
         Shards.create (fun () ->
             {
               count = 0;
-              sum = 0.;
-              min = 0.;
-              max = 0.;
+              moments = { sum = 0.; min = 0.; max = 0. };
               buckets = Array.make (nbuckets_of scheme) 0;
             });
     }
 
   (* First bucket whose inclusive upper bound covers [v]; the last
      bucket is the overflow (+inf).  Binary search: both bound arrays
-     are sorted and small. *)
-  let bucket_of bounds v =
+     are sorted and small.  The annotation keeps the comparisons on
+     unboxed floats; left polymorphic, every [<=] is a call to the
+     generic compare.  [nan] fails every [<=] and every [>], so it lands
+     in the last bounded bucket. *)
+  let bucket_of (bounds : float array) (v : float) =
     let n = Array.length bounds in
     if v <= bounds.(0) then 0
     else if v > bounds.(n - 1) then n
@@ -190,10 +190,11 @@ module Histogram = struct
   let observe h v =
     if Atomic.get enabled_flag then begin
       let s = Shards.get h.shards in
-      if s.count = 0 || v < s.min then s.min <- v;
-      if s.count = 0 || v > s.max then s.max <- v;
+      let m = s.moments in
+      if s.count = 0 || v < m.min then m.min <- v;
+      if s.count = 0 || v > m.max then m.max <- v;
       s.count <- s.count + 1;
-      s.sum <- s.sum +. v;
+      m.sum <- m.sum +. v;
       let b = bucket_of (bounds_of h.scheme) v in
       s.buckets.(b) <- s.buckets.(b) + 1
     end
@@ -206,19 +207,18 @@ module Histogram = struct
     let acc =
       {
         count = 0;
-        sum = 0.;
-        min = 0.;
-        max = 0.;
+        moments = { sum = 0.; min = 0.; max = 0. };
         buckets = Array.make (nbuckets_of h.scheme) 0;
       }
     in
     Shards.iter
       (fun s ->
         if s.count > 0 then begin
-          if acc.count = 0 || s.min < acc.min then acc.min <- s.min;
-          if acc.count = 0 || s.max > acc.max then acc.max <- s.max;
+          let a = acc.moments and m = s.moments in
+          if acc.count = 0 || m.min < a.min then a.min <- m.min;
+          if acc.count = 0 || m.max > a.max then a.max <- m.max;
           acc.count <- acc.count + s.count;
-          acc.sum <- acc.sum +. s.sum;
+          a.sum <- a.sum +. m.sum;
           Array.iteri
             (fun i c -> acc.buckets.(i) <- acc.buckets.(i) + c)
             s.buckets
@@ -227,25 +227,26 @@ module Histogram = struct
     acc
 
   let count h = Shards.fold (fun acc s -> acc + s.count) 0 h.shards
-  let sum h = Shards.fold (fun acc s -> acc +. s.sum) 0. h.shards
+  let sum h = Shards.fold (fun acc s -> acc +. s.moments.sum) 0. h.shards
 
   (* Quantile estimate over a merged view: find the bucket holding the
      rank-th observation and report its upper bound, clamped into the
      observed [min, max] envelope (which makes the one-sample and
      overflow-bucket answers exact). *)
-  let quantile_of_merged bounds m q =
-    if m.count = 0 then 0.
+  let quantile_of_merged bounds s q =
+    if s.count = 0 then 0.
     else begin
+      let m = s.moments in
       let rank =
-        let r = int_of_float (Float.ceil (q *. float_of_int m.count)) in
-        if r < 1 then 1 else if r > m.count then m.count else r
+        let r = int_of_float (Float.ceil (q *. float_of_int s.count)) in
+        if r < 1 then 1 else if r > s.count then s.count else r
       in
-      let nb = Array.length m.buckets in
+      let nb = Array.length s.buckets in
       let est = ref m.max in
       let cum = ref 0 in
       (try
          for i = 0 to nb - 1 do
-           cum := !cum + m.buckets.(i);
+           cum := !cum + s.buckets.(i);
            if !cum >= rank then begin
              est := (if i < Array.length bounds then bounds.(i) else m.max);
              raise Exit
@@ -263,10 +264,11 @@ module Histogram = struct
   let reset h =
     Shards.iter
       (fun s ->
+        let m = s.moments in
         s.count <- 0;
-        s.sum <- 0.;
-        s.min <- 0.;
-        s.max <- 0.;
+        m.sum <- 0.;
+        m.min <- 0.;
+        m.max <- 0.;
         Array.fill s.buckets 0 (Array.length s.buckets) 0)
       h.shards
 end
@@ -460,6 +462,7 @@ let quantile_points = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.99
 
 let view_histogram (h : Histogram.t) =
   let m = Histogram.merged h in
+  let mo = m.Histogram.moments in
   let bounds = Histogram.bounds_of h.Histogram.scheme in
   let buckets = ref [] in
   for i = Array.length m.Histogram.buckets - 1 downto 0 do
@@ -472,9 +475,9 @@ let view_histogram (h : Histogram.t) =
   done;
   {
     h_count = m.Histogram.count;
-    h_sum = m.Histogram.sum;
-    h_min = (if m.Histogram.count = 0 then 0. else m.Histogram.min);
-    h_max = (if m.Histogram.count = 0 then 0. else m.Histogram.max);
+    h_sum = mo.Histogram.sum;
+    h_min = (if m.Histogram.count = 0 then 0. else mo.Histogram.min);
+    h_max = (if m.Histogram.count = 0 then 0. else mo.Histogram.max);
     h_buckets = !buckets;
     h_quantiles =
       (if m.Histogram.count = 0 then []

@@ -156,6 +156,12 @@ CHAOS="drop=0.2,dup=0.05,reorder=4,seed=5"
 [ "$(grep '^spanner:' "$TMP/congest-clean.txt")" = \
   "$(grep '^spanner:' "$TMP/congest-chaos.txt")" ] \
   || fail "congest --chaos must select the same spanner as the clean run"
+# the congestion schedule, pinned: retransmissions stretch the base BS
+# steps, never the phase-1 cost or the overlap
+grep -qxF 'rounds: 29 total = 7 phase-1 + 22 phase-2 (base 5, overlap 16)' \
+  "$TMP/congest-clean.txt" || fail "congest clean rounds line changed"
+grep -qxF 'rounds: 1458 total = 7 phase-1 + 1451 phase-2 (base 399, overlap 16)' \
+  "$TMP/congest-chaos.txt" || fail "congest --chaos rounds line changed"
 # same seed, same schedule: the lossy run replays bit-for-bit
 "$BIN" congest --seed 11 -k 2 -f 1 -c 0.5 --chaos "$CHAOS" "$TMP/s.graph" \
   > "$TMP/congest-chaos2.txt" || fail "congest --chaos rerun"
@@ -409,6 +415,10 @@ for sub in local congest; do
   expect2 "$BIN" $sub -f-1 "$TMP/s.graph"
 done
 expect2 "$BIN" dynamic -f-1 "$TMP/k0.ops"
+# a non-positive or non-finite DK11 constant would run one iteration
+for c in 0 -1 nan inf; do
+  expect2 "$BIN" congest -c$c -k 2 -f 1 "$TMP/s.graph"
+done
 expect2 "$BIN" verify -f-1 "$TMP/s.graph" "$TMP/ssel.txt"
 expect2 "$BIN" prune -f-1 "$TMP/s.graph" "$TMP/ssel.txt"
 expect2 "$BIN" verify --trials 0 "$TMP/s.graph" "$TMP/ssel.txt"

@@ -522,6 +522,168 @@ let test_congest_ft_overlap_grows_with_f () =
   let o3 = (Congest_ft.build r ~c:0.5 ~mode:Fault.VFT ~k:2 ~f:3 g).Congest_ft.max_overlap in
   checkb (Printf.sprintf "more iterations, more overlap (%d vs %d)" o1 o3) true (o3 >= o1)
 
+(* ------------------- CONGEST FT schedule model ------------------------ *)
+
+(* [Congest_ft.build] costs phase 2 from dense per-step rows.  The model
+   below is the accumulation those rows replaced: one boxed record per
+   (BS step, directed slot) in a [Hashtbl], keep masks by [List.mem], and
+   a walk over the table.  It draws the same participation sets and
+   instance streams from the same seed, so selections, round counts and
+   overlaps must match exactly. *)
+
+type model_load = { mutable bits : int; mutable instances : int }
+
+let model_bits_needed x =
+  let rec go v acc = if v = 0 then max 1 acc else go (v lsr 1) (acc + 1) in
+  go (max 1 x) 0
+
+type model_result = {
+  m_selected : bool array;
+  m_phase1 : int;
+  m_base : int;
+  m_phase2 : int;
+  m_overlap : int;
+}
+
+let model_congest_ft ~seed ~c ?word_bits ?chaos ~mode ~k ~f g =
+  let rng = Rng.create ~seed in
+  let n = Graph.n g and m = Graph.m g in
+  let word =
+    match word_bits with Some b -> b | None -> 4 * (model_bits_needed n + 1)
+  in
+  let j = Dk11.iterations ~c ~f ~n () in
+  let p = 1. /. float_of_int (f + 1) in
+  let index_bits = model_bits_needed j in
+  let units = match mode with Fault.VFT -> n | Fault.EFT -> m in
+  let iters = Array.make (max 1 units) [] in
+  for x = 0 to units - 1 do
+    for it = 0 to j - 1 do
+      if Rng.bernoulli rng ~p then iters.(x) <- it :: iters.(x)
+    done
+  done;
+  let rounds bits = max 1 ((bits + word - 1) / word) in
+  let phase1 = ref 1 in
+  for v = 0 to n - 1 do
+    let bits =
+      match mode with
+      | Fault.VFT -> List.length iters.(v) * index_bits
+      | Fault.EFT ->
+          let b = ref 0 in
+          Graph.iter_neighbors g v (fun _ id ->
+              b := !b + (List.length iters.(id) * index_bits));
+          !b
+    in
+    phase1 := max !phase1 (rounds bits)
+  done;
+  let union = Array.make m false in
+  let base = ref 0 in
+  let slots = 2 * m in
+  let loads : (int, model_load) Hashtbl.t = Hashtbl.create 4096 in
+  for it = 0 to j - 1 do
+    let keep = Array.init units (fun x -> List.mem it iters.(x)) in
+    let sub =
+      match mode with
+      | Fault.VFT -> Subgraph.induced_mask g keep
+      | Fault.EFT -> Subgraph.of_edge_subset g keep
+    in
+    if Graph.n sub.Subgraph.graph > 1 then begin
+      let inst =
+        Congest_bs.build (Rng.split rng) ~word_bits:word ~record_history:true
+          ?chaos ~k sub.Subgraph.graph
+      in
+      Array.iteri
+        (fun sid chosen ->
+          if chosen then union.(sub.Subgraph.to_parent_edge.(sid)) <- true)
+        inst.Congest_bs.selection.Selection.selected;
+      let hist = inst.Congest_bs.history in
+      base := max !base (Array.length hist);
+      Array.iteri
+        (fun step entries ->
+          List.iter
+            (fun (sub_edge, dir, bits) ->
+              let edge = sub.Subgraph.to_parent_edge.(sub_edge) in
+              let key = (step * slots) + (2 * edge) + dir in
+              match Hashtbl.find_opt loads key with
+              | Some l ->
+                  l.bits <- l.bits + bits;
+                  l.instances <- l.instances + 1
+              | None -> Hashtbl.add loads key { bits; instances = 1 })
+            entries)
+        hist
+    end
+  done;
+  let per_step = Array.make (max 1 !base) 1 in
+  let overlap = ref 0 in
+  Hashtbl.iter
+    (fun key { bits; instances } ->
+      let step = key / slots in
+      per_step.(step) <- max per_step.(step) (rounds bits);
+      overlap := max !overlap instances)
+    loads;
+  {
+    m_selected = union;
+    m_phase1 = !phase1;
+    m_base = !base;
+    m_phase2 = Array.fold_left ( + ) 0 per_step;
+    m_overlap = !overlap;
+  }
+
+let test_congest_ft_schedule_model () =
+  let cases =
+    (* n, p, mode, f, c, chaos, word_bits *)
+    [
+      (24, 0.3, Fault.VFT, 1, 0.5, None, None);
+      (40, 0.2, Fault.EFT, 1, 0.3, Some (Chaos.plan ~drop:0.2 ~dup:0.1 ~seed:3 ()), None);
+      (64, 0.12, Fault.VFT, 2, 0.1, Some (Chaos.plan ~drop:0.1 ~reorder:2 ~seed:5 ()), Some 8);
+      (96, 0.08, Fault.EFT, 1, 0.2, None, Some 6);
+      ( 48, 0.15, Fault.VFT, 1, 0.4,
+        Some (Chaos.plan ~drop:0.2 ~dup:0.1 ~reorder:3 ~seed:9 ()), None );
+      (32, 0.25, Fault.EFT, 2, 0.2, Some (Chaos.plan ~reorder:2 ~seed:1 ()), Some 8);
+    ]
+  in
+  List.iteri
+    (fun i (n, p, mode, f, c, chaos, word_bits) ->
+      let seed = 100 + i in
+      let g = Generators.connected_gnp (Rng.create ~seed) ~n ~p in
+      let res =
+        Congest_ft.build (Rng.create ~seed) ~c ?word_bits ?chaos ~mode ~k:2 ~f g
+      in
+      let model = model_congest_ft ~seed ~c ?word_bits ?chaos ~mode ~k:2 ~f g in
+      let name what = Printf.sprintf "case %d (n=%d): %s" i n what in
+      checkb (name "selection") true
+        (res.Congest_ft.selection.Selection.selected = model.m_selected);
+      checki (name "phase1_rounds") model.m_phase1 res.Congest_ft.phase1_rounds;
+      checki (name "phase2_base_rounds") model.m_base res.Congest_ft.phase2_base_rounds;
+      checki (name "phase2_rounds") model.m_phase2 res.Congest_ft.phase2_rounds;
+      checki (name "max_overlap") model.m_overlap res.Congest_ft.max_overlap;
+      checki (name "total_rounds") (model.m_phase1 + model.m_phase2)
+        res.Congest_ft.total_rounds)
+    cases
+
+let test_congest_ft_rejects_bad_args () =
+  let g = Generators.connected_gnp (rng ()) ~n:20 ~p:0.3 in
+  let rejects what thunk =
+    checkb what true
+      (try
+         ignore (thunk ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun c ->
+      rejects (Printf.sprintf "Dk11.iterations c=%g" c) (fun () ->
+          Dk11.iterations ~c ~f:1 ~n:20 ());
+      rejects (Printf.sprintf "Dk11.build c=%g" c) (fun () ->
+          Dk11.build (rng ()) ~mode:Fault.VFT ~k:2 ~f:0 ~c g);
+      rejects (Printf.sprintf "Congest_ft.build c=%g" c) (fun () ->
+          Congest_ft.build (rng ()) ~c ~mode:Fault.VFT ~k:2 ~f:1 g))
+    [ 0.; -1.; nan; infinity; neg_infinity ];
+  List.iter
+    (fun word_bits ->
+      rejects (Printf.sprintf "word_bits=%d" word_bits) (fun () ->
+          Congest_ft.build (rng ()) ~word_bits ~mode:Fault.VFT ~k:2 ~f:1 g))
+    [ 0; -8 ]
+
 (* --------------------------- async net -------------------------------- *)
 
 let test_async_at_rejects_past () =
@@ -624,6 +786,9 @@ let () =
           Alcotest.test_case "round accounting" `Quick test_congest_ft_round_accounting;
           Alcotest.test_case "f=0" `Quick test_congest_ft_f0_degenerates;
           Alcotest.test_case "overlap grows" `Quick test_congest_ft_overlap_grows_with_f;
+          Alcotest.test_case "schedule matches model" `Quick
+            test_congest_ft_schedule_model;
+          Alcotest.test_case "rejects bad args" `Quick test_congest_ft_rejects_bad_args;
         ] );
       ( "async net",
         [

@@ -136,6 +136,53 @@ let test_histogram_overflow () =
   let view = List.assoc "test.hist_over" snap.Obs.histograms in
   checki "overflow bucket" 1 (List.assoc None view.Obs.h_buckets)
 
+(* Where single observations land, read back through the snapshot view.
+   The bounds are rebuilt with the same arithmetic as the log-linear
+   scheme ([unit * 10^decade]), so the keys compare exactly. *)
+let test_bucket_placement () =
+  let place make name v =
+    fresh ();
+    Obs.Histogram.observe (make name) v;
+    let view = List.assoc name (Obs.snapshot ()).Obs.histograms in
+    match view.Obs.h_buckets with
+    | [ (bound, 1) ] -> bound
+    | _ -> Alcotest.failf "%g: expected exactly one bucket" v
+  in
+  let bound = check Alcotest.(option (float 0.)) in
+  let pow2 = place Obs.histogram "test.place_pow2"
+  and ll = place Obs.histogram_log "test.place_log" in
+  let ll_bound unit decade = Float.of_int unit *. (10. ** Float.of_int decade) in
+  bound "pow2: on a bound" (Some 4.) (pow2 4.);
+  bound "pow2: just above a bound" (Some 8.) (pow2 (Float.succ 4.));
+  bound "pow2: zero" (Some 1.) (pow2 0.);
+  bound "pow2: negative" (Some 1.) (pow2 (-3.));
+  bound "pow2: nan takes the last bounded bucket" (Some 1073741824.) (pow2 nan);
+  bound "pow2: +inf overflows" None (pow2 infinity);
+  bound "pow2: past the last bound" None (pow2 (Float.succ 1073741824.));
+  bound "log: on a bound" (Some 20.) (ll 20.);
+  bound "log: just above a bound" (Some 30.) (ll (Float.succ 20.));
+  bound "log: zero" (Some (ll_bound 1 (-7))) (ll 0.);
+  bound "log: negative" (Some (ll_bound 1 (-7))) (ll (-0.5));
+  bound "log: nan takes the last bounded bucket" (Some 9000.) (ll nan);
+  bound "log: +inf overflows" None (ll infinity);
+  bound "log: past the last bound" None (ll 9000.5)
+
+(* [observe] must not allocate: the float aggregates are stored flat and
+   the bucket search compares unboxed floats.  What remains is the box
+   [observe_int] puts around its argument (2 words). *)
+let test_observe_allocation () =
+  fresh ();
+  let h = Obs.histogram_log "test.hist_alloc" in
+  Obs.Histogram.observe_int h 1 (* registers this domain's shard *);
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    Obs.Histogram.observe_int h i
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  checkb (Printf.sprintf "%.2f minor words per observe_int (<= 2)" words) true
+    (words <= 2.0)
+
 (* ------------------------- quantiles --------------------------------- *)
 
 let test_quantile_edges () =
@@ -1130,6 +1177,9 @@ let () =
           Alcotest.test_case "timer" `Quick test_timer;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "histogram overflow" `Quick test_histogram_overflow;
+          Alcotest.test_case "histogram bucket placement" `Quick test_bucket_placement;
+          Alcotest.test_case "histogram observe allocation" `Quick
+            test_observe_allocation;
           Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
           Alcotest.test_case "gauge sharded" `Quick test_gauge_sharded;
         ] );

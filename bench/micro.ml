@@ -110,6 +110,23 @@ let congest_ft_test =
            (Congest_ft.build (Rng.create ~seed) ~c:0.1 ~chaos ~mode:Fault.VFT
               ~k:2 ~f:2 (Lazy.force g))))
 
+(* The whole-graph consumers of the one BFS expansion: a workspace per
+   call, one expansion per component or source. *)
+let graph_1k = lazy (Generators.connected_gnp (Rng.create ~seed) ~n:1000 ~p:0.01)
+
+let components_test =
+  Test.make ~name:"graph: Components.labels (gnp n=1000)"
+    (Staged.stage (fun () -> ignore (Components.labels (Lazy.force graph_1k))))
+
+let girth_test =
+  Test.make ~name:"graph: Girth.girth_exceeds ~bound:4 (gnp n=1000)"
+    (Staged.stage (fun () ->
+         ignore (Girth.girth_exceeds (Lazy.force graph_1k) ~bound:4)))
+
+let diameter_test =
+  Test.make ~name:"graph: Stats.diameter (gnp n=1000)"
+    (Staged.stage (fun () -> ignore (Stats.diameter (Lazy.force graph_1k))))
+
 let tests =
   Test.make_grouped ~name:"ftspan"
     [
@@ -126,6 +143,9 @@ let tests =
       verify_test;
       histogram_test;
       congest_ft_test;
+      components_test;
+      girth_test;
+      diameter_test;
     ]
 
 let run () =

@@ -32,6 +32,21 @@ let int_at_least lo =
 let positive_int = int_at_least 1
 let non_negative_int = int_at_least 0
 
+(* A float option restricted to the values [ok] admits ([what] names the
+   rule in the error): [nan] or [inf] would otherwise run silently, e.g.
+   an edgeless gnp from [-p nan]. *)
+let float_where ok what =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when ok x -> Ok x
+    | Ok x -> Error (`Msg (Printf.sprintf "must be %s (got %g)" what x))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let finite_float = float_where Float.is_finite "finite"
+let positive_float = float_where Graph.valid_weight "finite and > 0"
+
 let k_arg =
   let doc = "Stretch parameter: the spanner has stretch 2k-1 (k >= 1)." in
   Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc)
@@ -97,15 +112,29 @@ let n_arg =
 
 let p_arg =
   let doc = "Edge probability / radius / density parameter." in
-  Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc)
+  Arg.(value & opt finite_float 0.1 & info [ "p" ] ~docv:"P" ~doc)
 
 let extra_arg =
   let doc = "Secondary integer parameter (gnm edges, BA attachment, degree, chords)." in
   Arg.(value & opt int 3 & info [ "extra" ] ~docv:"INT" ~doc)
 
+(* Every draw from [LO,HI] must be a valid weight: finite 0 < LO <= HI. *)
+let weight_range =
+  let pair = Arg.(pair ~sep:',' positive_float positive_float) in
+  let parse s =
+    match Arg.conv_parser pair s with
+    | Ok (lo, hi) when lo > hi ->
+        Error (`Msg (Printf.sprintf "LO must be <= HI (got %g,%g)" lo hi))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer pair)
+
 let weights_arg =
-  let doc = "Redraw edge weights uniformly from [LO,HI] (format LO,HI)." in
-  Arg.(value & opt (some (pair ~sep:',' float float)) None & info [ "weights" ] ~docv:"LO,HI" ~doc)
+  let doc =
+    "Redraw edge weights uniformly from [LO,HI] (format LO,HI; finite, \
+     0 < LO <= HI)."
+  in
+  Arg.(value & opt (some weight_range) None & info [ "weights" ] ~docv:"LO,HI" ~doc)
 
 let connect_arg =
   let doc = "Add random edges until the graph is connected." in
@@ -424,17 +453,8 @@ let local_cmd =
 
 (* ----------------------------- congest -------------------------------- *)
 
-(* A finite positive float: [c <= 0], [nan] or [inf] would collapse the
-   reduction to one iteration and drop fault tolerance without a word. *)
-let positive_float =
-  let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok x when Float.is_finite x && x > 0. -> Ok x
-    | Ok x -> Error (`Msg (Printf.sprintf "must be finite and > 0 (got %g)" x))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
+(* [c <= 0], [nan] or [inf] would collapse the reduction to one
+   iteration and drop fault tolerance without a word. *)
 let c_arg =
   let doc = "Iteration constant of the DK11 reduction (finite, > 0)." in
   Arg.(value & opt positive_float 1.0 & info [ "c" ] ~docv:"C" ~doc)

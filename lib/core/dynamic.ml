@@ -48,11 +48,9 @@ type t = {
   mutable busy : bool;  (* re-entrancy guard *)
   mutable last_w : float;
   mutable monotone : bool;
-  (* Depth-bounded multi-source BFS scratch, stamp-cleared so a repair
-     costs the neighborhood it walks, not O(n). *)
-  mutable seen_stamp : int array;
-  mutable stamp : int;
-  queue : (int * int) Queue.t;
+  (* Repair-region BFS scratch, stamp-cleared: a repair costs the
+     neighborhood it walks, not O(n). *)
+  region_ws : Bfs.Workspace.t;
   ws : Lbc.Workspace.t;
 }
 
@@ -180,7 +178,8 @@ let insert_edge t s u v w =
     invalid_arg "Dynamic.apply: insert on a retired vertex";
   if Hashtbl.mem t.by_pair (key u v) then
     invalid_arg (Printf.sprintf "Dynamic.apply: duplicate edge {%d,%d}" u v);
-  if w <= 0. then invalid_arg "Dynamic.apply: weight must be > 0";
+  if not (Graph.valid_weight w) then
+    invalid_arg "Dynamic.apply: weight must be finite and > 0";
   if w < t.last_w then t.monotone <- false;
   t.last_w <- max t.last_w w;
   let idx = store_edge t u v w in
@@ -199,34 +198,16 @@ let insert_edge t s u v w =
    is accounted: its size adds to [touched_vertices], the touched counter,
    the region histogram and, when tracing, a counter sample. *)
 let affected_region t s ~seeds =
-  let depth = hops_bound t in
-  if Array.length t.seen_stamp < t.nv then t.seen_stamp <- Array.make t.nv 0;
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp and seen = t.seen_stamp in
-  let g = t.spanner in
-  let region = ref [] and touched = ref 0 in
-  let visit x d =
-    if seen.(x) <> stamp then begin
-      seen.(x) <- stamp;
-      region := x :: !region;
-      incr touched;
-      Queue.add (x, d) t.queue
-    end
-  in
-  Queue.clear t.queue;
-  List.iter (fun x -> visit x 0) seeds;
-  while not (Queue.is_empty t.queue) do
-    let x, dx = Queue.pop t.queue in
-    if dx < depth then Graph.iter_neighbors g x (fun y _ -> visit y (dx + 1))
-  done;
-  s := { !s with touched_vertices = !s.touched_vertices + !touched };
-  Obs.Counter.add m_touched !touched;
-  Obs.Histogram.observe_int h_region !touched;
+  let ws = t.region_ws in
+  let touched = Bfs.seeded ws t.spanner seeds ~max_hops:(hops_bound t) in
+  s := { !s with touched_vertices = !s.touched_vertices + touched };
+  Obs.Counter.add m_touched touched;
+  Obs.Histogram.observe_int h_region touched;
   if Obs_trace.enabled () then
     Obs_trace.emit
       (Obs_trace.Counter_sample
-         { name = "dynamic.repair.touched_vertices"; value = !touched });
-  !region
+         { name = "dynamic.repair.touched_vertices"; value = touched });
+  List.init touched (Bfs.Workspace.reached ws)
 
 (* Live edges anchored in [region] whose kept flag is [kept], in
    ascending (weight, index) order — the greedy's order, so a given state
@@ -403,9 +384,7 @@ let create ?(opts = default_opts) g =
       busy = false;
       last_w = neg_infinity;
       monotone = true;
-      seen_stamp = [||];
-      stamp = 0;
-      queue = Queue.create ();
+      region_ws = Bfs.Workspace.create ();
       ws = Lbc.Workspace.create ();
     }
   in

@@ -114,7 +114,8 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [apply t ops] applies the operations in order (consecutive deletions
     coalesce into one repair) and returns the batch accounting.  Raises
     [Invalid_argument] on out-of-range or retired vertices, self-loops,
-    duplicate live edges, non-positive weights, deleting an absent edge,
+    duplicate live edges, weights that fail {!Graph.valid_weight},
+    deleting an absent edge,
     or re-entrant use. *)
 val apply : t -> op list -> stats
 

@@ -87,6 +87,7 @@ module Workspace = struct
   let parent ws x = ws.parent_vertex.(x)
   let parent_edge ws x = ws.parent_edge.(x)
   let depth ws x = if ws.seen.(x) = ws.stamp then ws.depth.(x) else -1
+  let reached ws i = ws.queue.(i)
 end
 
 (* Work counters flushed once per traversal: the loops below accumulate
@@ -94,6 +95,25 @@ end
 let m_searches = Obs.counter "bfs.searches"
 let m_nodes = Obs.counter "bfs.nodes_scanned"
 let m_edges = Obs.counter "bfs.edges_scanned"
+
+(* Every traversal starts on a fresh stamp, then stamps its seeds at
+   depth 0; a blocked or already stamped seed is skipped.  The single
+   source path stays allocation-free this way. *)
+let restart ws g =
+  let open Workspace in
+  ensure ws (Graph.n g);
+  ws.stamp <- ws.stamp + 1;
+  ws.tail <- 0
+
+let add_seed ws blocked_vertices x =
+  let open Workspace in
+  if ws.seen.(x) <> ws.stamp && not (blocked blocked_vertices x) then begin
+    ws.seen.(x) <- ws.stamp;
+    ws.depth.(x) <- 0;
+    ws.parent_edge.(x) <- -1;
+    ws.queue.(ws.tail) <- x;
+    ws.tail <- ws.tail + 1
+  end
 
 (* Hop-bounded BFS from [src], stopping as soon as [dst] is reached.
 
@@ -113,8 +133,7 @@ let m_edges = Obs.counter "bfs.edges_scanned"
    callbacks are the workspace's, built once. *)
 let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
   let open Workspace in
-  ensure ws (Graph.n g);
-  ws.stamp <- ws.stamp + 1;
+  restart ws g;
   let stamp = ws.stamp in
   Obs.Counter.incr m_searches;
   if blocked blocked_vertices src || blocked blocked_vertices dst then false
@@ -127,11 +146,7 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
     ws.be <- blocked_edges;
     scan dst ws.mark_near;
     let scanned = ref (Csr.degree adj dst) in
-    ws.seen.(src) <- stamp;
-    ws.depth.(src) <- 0;
-    ws.parent_edge.(src) <- -1;
-    ws.queue.(0) <- src;
-    ws.tail <- 1;
+    add_seed ws blocked_vertices src;
     let head = ref 0 in
     let found = ref false in
     while (not !found) && !head < ws.tail do
@@ -156,26 +171,19 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
     !found
   end
 
-(* Every vertex within [max_hops] hops of [src], on the stamps of
-   [search]: the queue holds depths in nondecreasing order, so the first
-   dequeued vertex at depth [max_hops] ends the expansion and no vertex
-   beyond the ball is ever stamped.  Only expanded vertices count as
-   scanned nodes, as in [search]. *)
-let ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops =
+(* The one level expansion behind [seeded] and [ball]: it pops the queue
+   [restart] and [add_seed] filled, expanding every vertex at depth
+   < [max_hops].  Depths are nondecreasing along the queue, so the first
+   vertex at depth [max_hops] ends it and nothing beyond is stamped; the
+   prefix [0, tail) is the reached set in BFS order.  [~count] books the
+   expanded vertices and the entries they read under [bfs.*]. *)
+let expand ws ~blocked_vertices ~blocked_edges g ~max_hops ~count =
   let open Workspace in
-  ensure ws (Graph.n g);
-  ws.stamp <- ws.stamp + 1;
-  Obs.Counter.incr m_searches;
-  if not (blocked blocked_vertices src) then begin
+  if ws.tail > 0 then begin
     let adj = Graph.adjacency g in
     let scan = Csr.scanner adj in
     ws.bv <- blocked_vertices;
     ws.be <- blocked_edges;
-    ws.seen.(src) <- ws.stamp;
-    ws.depth.(src) <- 0;
-    ws.parent_edge.(src) <- -1;
-    ws.queue.(0) <- src;
-    ws.tail <- 1;
     let head = ref 0 and scanned = ref 0 in
     while !head < ws.tail && ws.depth.(ws.queue.(!head)) < max_hops do
       let x = ws.queue.(!head) in
@@ -186,9 +194,24 @@ let ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops =
     done;
     ws.bv <- [||];
     ws.be <- [||];
-    Obs.Counter.add m_nodes !head;
-    Obs.Counter.add m_edges !scanned
-  end
+    if count then begin
+      Obs.Counter.add m_nodes !head;
+      Obs.Counter.add m_edges !scanned
+    end
+  end;
+  ws.tail
+
+let seeded ws ?(blocked_vertices = [||]) ?(blocked_edges = [||]) g seeds
+    ~max_hops =
+  restart ws g;
+  List.iter (add_seed ws blocked_vertices) seeds;
+  expand ws ~blocked_vertices ~blocked_edges g ~max_hops ~count:false
+
+let ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops =
+  Obs.Counter.incr m_searches;
+  restart ws g;
+  add_seed ws blocked_vertices src;
+  ignore (expand ws ~blocked_vertices ~blocked_edges g ~max_hops ~count:true)
 
 let extract_path ws ~src ~dst =
   if src = dst then { Path.vertices = [ src ]; edges = [] }
@@ -214,35 +237,10 @@ let hop_bounded_path ?ws ?(blocked_vertices = [||]) ?(blocked_edges = [||]) g
     Some (extract_path ws ~src ~dst)
   else None
 
+(* Every reached vertex lies at depth < n, so [ball] expands it: the
+   counters are those of a BFS that scans the whole component. *)
 let distances ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g src =
+  let ws = Domain.DLS.get default_ws in
   let n = Graph.n g in
-  let dist = Array.make n (-1) in
-  Obs.Counter.incr m_searches;
-  if blocked bv src then dist
-  else begin
-    let scan = Csr.scanner (Graph.adjacency g) in
-    let queue = Array.make n 0 in
-    dist.(src) <- 0;
-    queue.(0) <- src;
-    let head = ref 0 and tail = ref 1 in
-    let scanned = ref 0 in
-    while !head < !tail do
-      let x = queue.(!head) in
-      incr head;
-      let visit y id =
-        incr scanned;
-        if dist.(y) < 0 && (not (blocked be id)) && not (blocked bv y) then begin
-          dist.(y) <- dist.(x) + 1;
-          queue.(!tail) <- y;
-          incr tail
-        end
-      in
-      scan x visit
-    done;
-    Obs.Counter.add m_nodes !head;
-    Obs.Counter.add m_edges !scanned;
-    dist
-  end
-
-let eccentricity g u =
-  Array.fold_left (fun acc d -> if d > acc then d else acc) 0 (distances g u)
+  ball ws ~blocked_vertices:bv ~blocked_edges:be g ~src ~max_hops:n;
+  Array.init n (Workspace.depth ws)

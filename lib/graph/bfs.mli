@@ -3,19 +3,21 @@
     These routines power Algorithm 2 of the paper (the Length-Bounded Cut
     approximation), whose inner loop is "find a path of at most [t] hops
     from [u] to [v] avoiding the current fault set".  Fault sets are
-    represented as boolean masks indexed by vertex or edge id, so a single
-    BFS costs [O(m + n)] regardless of the mask.
+    boolean masks indexed by vertex or edge id, so a BFS costs [O(m + n)]
+    regardless of the mask.
 
-    The hop-bounded search accepts a reusable {!Workspace.t}: the greedy
-    spanner algorithm performs [Theta(m * f)] searches, and reusing scratch
-    arrays (with stamp-based visited marks, so nothing is cleared between
-    calls) keeps each search allocation-free.
+    Two queue loops, both on a reusable {!Workspace.t} with stamp-based
+    marks that are never cleared, so neither allocates once the
+    workspace fits the graph.  {!search} is the point-to-point path of
+    {!hop_bounded_path} and every LBC call; {!seeded} is the one level
+    expansion from a seed set, behind {!ball}, {!distances},
+    {!Components}, {!Girth}, {!Stats.diameter} and the dynamic repair.
 
-    Counters: every search adds one to [bfs.searches], its dequeued
-    vertices to [bfs.nodes_scanned] and the adjacency entries it reads to
-    [bfs.edges_scanned].  A hop-bounded search reads [dst]'s adjacency
-    once up front and never expands the last level, so vertices at depth
-    [max_hops] are neither dequeued nor counted. *)
+    Counters: {!search}, {!ball} and {!distances} add one to
+    [bfs.searches], the vertices they expand to [bfs.nodes_scanned] and
+    the adjacency entries they read to [bfs.edges_scanned] ([search]
+    also reads [dst]'s adjacency once; neither expands the last level).
+    {!seeded} counts nothing; its callers count under their own layers. *)
 
 (** [blocked mask i] is the fault-mask rule every masked traversal
     ({!Bfs}, {!Dijkstra}, {!Hop_dp}, {!Components}) reads: [i] is
@@ -40,9 +42,14 @@ module Workspace : sig
 
   val parent_edge : t -> int -> int
 
-  (** After a {!ball}, [depth ws x] is [x]'s hop distance from [src] if
-      [x] lies in the ball, and [-1] otherwise. *)
+  (** After a {!seeded} or {!ball}, [depth ws x] is [x]'s hop distance
+      to the seeds if [x] was reached and [-1] otherwise, and
+      [parent_edge ws x] the BFS tree edge that reached it ([-1] for a
+      seed).  [reached ws i], for [i] below the count {!seeded}
+      returned, is the [i]-th reached vertex in BFS order. *)
   val depth : t -> int -> int
+
+  val reached : t -> int -> int
 end
 
 (** [search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops] is
@@ -60,13 +67,25 @@ val search :
   max_hops:int ->
   bool
 
-(** [ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops] runs a
-    BFS from [src] that never expands the last level: afterwards
-    {!Workspace.depth} gives the exact hop distance of every vertex at
-    most [max_hops] hops from [src] and [-1] for every other one (for
-    all of them if [src] is blocked).  Like {!search} it allocates
-    nothing once [ws] fits [g], and only the vertices it expands count
-    under [bfs.nodes_scanned].  The masks follow {!search}. *)
+(** [seeded ws ?blocked_vertices ?blocked_edges g seeds ~max_hops] runs
+    one BFS from all of [seeds] (depth 0, in list order; blocked and
+    repeated seeds are skipped), expanding every vertex at depth
+    [< max_hops], and returns the number of vertices reached.  Masks
+    follow {!hop_bounded_path}. *)
+val seeded :
+  Workspace.t ->
+  ?blocked_vertices:bool array ->
+  ?blocked_edges:bool array ->
+  Graph.t ->
+  int list ->
+  max_hops:int ->
+  int
+
+(** [ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops] is
+    {!seeded} from [src] alone plus the [bfs.*] accounting: afterwards
+    {!Workspace.depth} is exact for every vertex at most [max_hops] hops
+    from [src] and [-1] elsewhere.  It allocates nothing but its
+    scanner, once [ws] fits [g]. *)
 val ball :
   Workspace.t ->
   blocked_vertices:bool array ->
@@ -98,14 +117,12 @@ val hop_bounded_path :
   Path.t option
 
 (** [distances ?blocked_vertices ?blocked_edges g src] returns the array of
-    hop distances from [src]; unreachable (or blocked) vertices get [-1]. *)
+    hop distances from [src]; unreachable (or blocked) vertices get [-1].
+    It is {!ball} to depth [n] on a workspace private to the calling
+    domain. *)
 val distances :
   ?blocked_vertices:bool array ->
   ?blocked_edges:bool array ->
   Graph.t ->
   int ->
   int array
-
-(** [eccentricity g u] is the largest hop distance from [u] to any vertex
-    reachable from [u]. *)
-val eccentricity : Graph.t -> int -> int

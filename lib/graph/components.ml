@@ -1,31 +1,19 @@
-let labels ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g =
+(* One expansion per unlabelled vertex (a blocked one reaches nothing);
+   its reached prefix is the component.  No path is [n] hops long. *)
+let labels ?blocked_vertices ?blocked_edges g =
   let n = Graph.n g in
   let label = Array.make n (-1) in
-  let queue = Array.make n 0 in
+  let ws = Bfs.Workspace.create () in
   let next = ref 0 in
   for s = 0 to n - 1 do
-    if label.(s) < 0 && not (Bfs.blocked bv s) then begin
-      let c = !next in
-      incr next;
-      label.(s) <- c;
-      queue.(0) <- s;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let x = queue.(!head) in
-        incr head;
-        let visit y id =
-          if
-            label.(y) < 0
-            && (not (Bfs.blocked be id))
-            && not (Bfs.blocked bv y)
-          then begin
-            label.(y) <- c;
-            queue.(!tail) <- y;
-            incr tail
-          end
-        in
-        Graph.iter_neighbors g x visit
-      done
+    if label.(s) < 0 then begin
+      let reached =
+        Bfs.seeded ws ?blocked_vertices ?blocked_edges g [ s ] ~max_hops:n
+      in
+      for i = 0 to reached - 1 do
+        label.(Bfs.Workspace.reached ws i) <- !next
+      done;
+      if reached > 0 then incr next
     end
   done;
   (label, !next)

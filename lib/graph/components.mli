@@ -1,7 +1,10 @@
 (** Connected components (optionally under fault masks). *)
 
 (** [labels ?blocked_vertices ?blocked_edges g] assigns each vertex a
-    component label in [0 .. count-1]; blocked vertices get [-1]. *)
+    component label in [0 .. count-1]; blocked vertices get [-1].  Labels
+    follow the lowest vertex of each component.  One {!Bfs.seeded}
+    expansion per component on one workspace: [O(n + m)] time and [O(n)]
+    scratch allocated once per call. *)
 val labels :
   ?blocked_vertices:bool array ->
   ?blocked_edges:bool array ->

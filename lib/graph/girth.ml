@@ -1,56 +1,56 @@
-(* BFS from [src], truncated at depth [limit].  Whenever an edge joins two
-   already-seen vertices we have found a cycle through [src]'s BFS tree of
-   length at most [depth u + depth v + 1]; the minimum over all such events
-   and all sources is the exact girth (the standard O(nm) algorithm: for the
-   shortest cycle C and a vertex src on C, the BFS from src certifies
-   |C|). *)
-let shortest_cycle_through g src ~limit =
-  let n = Graph.n g in
-  let depth = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  depth.(src) <- 0;
-  queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 in
-  let best = ref max_int in
-  while !head < !tail do
-    let x = queue.(!head) in
-    incr head;
-    if depth.(x) < limit then
-      let visit y id =
-        if id <> parent_edge.(x) then
-          if depth.(y) < 0 then begin
-            depth.(y) <- depth.(x) + 1;
-            parent_edge.(y) <- id;
-            queue.(!tail) <- y;
-            incr tail
-          end
-          else begin
-            (* Non-tree edge: cycle of length depth x + depth y + 1 (it may
-               not pass through src, but then an even shorter cycle is found
-               from another source). *)
-            let len = depth.(x) + depth.(y) + 1 in
-            if len < !best then best := len
-          end
-      in
-      Graph.iter_neighbors g x visit
-  done;
+(* BFS from [src], truncated at depth [limit].  An edge {x,y} with [x]
+   expanded is a non-tree edge iff its id is neither [x]'s nor [y]'s
+   parent edge, and then closes a cycle of length at most
+   [depth x + depth y + 1] (maybe not through [src], but then a shorter
+   one is found from another source): the minimum over all sources is
+   the exact girth, in O(nm).  As [depth y >= depth x - 1], the pass
+   stops at the first [x] that cannot beat the best cycle so far. *)
+let shortest_cycle_through ws g src ~limit =
+  let module W = Bfs.Workspace in
+  let reached = Bfs.seeded ws g [ src ] ~max_hops:limit in
+  let scan = Csr.scanner (Graph.adjacency g) in
+  let best = ref max_int and dx = ref 0 and px = ref (-1) in
+  let check y id =
+    if id <> !px && id <> W.parent_edge ws y then begin
+      let len = !dx + W.depth ws y + 1 in
+      if len < !best then best := len
+    end
+  in
+  let rec pass i =
+    if i < reached then begin
+      let x = W.reached ws i in
+      dx := W.depth ws x;
+      if !dx < limit && 2 * !dx < !best then begin
+        px := W.parent_edge ws x;
+        scan x check;
+        pass (i + 1)
+      end
+    end
+  in
+  pass 0;
   !best
 
+(* A forest (exactly n - c edges for c components) skips the n
+   unbounded searches. *)
 let girth g =
-  let best = ref max_int in
-  for src = 0 to Graph.n g - 1 do
-    let limit = if !best = max_int then Graph.n g else (!best / 2) + 1 in
-    let c = shortest_cycle_through g src ~limit in
-    if c < !best then best := c
-  done;
-  if !best = max_int then None else Some !best
+  if Graph.m g = Graph.n g - Components.count g then None
+  else begin
+    let ws = Bfs.Workspace.create () in
+    let best = ref max_int in
+    for src = 0 to Graph.n g - 1 do
+      let limit = if !best = max_int then Graph.n g else (!best / 2) + 1 in
+      let c = shortest_cycle_through ws g src ~limit in
+      if c < !best then best := c
+    done;
+    Some !best
+  end
 
 let girth_exceeds g ~bound =
+  let ws = Bfs.Workspace.create () in
   let limit = (bound / 2) + 1 in
   let rec loop src =
     if src >= Graph.n g then true
-    else if shortest_cycle_through g src ~limit <= bound then false
+    else if shortest_cycle_through ws g src ~limit <= bound then false
     else loop (src + 1)
   in
   loop 0

@@ -65,11 +65,14 @@ let grow g =
     g.e_w <- bigger
   end
 
+let valid_weight w = Float.is_finite w && w > 0.
+
 let add_edge g u v ~w =
   check_vertex g u "add_edge";
   check_vertex g v "add_edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
-  if w <= 0. then invalid_arg "Graph.add_edge: non-positive weight";
+  if not (valid_weight w) then
+    invalid_arg "Graph.add_edge: weight must be finite and > 0";
   if mem_edge g u v then
     invalid_arg (Printf.sprintf "Graph.add_edge: duplicate edge {%d,%d}" u v);
   let lo = min u v and hi = max u v in
@@ -101,7 +104,7 @@ let of_weighted_edges n triples =
    O(deg) each and dominate at 10^7-edge scale).  Every consistency
    property [add_edge] enforces is re-checked here, just in aggregate:
    each id in [0, m) must appear as exactly two half-edges forming one
-   undirected non-loop edge, and weights must be positive. *)
+   undirected non-loop edge, and weights must pass [valid_weight]. *)
 let of_adjacency ?weights adj =
   let fail msg = invalid_arg ("Graph.of_adjacency: " ^ msg) in
   let n = Csr.vertices adj in
@@ -160,7 +163,8 @@ let of_adjacency ?weights adj =
     | Some src ->
         let w = Array.make cap 0. in
         for id = 0 to m - 1 do
-          if not (src.(id) > 0.) then fail "non-positive weight";
+          if not (valid_weight src.(id)) then
+            fail "weight must be finite and > 0";
           w.(id) <- src.(id)
         done;
         w
@@ -226,14 +230,6 @@ let total_weight g =
     acc := !acc +. g.e_w.(i)
   done;
   !acc
-
-let max_degree g =
-  let best = ref 0 in
-  for u = 0 to g.size - 1 do
-    let d = Csr.degree g.adj u in
-    if d > !best then best := d
-  done;
-  !best
 
 let is_unit_weighted g =
   let ok = ref true in

@@ -43,9 +43,14 @@ type t
     layout. *)
 val create : ?backend:Csr.backend -> int -> t
 
+(** [valid_weight w] is the one weight rule: [w] is finite and [> 0].
+    {!add_edge}, {!of_adjacency} and the dynamic service's inserts all
+    enforce it, so [nan] and [infinity] never enter a graph. *)
+val valid_weight : float -> bool
+
 (** [add_edge g u v ~w] appends the edge [{u,v}] with weight [w] and returns
     its id.  Raises [Invalid_argument] on self-loops, out-of-range
-    endpoints, non-positive weights, or duplicate edges. *)
+    endpoints, weights that fail {!valid_weight}, or duplicate edges. *)
 val add_edge : t -> int -> int -> w:float -> int
 
 (** [add_edge_unit g u v] is [add_edge g u v ~w:1.0]. *)
@@ -63,8 +68,8 @@ val of_weighted_edges : int -> (int * int * float) list -> t
     that skips [add_edge]'s per-edge duplicate probe.  [weights.(id)]
     supplies edge weights (default all [1.0]).  Validates everything
     [add_edge] would have: raises [Invalid_argument] unless every id in
-    [0, m) is exactly one undirected, non-loop, non-parallel edge with
-    positive weight. *)
+    [0, m) is exactly one undirected, non-loop, non-parallel edge whose
+    weight passes {!valid_weight}. *)
 val of_adjacency : ?weights:float array -> Csr.t -> t
 
 (** [copy g] is an independent copy sharing nothing mutable with [g]. *)
@@ -136,8 +141,6 @@ val resident_bytes : t -> int
 (** [total_weight g] is the sum of all edge weights. *)
 val total_weight : t -> float
 
-(** [max_degree g] is the largest vertex degree ([0] for edgeless). *)
-val max_degree : t -> int
 
 (** [is_unit_weighted g] is [true] when every edge has weight [1.0]. *)
 val is_unit_weighted : t -> bool

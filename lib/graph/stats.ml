@@ -29,11 +29,15 @@ let compute g =
     components = Components.count g;
   }
 
+(* A ball to depth n reaches and counts [v]'s whole component. *)
 let diameter g =
-  let best = ref 0 in
-  for v = 0 to Graph.n g - 1 do
-    let e = Bfs.eccentricity g v in
-    if e > !best then best := e
+  let n = Graph.n g and ws = Bfs.Workspace.create () and best = ref 0 in
+  for v = 0 to n - 1 do
+    Bfs.ball ws ~blocked_vertices:[||] ~blocked_edges:[||] g ~src:v ~max_hops:n;
+    for x = 0 to n - 1 do
+      let d = Bfs.Workspace.depth ws x in
+      if d > !best then best := d
+    done
   done;
   !best
 

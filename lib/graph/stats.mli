@@ -13,9 +13,10 @@ type t = {
 
 val compute : Graph.t -> t
 
-(** [diameter g] is the largest finite hop eccentricity, [None] when [g] is
-    edgeless or disconnected pairs dominate (we report the max over the
-    largest component). *)
+(** [diameter g] is the largest finite hop distance between two vertices
+    of [g]: [0] when [g] is edgeless, the largest component diameter when
+    it is disconnected.  One {!Bfs.ball} per vertex on a single workspace:
+    [O(n * m)] time, [O(n)] scratch per call. *)
 val diameter : Graph.t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -428,5 +428,25 @@ printf '1\n99999\n' > "$TMP/range.sel"
 expect2 "$BIN" prune -k 2 -f 1 "$TMP/s.graph" "$TMP/range.sel"
 expect2 "$BIN" generate --family hypercube -n 70 -o "$TMP/x.graph"
 expect2 "$BIN" verify -k 2 -f 9 --exhaustive "$TMP/g.graph" "$TMP/sel.txt"
+# generate draws weights from [LO,HI]: only finite 0 < LO <= HI, and a
+# finite -p (nan used to write an edgeless gnp, 5,1 and -1,1 to raise)
+for w in 5,1 -1,1 0,1 nan,1 1,nan 1,inf; do
+  expect2 "$BIN" generate -n 10 "--weights=$w" -o "$TMP/x.graph"
+done
+for p in nan inf; do
+  expect2 "$BIN" generate -n 10 -p "$p" -o "$TMP/x.graph"
+done
+# a text graph whose weight is not finite and > 0 fails to load (exit 2)
+for w in nan inf -1 0; do
+  printf 'p 2 1\ne 0 1 %s\n' "$w" > "$TMP/w.graph"
+  expect2 "$BIN" info "$TMP/w.graph"
+  expect2 "$BIN" build "$TMP/w.graph"
+done
+# ... and in a dynamic script it is a data error (exit 1)
+for w in nan inf -1; do
+  printf 'n 3\nadd 0 1 %s\n' "$w" > "$TMP/w.ops"
+  "$BIN" dynamic "$TMP/w.ops" >/dev/null 2>&1
+  [ $? -eq 1 ] || fail "dynamic insert with weight $w must exit 1"
+done
 
 echo "cli_test OK"

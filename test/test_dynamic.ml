@@ -105,6 +105,22 @@ let test_error_surface () =
     Alcotest.fail "out-of-range query should raise"
   with Invalid_argument _ -> ()
 
+(* The insert check is [Graph.valid_weight]: a non-finite weight is
+   refused before it is stored, like a non-positive one. *)
+let test_rejects_non_finite_weight () =
+  let d = path_graph 4 in
+  let live = Dynamic.live_edges d and e0 = Dynamic.epoch d in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "weight %g" w)
+        (Invalid_argument "Dynamic.apply: weight must be finite and > 0")
+        (fun () -> ignore (Dynamic.apply d [ Dynamic.Insert { u = 0; v = 2; w } ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; 0.0 ];
+  checki "nothing stored" live (Dynamic.live_edges d);
+  checki "epoch unchanged" e0 (Dynamic.epoch d);
+  insert d 0 2;
+  checki "a finite weight still inserts" (live + 1) (Dynamic.live_edges d)
+
 (* ---------------------- repair locality ------------------------------ *)
 
 let test_repair_is_local_on_grid () =
@@ -414,6 +430,8 @@ let () =
           Alcotest.test_case "delete vertex" `Quick test_delete_vertex_retires;
           Alcotest.test_case "epoch and snapshot" `Quick test_epoch_and_snapshot_cache;
           Alcotest.test_case "error surface" `Quick test_error_surface;
+          Alcotest.test_case "rejects non-finite weight" `Quick
+            test_rejects_non_finite_weight;
           Alcotest.test_case "insert stream equivalence" `Quick test_insert_stream_equivalence;
         ] );
       ( "repair",

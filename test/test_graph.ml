@@ -47,9 +47,38 @@ let test_graph_rejects_duplicate () =
 
 let test_graph_rejects_bad_weight () =
   let g = Graph.create 3 in
-  Alcotest.check_raises "zero weight"
-    (Invalid_argument "Graph.add_edge: non-positive weight") (fun () ->
-      ignore (Graph.add_edge g 0 1 ~w:0.))
+  List.iter
+    (fun (name, w) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Graph.add_edge: weight must be finite and > 0")
+        (fun () -> ignore (Graph.add_edge g 0 1 ~w)))
+    [
+      ("zero weight", 0.);
+      ("negative weight", -1.);
+      ("nan weight", Float.nan);
+      ("infinite weight", Float.infinity);
+      ("negative infinite weight", Float.neg_infinity);
+    ];
+  checki "nothing added" 0 (Graph.m g);
+  checkb "smallest positive float" true (Graph.valid_weight Float.min_float);
+  checkb "largest finite float" true (Graph.valid_weight Float.max_float)
+
+(* The bulk loader and the text loader apply the same rule as [add_edge]:
+   a non-finite weight fails to load instead of surfacing later. *)
+let test_graph_loaders_reject_bad_weight () =
+  List.iter
+    (fun w ->
+      let adj = Csr.create 2 in
+      Csr.add adj 0 1 0;
+      Csr.add adj 1 0 0;
+      Alcotest.check_raises (Printf.sprintf "of_adjacency %g" w)
+        (Invalid_argument "Graph.of_adjacency: weight must be finite and > 0")
+        (fun () -> ignore (Graph.of_adjacency ~weights:[| w |] adj));
+      let text = Printf.sprintf "p 2 1\ne 0 1 %g\n" w in
+      match Graph_io.of_string text with
+      | _ -> Alcotest.failf "text weight %g should not load" w
+      | exception Failure _ -> ())
+    [ 0.; -2.; Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_graph_rejects_out_of_range () =
   let g = Graph.create 3 in
@@ -67,7 +96,7 @@ let test_graph_grows_storage () =
   done;
   checki "complete graph m" (40 * 39 / 2) (Graph.m g);
   checki "degree" 39 (Graph.degree g 0);
-  checki "max degree" 39 (Graph.max_degree g)
+  checki "max degree" 39 (Stats.compute g).Stats.max_degree
 
 let test_graph_iterators () =
   let g = Graph.of_weighted_edges 4 [ (0, 1, 1.); (1, 2, 2.); (2, 3, 3.) ] in
@@ -366,8 +395,9 @@ let test_bfs_workspace_grows () =
 
 let test_bfs_eccentricity () =
   let g = Generators.path 5 in
-  checki "end" 4 (Bfs.eccentricity g 0);
-  checki "middle" 2 (Bfs.eccentricity g 2)
+  let eccentricity u = Array.fold_left max 0 (Bfs.distances g u) in
+  checki "end" 4 (eccentricity 0);
+  checki "middle" 2 (eccentricity 2)
 
 let test_bfs_hop_distance () =
   let g = Generators.cycle 6 in
@@ -681,7 +711,7 @@ let test_stats_diameter () =
 let test_gen_complete () =
   let g = Generators.complete 7 in
   checki "m" 21 (Graph.m g);
-  checki "max degree" 6 (Graph.max_degree g)
+  checki "max degree" 6 (Stats.compute g).Stats.max_degree
 
 let test_gen_grid () =
   let g = Generators.grid ~rows:3 ~cols:4 in
@@ -692,7 +722,7 @@ let test_gen_grid () =
 let test_gen_torus () =
   let g = Generators.torus ~rows:4 ~cols:4 in
   checki "m = 2n" 32 (Graph.m g);
-  checki "4-regular" 4 (Graph.max_degree g)
+  checki "4-regular" 4 (Stats.compute g).Stats.max_degree
 
 let test_gen_hypercube () =
   let g = Generators.hypercube ~dim:4 in
@@ -1042,6 +1072,8 @@ let () =
           Alcotest.test_case "rejects self-loop" `Quick test_graph_rejects_self_loop;
           Alcotest.test_case "rejects duplicate" `Quick test_graph_rejects_duplicate;
           Alcotest.test_case "rejects bad weight" `Quick test_graph_rejects_bad_weight;
+          Alcotest.test_case "loaders reject bad weight" `Quick
+            test_graph_loaders_reject_bad_weight;
           Alcotest.test_case "rejects out of range" `Quick test_graph_rejects_out_of_range;
           Alcotest.test_case "grows storage" `Quick test_graph_grows_storage;
           Alcotest.test_case "iterators" `Quick test_graph_iterators;

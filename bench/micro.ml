@@ -110,6 +110,43 @@ let congest_ft_test =
            (Congest_ft.build (Rng.create ~seed) ~c:0.1 ~chaos ~mode:Fault.VFT
               ~k:2 ~f:2 (Lazy.force g))))
 
+(* The asynchronous plane: the event heap at the size it reaches on the
+   ledger's synchronizer input (~2.7k deliveries and timers in flight),
+   one pop and one push per run, each new key the popped time plus a
+   delay as in [Async_net]; and a whole lossy synchronizer run. *)
+let pqueue_test =
+  let live = 2700 in
+  let r = Rng.create ~seed in
+  let delays = Array.init 4096 (fun _ -> 0.1 +. Rng.float r 0.9) in
+  let heap =
+    lazy
+      (let h = Pqueue.create ~capacity:live in
+       for i = 0 to live - 1 do
+         Pqueue.push h delays.(i) i
+       done;
+       h)
+  in
+  let next = ref 0 in
+  Test.make ~name:"graph: Pqueue push+pop, 2.7k live"
+    (Staged.stage (fun () ->
+         let h = Lazy.force heap in
+         let time = Pqueue.min_key h in
+         let ev = Pqueue.pop h in
+         next := (!next + 1) land 4095;
+         Pqueue.push h (time +. delays.(!next)) ev))
+
+let synchronizer_test =
+  let g = lazy (Generators.connected_gnp (Rng.create ~seed) ~n:64 ~p:0.1) in
+  let skeleton =
+    lazy (Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 (Lazy.force g))
+  in
+  let chaos = Chaos.plan ~drop:0.1 ~dup:0.05 ~seed:7 () in
+  Test.make ~name:"e14: Synchronizer.run 20 pulses under drop/dup (n=64)"
+    (Staged.stage (fun () ->
+         ignore
+           (Synchronizer.run (Rng.create ~seed) ~chaos ~pulses:20
+              ~skeleton:(Lazy.force skeleton) (Lazy.force g))))
+
 (* The whole-graph consumers of the one BFS expansion: a workspace per
    call, one expansion per component or source. *)
 let graph_1k = lazy (Generators.connected_gnp (Rng.create ~seed) ~n:1000 ~p:0.01)
@@ -143,6 +180,8 @@ let tests =
       verify_test;
       histogram_test;
       congest_ft_test;
+      pqueue_test;
+      synchronizer_test;
       components_test;
       girth_test;
       diameter_test;

@@ -38,8 +38,10 @@ let m_msgs_spanner = Obs.counter "net.msgs.spanner"
 let m_msgs_other = Obs.counter "net.msgs.other"
 
 let create rng ?(min_delay = 0.1) ?(max_delay = 1.0) ?chaos g =
-  if min_delay < 0. || max_delay < min_delay then
-    invalid_arg "Async_net.create: need 0 <= min_delay <= max_delay";
+  if
+    (not (Float.is_finite min_delay && Float.is_finite max_delay))
+    || min_delay < 0. || max_delay < min_delay
+  then invalid_arg "Async_net.create: need finite 0 <= min_delay <= max_delay";
   {
     rng;
     min_delay;
@@ -103,6 +105,7 @@ let push_ev net ~time ev =
 let push net ~time handler = push_ev net ~time { nop_ev with h = handler }
 
 let at net ~time handler =
+  if Float.is_nan time then invalid_arg "Async_net.at: time is nan";
   if time < net.clock then invalid_arg "Async_net.at: time is in the past";
   push net ~time handler
 
@@ -144,38 +147,39 @@ let transmit net ?cid ~src ~dst handler =
 
 let send net ~src ~dst handler = ignore (transmit net ~src ~dst handler)
 
+(* The next event is read before it is popped, so one past [until]
+   stays in the heap untouched for a later run. *)
 let run ?(until = infinity) ?(max_events = max_int) net =
+  let queue = net.queue in
   let processed = ref 0 in
   let continue = ref true in
   while !continue && !processed < max_events do
-    match Pqueue.pop_min net.queue with
-    | None -> continue := false
-    | Some (time, idx) ->
-        if time > until then begin
-          (* put it back for a later run and stop *)
-          Pqueue.push net.queue time idx;
-          continue := false
-        end
-        else begin
-          net.clock <- max net.clock time;
-          incr processed;
-          let ev = net.handlers.(idx) in
-          net.handlers.(idx) <- nop_ev;
-          net.free.(net.free_count) <- idx;
-          net.free_count <- net.free_count + 1;
-          Obs.Gauge.add g_inflight (-1);
-          if ev.ev_src >= 0 && Obs_trace.enabled () then
-            Obs_trace.emit
-              (Obs_trace.Msg_deliver
-                 {
-                   cid = ev.ev_cid;
-                   src = ev.ev_src;
-                   dst = ev.ev_dst;
-                   at = net.clock;
-                 });
-          ev.h ();
-          (* one delivered event = one heartbeat operation *)
-          Obs_heartbeat.pulse ()
-        end
+    if Pqueue.is_empty queue then continue := false
+    else begin
+      let time = Pqueue.min_key queue in
+      if time > until then continue := false
+      else begin
+        let idx = Pqueue.pop queue in
+        if time > net.clock then net.clock <- time;
+        incr processed;
+        let ev = net.handlers.(idx) in
+        net.handlers.(idx) <- nop_ev;
+        net.free.(net.free_count) <- idx;
+        net.free_count <- net.free_count + 1;
+        Obs.Gauge.add g_inflight (-1);
+        if ev.ev_src >= 0 && Obs_trace.enabled () then
+          Obs_trace.emit
+            (Obs_trace.Msg_deliver
+               {
+                 cid = ev.ev_cid;
+                 src = ev.ev_src;
+                 dst = ev.ev_dst;
+                 at = net.clock;
+               });
+        ev.h ();
+        (* one delivered event = one heartbeat operation *)
+        Obs_heartbeat.pulse ()
+      end
+    end
   done;
   !processed

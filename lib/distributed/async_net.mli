@@ -11,12 +11,23 @@
     Delivery handlers are closures, so the simulator is protocol-agnostic:
     {!send} counts one message and schedules the handler at the delivery
     time; {!at} schedules a timer.  [run] drains the event queue in time
-    order (deterministically, given the {!Rng.t}). *)
+    order (deterministically, given the {!Rng.t}).
+
+    {b Equal times.}  Events due at the same instant fire in the order of
+    the {!Pqueue} they are kept in, which the sequence of pushes and pops
+    alone fixes — not in scheduling order.  It matters: each fired
+    handler draws its message delays from [rng] and its faults from the
+    chaos stream, so that order is part of every replay.  {!Reliable.Async}
+    arms a node's retransmit timers for one burst of sends at one shared
+    [now + rto], so equal times are common.  The simulator therefore never
+    skips, cancels, merges or adds an event behind a caller's back, and
+    [run ~until] reads the next event's time without popping it. *)
 
 type t
 
 (** [create rng ?min_delay ?max_delay g] builds an idle network over [g]
-    (defaults: delays uniform in [[0.1, 1.0]]).  [chaos] makes delivery
+    (defaults: delays uniform in [[0.1, 1.0]]; raises [Invalid_argument]
+    unless [0 <= min_delay <= max_delay], both finite).  [chaos] makes delivery
     unreliable: each message is independently dropped or duplicated, delay
     spikes stretch the drawn delay, and crashed nodes neither send nor
     receive (see {!Chaos}).  Fault draws consume the chaos plan's private
@@ -57,11 +68,12 @@ val transmit : t -> ?cid:int -> src:int -> dst:int -> (unit -> unit) -> int
     [Invalid_argument] on a size mismatch. *)
 val set_skeleton : t -> bool array -> unit
 
-(** [at net ~time handler] schedules a timer ([time] must not be in the
-    past). *)
+(** [at net ~time handler] schedules a timer.  Raises [Invalid_argument]
+    if [time] is [nan] or before {!now}. *)
 val at : t -> time:float -> (unit -> unit) -> unit
 
 (** [run ?until ?max_events net] processes events in time order until the
-    queue is empty (or [until]/[max_events] is hit).  Returns the number
-    of events processed. *)
+    queue is empty (or [until]/[max_events] is hit).  An event due after
+    [until] stays queued, where it was, for a later [run].  Returns the
+    number of events processed. *)
 val run : ?until:float -> ?max_events:int -> t -> int

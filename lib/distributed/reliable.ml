@@ -2,7 +2,14 @@
    per-directed-slot sequence number, the receiver acks every copy it
    sees (acks are lossy too), the sender retransmits on timeout with
    exponential backoff and gives up after [max_attempts].  Slots are
-   {!Wire}'s directed slots, the simulators' load-accounting index. *)
+   {!Wire}'s directed slots, the simulators' load-accounting index.
+
+   The protocol's per-packet state is flat and indexed, never hashed:
+   the synchronous layer keeps one byte row per directed slot, indexed
+   by sequence number, marking delivered packets; the asynchronous one
+   numbers its sends and keeps one byte per send number, whose bits
+   mark "delivered" and "acked or given up".  The closures a send
+   schedules capture that number. *)
 
 type 'msg packet = Data of { seq : int; payload : 'msg } | Ack of { seq : int }
 
@@ -51,11 +58,15 @@ let note_giveup tally ~cid ~src ~dst =
   Obs.Counter.incr Chaos.giveups_counter;
   trace_protocol "giveup" ~cid ~src ~dst
 
-(* Sets of delivered or acknowledged packets, keyed by [key]. *)
-module Packets = Hashtbl.Make (Int)
-
-(* One int per (directed slot, sequence number). *)
-let key ~slots ~slot ~seq = (seq * slots) + slot
+(* [b] with room for index [i], doubled (zero-filled) if needed. *)
+let fit_bytes b i =
+  let len = Bytes.length b in
+  if i < len then b
+  else begin
+    let bigger = Bytes.make (max 16 (max (i + 1) (2 * len))) '\000' in
+    Bytes.blit b 0 bigger 0 len;
+    bigger
+  end
 
 type 'msg pending = {
   p_src : int;
@@ -80,9 +91,8 @@ type 'msg t = {
   net : 'msg packet Net.t;
   chaos : Chaos.state option; (* [None] = passthrough *)
   rto0 : int;
-  slots : int;
   next_seq : int array; (* per directed slot *)
-  seen : unit Packets.t; (* delivered *)
+  seen : Bytes.t array; (* per directed slot, by seq: nonzero = delivered *)
   mutable window : 'msg pending list;
   mutable window_len : int;
   mutable live : int; (* unretired records in [window] *)
@@ -112,9 +122,8 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     net = Net.create ~record_history ?chaos ~model ~bits:packet_bits g;
     chaos;
     rto0;
-    slots = Wire.slots g;
     next_seq = Array.make (Wire.slots g) 0;
-    seen = Packets.create (if lossy then 1024 else 1);
+    seen = Array.make (if lossy then Wire.slots g else 0) Bytes.empty;
     window = [];
     window_len = 0;
     live = 0;
@@ -133,6 +142,7 @@ let send t ~src ~dst msg =
       let slot = slot_of t.g ~src ~dst in
       let seq = t.next_seq.(slot) in
       t.next_seq.(slot) <- seq + 1;
+      t.seen.(slot) <- fit_bytes t.seen.(slot) seq;
       let cid = Net.transmit t.net ~src ~dst (Data { seq; payload = msg }) in
       let p =
         {
@@ -184,10 +194,9 @@ let harvest t =
             | Some _ | None -> ())
         | Data { seq; payload } ->
             Net.send t.net ~src:v ~dst:sender (Ack { seq });
-            let slot = slot_of t.g ~src:sender ~dst:v in
-            let k = key ~slots:t.slots ~slot ~seq in
-            if not (Packets.mem t.seen k) then begin
-              Packets.add t.seen k ();
+            let row = t.seen.(slot_of t.g ~src:sender ~dst:v) in
+            if Bytes.get row seq = '\000' then begin
+              Bytes.set row seq '\001';
               t.accum.(v) <- (sender, seq, payload) :: t.accum.(v)
             end
             else trace_protocol "dup_suppress" ~cid ~src:sender ~dst:v)
@@ -277,30 +286,31 @@ let chaos_counts t = Option.map Chaos.counts t.chaos
 
 module Async = struct
   type t = {
-    g : Graph.t;
     anet : Async_net.t;
     chaos : Chaos.state option;
     rto0 : float;
-    slots : int;
-    next_seq : int array;
-    seen : unit Packets.t; (* delivered *)
-    acked : unit Packets.t; (* acked or given up *)
+    mutable flags : Bytes.t; (* per send number: [delivered], [acked] bits *)
+    mutable sends : int;
     tally : tally;
   }
+
+  let delivered = 1
+  let acked = 2 (* or given up *)
+  let has t i bit = Char.code (Bytes.get t.flags i) land bit <> 0
+
+  let mark t i bit =
+    Bytes.set t.flags i (Char.chr (Char.code (Bytes.get t.flags i) lor bit))
 
   let create rng ?min_delay ?max_delay ?chaos g =
     let chaos = arm chaos in
     let anet = Async_net.create rng ?min_delay ?max_delay ?chaos g in
     {
-      g;
       anet;
       chaos;
       (* a round trip is at most [2 * max_delay]; leave margin for spikes *)
       rto0 = 3. *. Async_net.max_delay anet;
-      slots = Wire.slots g;
-      next_seq = Array.make (Wire.slots g) 0;
-      seen = Packets.create (if chaos <> None then 1024 else 1);
-      acked = Packets.create (if chaos <> None then 1024 else 1);
+      flags = Bytes.empty;
+      sends = 0;
       tally = { retransmits = 0; giveups = 0 };
     }
 
@@ -310,23 +320,22 @@ module Async = struct
     match t.chaos with
     | None -> Async_net.send t.anet ~src ~dst handler
     | Some _ ->
-        let slot = slot_of t.g ~src ~dst in
-        let seq = t.next_seq.(slot) in
-        t.next_seq.(slot) <- seq + 1;
-        let key = key ~slots:t.slots ~slot ~seq in
+        let i = t.sends in
+        t.flags <- fit_bytes t.flags i;
+        t.sends <- i + 1;
         let t0 = Async_net.now t.anet in
         (* the first attempt's causal id, shared by every re-send *)
         let cid = ref (-1) in
         let deliver () =
-          if not (Packets.mem t.seen key) then begin
-            Packets.add t.seen key ();
+          if not (has t i delivered) then begin
+            mark t i delivered;
             handler ()
           end
           else trace_protocol "dup_suppress" ~cid:!cid ~src ~dst;
           (* ack every copy: an earlier ack may have been dropped *)
           Async_net.send t.anet ~src:dst ~dst:src (fun () ->
-              if not (Packets.mem t.acked key) then begin
-                Packets.add t.acked key ();
+              if not (has t i acked) then begin
+                mark t i acked;
                 Obs.Gauge.add g_unacked (-1);
                 Obs.Histogram.observe h_rtt (Async_net.now t.anet -. t0);
                 trace_protocol "ack" ~cid:!cid ~src ~dst
@@ -341,12 +350,12 @@ module Async = struct
           if !cid < 0 then cid := c;
           let rto = t.rto0 *. float_of_int (backoff n) in
           Async_net.at t.anet ~time:(Async_net.now t.anet +. rto) (fun () ->
-              if not (Packets.mem t.acked key) then
+              if not (has t i acked) then
                 if n >= max_attempts then begin
                   note_giveup t.tally ~cid:!cid ~src ~dst;
                   (* close the window: a late ack must not double-credit
                      the gauge or record a bogus RTT *)
-                  Packets.add t.acked key ();
+                  mark t i acked;
                   Obs.Gauge.add g_unacked (-1)
                 end
                 else begin
@@ -354,8 +363,10 @@ module Async = struct
                   attempt (n + 1)
                 end)
         in
-        Obs.Gauge.add g_unacked 1;
-        attempt 1
+        (* a non-adjacent pair raises in the first transmit, before the
+           window counts the send *)
+        attempt 1;
+        Obs.Gauge.add g_unacked 1
 
   let retransmits t = t.tally.retransmits
   let giveups t = t.tally.giveups

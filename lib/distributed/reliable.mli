@@ -109,7 +109,9 @@ module Async : sig
   val net : t -> Async_net.t
 
   (** [send t ~src ~dst handler] delivers [handler] exactly once (barring
-      give-up), retransmitting on timeout and suppressing duplicates. *)
+      give-up), retransmitting on timeout and suppressing duplicates.
+      Raises [Invalid_argument] for a non-adjacent pair, as
+      {!Async_net.send} does. *)
   val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
 
   val retransmits : t -> int

@@ -17,6 +17,10 @@ let run rng ?failures ?chaos ~pulses ~skeleton g =
   if pulses < 1 then invalid_arg "Synchronizer.run: pulses must be >= 1";
   if skeleton.Selection.source != g then
     invalid_arg "Synchronizer.run: skeleton must select edges of the given graph";
+  (match failures with
+  | Some (time, _) when not (Float.is_finite time && time >= 0.) ->
+      invalid_arg "Synchronizer.run: failure time must be finite and >= 0"
+  | _ -> ());
   let n = Graph.n g in
   let rel = Reliable.Async.create rng ?chaos g in
   let net = Reliable.Async.net rel in
@@ -24,46 +28,70 @@ let run rng ?failures ?chaos ~pulses ~skeleton g =
      attribution split still matters for mixed workloads sharing the
      net — and it lets the analyzer confirm exactly that *)
   Async_net.set_skeleton net skeleton.Selection.selected;
-  (* Skeleton adjacency. *)
-  let nbrs = Array.make n [] in
+  (* Skeleton adjacency: [nbrs.(v)] lists v's skeleton neighbours in
+     reverse [Selection.ids] order, the order safe messages go out in;
+     [back.(v).(i)] is v's index in the list of its i-th neighbour. *)
+  let ids = Selection.ids skeleton in
+  let deg = Array.make n 0 in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
-      nbrs.(u) <- v :: nbrs.(u);
-      nbrs.(v) <- u :: nbrs.(v))
-    (Selection.ids skeleton);
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
+    ids;
+  let nbrs = Array.map (fun d -> Array.make d 0) deg in
+  let back = Array.map (fun d -> Array.make d 0) deg in
+  List.iter
+    (fun id ->
+      let u, v = Graph.endpoints g id in
+      let i = deg.(u) - 1 and j = deg.(v) - 1 in
+      deg.(u) <- i;
+      deg.(v) <- j;
+      nbrs.(u).(i) <- v;
+      back.(u).(i) <- j;
+      nbrs.(v).(j) <- u;
+      back.(v).(j) <- i)
+    ids;
   let alive = Array.make n true in
   let pulse = Array.make n 0 in
   let entry_time = Array.make_matrix n (pulses + 1) nan in
-  (* received.(v).(p): skeleton neighbors whose safe(p) arrived. *)
-  let received = Array.make_matrix n (pulses + 1) [] in
+  (* [got.(v)] at [p * degree + i]: did safe(p) from v's i-th neighbour
+     arrive? *)
+  let got =
+    Array.map (fun a -> Bytes.make ((pulses + 1) * Array.length a) '\000') nbrs
+  in
   for v = 0 to n - 1 do
     entry_time.(v).(0) <- 0.
   done;
   let rec send_safe v p =
-    if p <= pulses then
-      List.iter
-        (fun y ->
-          (* The sender does not filter on [alive y]: without a failure
-             detector event it cannot know; messages to the dead are
-             counted and dropped on delivery. *)
-          Reliable.Async.send rel ~src:v ~dst:y (fun () -> receive_safe y v p))
-        nbrs.(v)
-  and receive_safe v from p =
+    if p <= pulses then begin
+      let ys = nbrs.(v) and at_y = back.(v) in
+      for i = 0 to Array.length ys - 1 do
+        let y = ys.(i) and j = at_y.(i) in
+        (* The sender does not filter on [alive y]: without a failure
+           detector event it cannot know; messages to the dead are
+           counted and dropped on delivery. *)
+        Reliable.Async.send rel ~src:v ~dst:y (fun () -> receive_safe y j p)
+      done
+    end
+  and receive_safe v j p =
     if alive.(v) && p <= pulses then begin
-      if not (List.mem from received.(v).(p)) then
-        received.(v).(p) <- from :: received.(v).(p);
+      Bytes.set got.(v) ((p * Array.length nbrs.(v)) + j) '\001';
       try_advance v
     end
   and try_advance v =
     if alive.(v) && pulse.(v) < pulses then begin
       let p = pulse.(v) in
-      let all_safe =
-        List.for_all
-          (fun y -> (not alive.(y)) || List.mem y received.(v).(p))
-          nbrs.(v)
-      in
-      if all_safe then begin
+      let ys = nbrs.(v) and row = got.(v) in
+      let base = p * Array.length ys in
+      let i = ref 0 in
+      while
+        !i < Array.length ys
+        && ((not alive.(ys.(!i))) || Bytes.get row (base + !i) <> '\000')
+      do
+        incr i
+      done;
+      if !i = Array.length ys then begin
         pulse.(v) <- p + 1;
         let now = Async_net.now net in
         entry_time.(v).(p + 1) <- now;

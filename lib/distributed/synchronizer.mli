@@ -36,7 +36,8 @@ type report = {
 (** [run rng ?failures ?chaos ~pulses ~skeleton g] drives every node
     through [pulses] synchronized pulses over the given skeleton (a
     {!Selection.t} over [g]).  [failures = (time, nodes)] crashes the
-    listed nodes at the given time.  [chaos] makes message delivery
+    listed nodes at the given time, which must be finite and [>= 0]
+    ([Invalid_argument] otherwise).  [chaos] makes message delivery
     unreliable; safety messages then travel through {!Reliable.Async},
     whose acks and retransmissions are included in [messages].  Requires
     the skeleton (restricted to survivors) to leave each node with at

@@ -7,6 +7,7 @@ let blocked mask i = i < Array.length mask && mask.(i)
 module Workspace = struct
   type t = {
     mutable seen : int array;  (* stamp marking, never cleared *)
+    (* [search] only, sized on its first use ([with_near]) *)
     mutable near : int array;  (* stamp: unblocked neighbour of [dst] *)
     mutable near_edge : int array;  (* ... and the edge that reaches it *)
     mutable parent_edge : int array;
@@ -71,17 +72,26 @@ module Workspace = struct
     in
     ws
 
+  (* Growing restarts the stamps, so it drops [near] as well: its stale
+     stamps could match the new ones. *)
   let ensure ws n =
     if Array.length ws.seen < n then begin
       let cap = max n (2 * Array.length ws.seen) in
       ws.seen <- Array.make cap 0;
-      ws.near <- Array.make cap 0;
-      ws.near_edge <- Array.make cap (-1);
+      ws.near <- [||];
+      ws.near_edge <- [||];
       ws.parent_edge <- Array.make cap (-1);
       ws.parent_vertex <- Array.make cap (-1);
       ws.depth <- Array.make cap 0;
       ws.queue <- Array.make cap 0;
       ws.stamp <- 0
+    end
+
+  let with_near ws =
+    let cap = Array.length ws.seen in
+    if Array.length ws.near < cap then begin
+      ws.near <- Array.make cap 0;
+      ws.near_edge <- Array.make cap (-1)
     end
 
   let parent ws x = ws.parent_vertex.(x)
@@ -142,6 +152,7 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
   else begin
     let adj = Graph.adjacency g in
     let scan = Csr.scanner adj in
+    with_near ws;
     ws.bv <- blocked_vertices;
     ws.be <- blocked_edges;
     scan dst ws.mark_near;

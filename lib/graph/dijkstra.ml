@@ -40,38 +40,33 @@ let search ~bv ~be ?admit ?(on_improve = fun _ _ _ -> ()) ?(stop_at = -1)
   let stop = ref false in
   let n_settled = ref 0 and n_relaxed = ref 0 in
   while (not !stop) && not (Pqueue.is_empty heap) do
-    match Pqueue.pop_min heap with
-    | None -> stop := true
-    | Some (d, x) ->
-        if d = dist.(x) then begin
-          incr n_settled;
-          if x = stop_at then stop := true
-          else begin
-            let relax y id =
-              incr n_relaxed;
-              if
-                d < dist.(y)
-                && not ((emasked && be.(id)) || (vmasked && bv.(y)))
-              then begin
-                let len =
-                  match length with
-                  | None -> Graph.weight g id
-                  | Some f -> f id
-                in
-                let nd = d +. len in
-                if
-                  nd < dist.(y)
-                  && match admit with None -> true | Some f -> f y nd
-                then begin
-                  dist.(y) <- nd;
-                  on_improve y x id;
-                  Pqueue.push heap nd y
-                end
-              end
+    let d = Pqueue.min_key heap in
+    let x = Pqueue.pop heap in
+    if d = dist.(x) then begin
+      incr n_settled;
+      if x = stop_at then stop := true
+      else begin
+        let relax y id =
+          incr n_relaxed;
+          if d < dist.(y) && not ((emasked && be.(id)) || (vmasked && bv.(y)))
+          then begin
+            let len =
+              match length with None -> Graph.weight g id | Some f -> f id
             in
-            scan x relax
+            let nd = d +. len in
+            if
+              nd < dist.(y)
+              && match admit with None -> true | Some f -> f y nd
+            then begin
+              dist.(y) <- nd;
+              on_improve y x id;
+              Pqueue.push heap nd y
+            end
           end
-        end
+        in
+        scan x relax
+      end
+    end
   done;
   (dist, !n_settled, !n_relaxed)
 

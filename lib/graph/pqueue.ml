@@ -20,45 +20,55 @@ let grow h =
     h.payloads <- payloads
   end
 
-let swap h i j =
-  let k = h.keys.(i) and p = h.payloads.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.payloads.(i) <- h.payloads.(j);
-  h.keys.(j) <- k;
-  h.payloads.(j) <- p
-
+(* Both sifts move a hole rather than swapping: the entry being placed is
+   written once, where the hole stops.  They make the comparisons a
+   swapping heap makes, in the same order, so the array layout — and with
+   it the order equal keys come out in — is the swapping heap's. *)
 let push h key payload =
   grow h;
-  let i = ref h.len in
-  h.keys.(!i) <- key;
-  h.payloads.(!i) <- payload;
+  let keys = h.keys and payloads = h.payloads in
+  let hole = ref h.len in
   h.len <- h.len + 1;
-  while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
-    swap h !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
+  while !hole > 0 && keys.((!hole - 1) / 2) > key do
+    let parent = (!hole - 1) / 2 in
+    keys.(!hole) <- keys.(parent);
+    payloads.(!hole) <- payloads.(parent);
+    hole := parent
+  done;
+  keys.(!hole) <- key;
+  payloads.(!hole) <- payload
 
-let pop_min h =
-  if h.len = 0 then None
-  else begin
-    let key = h.keys.(0) and payload = h.payloads.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.keys.(0) <- h.keys.(h.len);
-      h.payloads.(0) <- h.payloads.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && h.keys.(l) < h.keys.(!smallest) then smallest := l;
-        if r < h.len && h.keys.(r) < h.keys.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done
-    end;
-    Some (key, payload)
-  end
+let min_key h =
+  if h.len = 0 then invalid_arg "Pqueue.min_key: empty heap";
+  h.keys.(0)
+
+let pop h =
+  if h.len = 0 then invalid_arg "Pqueue.pop: empty heap";
+  let keys = h.keys and payloads = h.payloads in
+  let top = payloads.(0) in
+  let len = h.len - 1 in
+  h.len <- len;
+  if len > 0 then begin
+    (* sift the last entry down from the root *)
+    let key = keys.(len) and payload = payloads.(len) in
+    let hole = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !hole) + 1 in
+      let r = l + 1 in
+      let child = ref !hole in
+      if l < len && keys.(l) < key then child := l;
+      if r < len then
+        if !child = l then (if keys.(r) < keys.(l) then child := r)
+        else if keys.(r) < key then child := r;
+      if !child = !hole then continue := false
+      else begin
+        keys.(!hole) <- keys.(!child);
+        payloads.(!hole) <- payloads.(!child);
+        hole := !child
+      end
+    done;
+    keys.(!hole) <- key;
+    payloads.(!hole) <- payload
+  end;
+  top

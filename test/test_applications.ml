@@ -292,6 +292,22 @@ let test_sync_rejects_foreign_skeleton () =
     Alcotest.fail "foreign skeleton should fail"
   with Invalid_argument _ -> ()
 
+let test_sync_rejects_bad_failure_time () =
+  let g = Generators.cycle 5 in
+  let skeleton = Selection.full g in
+  List.iter
+    (fun time ->
+      match Synchronizer.run (rng ()) ~failures:(time, [ 0 ]) ~pulses:2 ~skeleton g with
+      | _ -> Alcotest.failf "failure time %g accepted" time
+      | exception Invalid_argument m ->
+          check Alcotest.string (Printf.sprintf "time %g" time)
+            "Synchronizer.run: failure time must be finite and >= 0" m)
+    [ nan; -1.; infinity; neg_infinity ];
+  (* time 0 crashes the victims before anyone moves; the rest finish *)
+  let rep = Synchronizer.run (rng ()) ~failures:(0., [ 0 ]) ~pulses:2 ~skeleton g in
+  checki "survivors finish" 2 rep.Synchronizer.pulses;
+  checkb "survivors connected" true rep.Synchronizer.survivors_connected
+
 let () =
   Alcotest.run "applications"
     [
@@ -328,5 +344,6 @@ let () =
           Alcotest.test_case "skew sanity" `Quick test_sync_skew_zero_on_full_like;
           Alcotest.test_case "tree dies, spanner survives" `Quick test_sync_tree_dies_spanner_survives;
           Alcotest.test_case "foreign skeleton" `Quick test_sync_rejects_foreign_skeleton;
+          Alcotest.test_case "failure time checked" `Quick test_sync_rejects_bad_failure_time;
         ] );
     ]

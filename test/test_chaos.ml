@@ -235,18 +235,23 @@ let test_async_skeleton_size_mismatch () =
    any change to the order of chaos draws, cid mints or landings shows
    up here as a diff. *)
 
-let traced f =
+(* [~exact] prints times as hex floats and keeps the synchronizer's
+   pulse entries. *)
+let traced ?(exact = false) f =
   Obs_trace.start ();
   Fun.protect ~finally:Obs_trace.stop f;
+  let time t = if exact then Printf.sprintf "%h" t else Printf.sprintf "%g" t in
   Obs_trace.events ()
   |> List.filter_map (fun ev ->
          match ev.Obs_trace.payload with
          | Obs_trace.Msg_send { cid; src; dst; at; _ } ->
-             Some (Printf.sprintf "send %d %d>%d @%g" cid src dst at)
+             Some (Printf.sprintf "send %d %d>%d @%s" cid src dst (time at))
          | Obs_trace.Msg_deliver { cid; src; dst; at } ->
-             Some (Printf.sprintf "deliver %d %d>%d @%g" cid src dst at)
+             Some (Printf.sprintf "deliver %d %d>%d @%s" cid src dst (time at))
          | Obs_trace.Chaos_event { kind; cid; src; dst } ->
              Some (Printf.sprintf "%s %d %d>%d" kind cid src dst)
+         | Obs_trace.Sync_pulse { node; pulse; at } when exact ->
+             Some (Printf.sprintf "pulse %d %d @%s" node pulse (time at))
          | _ -> None)
   |> String.concat "\n"
 
@@ -439,6 +444,68 @@ let test_pinned_reliable_wire () =
   check
     (Alcotest.list Alcotest.int)
     "selection equals the chaos-free build" (ids (build ())) (ids lossy)
+
+(* The asynchronous Reliable path: a traced synchronizer under drop,
+   dup, delay spikes and a crash of two nodes, with times printed
+   exactly.  Next to the event digest it pins the report, the fault
+   tally and protocol reactions read off the shared [net.*] counters,
+   and the two latency histograms: the smoke baseline does not gate
+   [net.retries]/[net.giveups], so this is their oracle on the async
+   plane. *)
+
+let pinned_sync_events = (8185, "bd0a569f796d8331246591ad102d26bd")
+let pinned_sync_report =
+  "pulses=6 messages=2650 completion=0x1.d469ebe73b516p+4 \
+   skew=0x1.0ef05b28df3fp+3 skeleton=49 connected=true retransmits=1230"
+let pinned_sync_counters =
+  "drops=1246 dups=110 reorders=490 retries=1230 giveups=35"
+let pinned_sync_histograms =
+  "sync.round_latency n=133 sum=0x1.016c7026415fdp+9 reliable.rtt n=605 \
+   sum=0x1.85f360701b345p+10"
+
+let test_pinned_synchronizer_wire () =
+  let g = Generators.connected_gnp (Rng.create ~seed:105) ~n:24 ~p:0.25 in
+  let skeleton = Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g in
+  (* node 3 also goes silent on the wire, so its neighbours give up *)
+  let chaos =
+    Chaos.plan ~drop:0.1 ~dup:0.05 ~spike:0.2 ~crashes:[ (3, 2.5, 1e6) ]
+      ~seed:31 ()
+  in
+  Obs.reset ();
+  let report = ref None in
+  let events =
+    traced ~exact:true (fun () ->
+        report :=
+          Some
+            (Synchronizer.run (Rng.create ~seed:8) ~failures:(2.5, [ 3; 11 ])
+               ~chaos ~pulses:6 ~skeleton g))
+  in
+  let r = Option.get !report in
+  let lines = List.length (String.split_on_char '\n' events) in
+  check
+    Alcotest.(pair int string)
+    "synchronizer event sequence" pinned_sync_events
+    (lines, Digest.to_hex (Digest.string events));
+  check Alcotest.string "report" pinned_sync_report
+    (Printf.sprintf
+       "pulses=%d messages=%d completion=%h skew=%h skeleton=%d connected=%b \
+        retransmits=%d"
+       r.Synchronizer.pulses r.messages r.completion_time r.max_skew
+       r.skeleton_edges r.survivors_connected r.retransmits);
+  let counter name = Obs.Counter.value (Obs.counter name) in
+  check Alcotest.string "fault tally and protocol counters"
+    pinned_sync_counters
+    (Printf.sprintf "drops=%d dups=%d reorders=%d retries=%d giveups=%d"
+       (counter "net.drops") (counter "net.dups") (counter "net.reorders")
+       (Obs.Counter.value Chaos.retries_counter)
+       (Obs.Counter.value Chaos.giveups_counter));
+  let hist name =
+    let h = Obs.histogram_log name in
+    Printf.sprintf "%s n=%d sum=%h" name (Obs.Histogram.count h)
+      (Obs.Histogram.sum h)
+  in
+  check Alcotest.string "latency histograms" pinned_sync_histograms
+    (hist "sync.round_latency" ^ " " ^ hist "reliable.rtt")
 
 (* ----------------------------- spec grammar --------------------------- *)
 
@@ -689,6 +756,8 @@ let () =
             test_pinned_async_wire;
           Alcotest.test_case "reliable traced replay" `Quick
             test_pinned_reliable_wire;
+          Alcotest.test_case "synchronizer traced replay" `Quick
+            test_pinned_synchronizer_wire;
         ] );
       ("spec grammar", [ Alcotest.test_case "parse" `Quick test_parse_spec ]);
       ( "reliable delivery",

@@ -701,6 +701,36 @@ let test_async_at_rejects_past () =
     Alcotest.fail "timer in the past accepted"
   with Invalid_argument _ -> ()
 
+(* The message of the [Invalid_argument] [f ()] raises. *)
+let rejection f =
+  match f () with
+  | _ -> "accepted"
+  | exception Invalid_argument m -> m
+
+let test_async_at_rejects_nan () =
+  let net = Async_net.create (rng ()) (Generators.path 2) in
+  check Alcotest.string "nan timer" "Async_net.at: time is nan"
+    (rejection (fun () -> Async_net.at net ~time:nan ignore));
+  check Alcotest.string "past timer names Async_net"
+    "Async_net.at: time is in the past"
+    (rejection (fun () -> Async_net.at net ~time:(-1.) ignore));
+  checki "nothing was queued" 0 (Async_net.run net);
+  checkb "clock untouched" true (Async_net.now net = 0.)
+
+let test_async_create_requires_finite_delays () =
+  let g = Generators.path 2 in
+  List.iter
+    (fun (min_delay, max_delay) ->
+      check Alcotest.string
+        (Printf.sprintf "min_delay=%g max_delay=%g" min_delay max_delay)
+        "Async_net.create: need finite 0 <= min_delay <= max_delay"
+        (rejection (fun () -> Async_net.create (rng ()) ~min_delay ~max_delay g)))
+    [
+      (nan, 1.); (0.1, nan); (nan, nan); (0.1, infinity); (infinity, infinity);
+      (-0.1, 1.); (0.5, 0.2);
+    ];
+  ignore (Async_net.create (rng ()) ~min_delay:0. ~max_delay:0. g)
+
 let test_async_send_requires_adjacency () =
   let g = Generators.path 3 in
   let net = Async_net.create (rng ()) g in
@@ -796,5 +826,8 @@ let () =
           Alcotest.test_case "adjacency required" `Quick test_async_send_requires_adjacency;
           Alcotest.test_case "max_events pauses" `Quick test_async_run_max_events_pauses_mid_queue;
           Alcotest.test_case "until keeps future" `Quick test_async_run_until_keeps_future_events;
+          Alcotest.test_case "at rejects nan" `Quick test_async_at_rejects_nan;
+          Alcotest.test_case "create requires finite delays" `Quick
+            test_async_create_requires_finite_delays;
         ] );
     ]

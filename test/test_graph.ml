@@ -271,45 +271,150 @@ let test_path_invalid_detected () =
 (* -------------------------------------------------------------------- *)
 (* Pqueue                                                               *)
 
+(* Drain [h] into its (key, payload) sequence. *)
+let pqueue_drain h =
+  let out = ref [] in
+  while not (Pqueue.is_empty h) do
+    let k = Pqueue.min_key h in
+    out := (k, Pqueue.pop h) :: !out
+  done;
+  List.rev !out
+
+let kv = Alcotest.(list (pair (float 0.) int))
+
 let test_pqueue_ordering () =
   let h = Pqueue.create ~capacity:4 in
   List.iter (fun (k, p) -> Pqueue.push h k p)
     [ (5., 50); (1., 10); (3., 30); (2., 20); (4., 40) ];
-  let order = ref [] in
-  let rec drain () =
-    match Pqueue.pop_min h with
-    | None -> ()
-    | Some (_, p) ->
-        order := p :: !order;
-        drain ()
-  in
-  drain ();
   check (Alcotest.list Alcotest.int) "sorted" [ 10; 20; 30; 40; 50 ]
-    (List.rev !order)
+    (List.map snd (pqueue_drain h))
 
 let test_pqueue_duplicates_and_clear () =
   let h = Pqueue.create ~capacity:2 in
   Pqueue.push h 1. 1;
   Pqueue.push h 1. 1;
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.) Alcotest.int))
-    "first copy" (Some (1., 1)) (Pqueue.pop_min h);
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.) Alcotest.int))
-    "second copy" (Some (1., 1)) (Pqueue.pop_min h);
+  check kv "both copies" [ (1., 1); (1., 1) ] (pqueue_drain h);
   checkb "empty after draining" true (Pqueue.is_empty h);
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.) Alcotest.int))
-    "pop empty" None (Pqueue.pop_min h)
+  let raises f =
+    try
+      ignore (f h);
+      false
+    with Invalid_argument _ -> true
+  in
+  checkb "pop empty raises" true (raises Pqueue.pop);
+  checkb "min_key empty raises" true (raises Pqueue.min_key)
 
 let test_pqueue_interleaved () =
   let h = Pqueue.create ~capacity:1 in
   Pqueue.push h 2. 2;
   Pqueue.push h 1. 1;
-  (match Pqueue.pop_min h with
-  | Some (k, 1) -> checkf "min key" 1. k
-  | _ -> Alcotest.fail "expected payload 1");
+  checkf "min key" 1. (Pqueue.min_key h);
+  checki "min payload" 1 (Pqueue.pop h);
   Pqueue.push h 0.5 0;
-  match Pqueue.pop_min h with
-  | Some (_, p) -> checki "new min" 0 p
-  | None -> Alcotest.fail "expected element"
+  checkf "peek leaves the heap alone" 0.5 (Pqueue.min_key h);
+  checkf "peek again" 0.5 (Pqueue.min_key h);
+  checki "new min" 0 (Pqueue.pop h)
+
+(* The swapping binary heap [Pqueue] used to be, kept as the reference
+   model of its array layout and hence of the order equal keys leave in.
+   [~right_on_ties] is a mutant whose sift-down takes the right child
+   when both children tie below the moving key. *)
+module Swap_heap = struct
+  type t = {
+    mutable keys : float array;
+    mutable payloads : int array;
+    mutable len : int;
+  }
+
+  let create () = { keys = Array.make 8 0.; payloads = Array.make 8 0; len = 0 }
+
+  let swap h i j =
+    let k = h.keys.(i) and p = h.payloads.(i) in
+    h.keys.(i) <- h.keys.(j);
+    h.payloads.(i) <- h.payloads.(j);
+    h.keys.(j) <- k;
+    h.payloads.(j) <- p
+
+  let push h key payload =
+    if h.len = Array.length h.keys then begin
+      h.keys <- Array.append h.keys (Array.make h.len 0.);
+      h.payloads <- Array.append h.payloads (Array.make h.len 0)
+    end;
+    let i = ref h.len in
+    h.keys.(!i) <- key;
+    h.payloads.(!i) <- payload;
+    h.len <- h.len + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let pop_min ~right_on_ties h =
+    let key = h.keys.(0) and payload = h.payloads.(0) in
+    h.len <- h.len - 1;
+    if h.len > 0 then begin
+      h.keys.(0) <- h.keys.(h.len);
+      h.payloads.(0) <- h.payloads.(h.len);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < h.len && h.keys.(l) < h.keys.(!smallest) then smallest := l;
+        if
+          r < h.len
+          && (h.keys.(r) < h.keys.(!smallest)
+             || (right_on_ties && !smallest = l && h.keys.(r) = h.keys.(l)))
+        then smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          swap h !i !smallest;
+          i := !smallest
+        end
+      done
+    end;
+    (key, payload)
+end
+
+(* A seeded interleaving of pushes (keys from a four-value set, so most
+   pushes tie, payloads numbering the pushes) and pops, popping more
+   often as the heap grows and draining it at the end.  Returns the
+   popped (key, payload) sequences of [Pqueue] and of the model. *)
+let pqueue_vs_model ~right_on_ties ~seed ~ops =
+  let rng = Rng.create ~seed in
+  let h = Pqueue.create ~capacity:1 and m = Swap_heap.create () in
+  let got = ref [] and want = ref [] in
+  let pop () =
+    let k = Pqueue.min_key h in
+    got := (k, Pqueue.pop h) :: !got;
+    want := Swap_heap.pop_min ~right_on_ties m :: !want
+  in
+  for i = 0 to ops - 1 do
+    if Pqueue.is_empty h || Rng.int rng 100 < 55 then begin
+      let key = float_of_int (Rng.int rng 4) in
+      Pqueue.push h key i;
+      Swap_heap.push m key i
+    end
+    else pop ()
+  done;
+  while not (Pqueue.is_empty h) do
+    pop ()
+  done;
+  (List.rev !got, List.rev !want)
+
+let test_pqueue_matches_swap_model () =
+  for seed = 1 to 20 do
+    let got, want = pqueue_vs_model ~right_on_ties:false ~seed ~ops:3000 in
+    check kv (Printf.sprintf "seed %d" seed) want got
+  done;
+  let mutant_caught =
+    List.exists
+      (fun seed ->
+        let got, want = pqueue_vs_model ~right_on_ties:true ~seed ~ops:3000 in
+        got <> want)
+      (List.init 20 (fun s -> s + 1))
+  in
+  checkb "a right-on-ties heap diverges" true mutant_caught
 
 (* -------------------------------------------------------------------- *)
 (* BFS                                                                  *)
@@ -1102,6 +1207,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "duplicates and clear" `Quick test_pqueue_duplicates_and_clear;
           Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved;
+          Alcotest.test_case "matches swap model" `Quick
+            test_pqueue_matches_swap_model;
         ] );
       ( "bfs",
         [

@@ -692,39 +692,29 @@ let e16 () =
   let sel = Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 g in
   let ok = verify_sampled ~trials:4 rng sel ~mode:Fault.VFT ~k:2 ~f:2 in
   row "  n=2000 m=%d |H|=%d: %s" (Graph.m g) sel.Selection.size (verdict ok);
-  subhead "storage tier: 10^6-edge graphs - int vs int32 backend + binary IO";
-  row "  %9s %11s %11s %9s %9s %9s %9s" "m" "int B" "int32 B" "bfs int"
-    "bfs i32" "load txt" "load bin";
+  subhead "storage tier: 10^6-edge graphs - int32 CSR + binary IO";
+  row "  %9s %11s %9s %9s %9s" "m" "adj B" "bfs" "load txt" "load bin";
   List.iter
     (fun m ->
       let n = m / 4 in
       let g = Generators.gnm rng ~n ~m in
-      (* The binary load is the int32 copy: that layout comes only from
-         a mapped .ftsb file. *)
       with_temp ".graph" @@ fun text_file ->
       with_temp ".ftsb" @@ fun bin_file ->
       Graph_io.save g text_file;
       Graph_io.save g bin_file;
       let _, t_text = time (fun () -> Graph_io.load text_file) in
-      let g32, t_bin = time (fun () -> Graph_io.load bin_file) in
-      let sweep gr () =
-        let acc = ref 0 in
-        for s = 0 to 9 do
-          let d = Bfs.distances gr (s * (n / 10)) in
-          acc := !acc + Array.fold_left ( + ) 0 d
-        done;
-        !acc
+      let gb, t_bin = time (fun () -> Graph_io.load bin_file) in
+      let (), bfs =
+        time (fun () ->
+            for s = 0 to 9 do
+              ignore (Bfs.distances gb (s * (n / 10)))
+            done)
       in
-      let sum_int, bfs_int = time (sweep g) in
-      let sum_i32, bfs_i32 = time (sweep g32) in
-      assert (sum_int = sum_i32);
-      row "  %9d %11d %11d %7.2f s %7.2f s %7.2f s %7.2f s" m
-        (Graph.resident_bytes g)
-        (Graph.resident_bytes g32)
-        bfs_int bfs_i32 t_text t_bin)
+      row "  %9d %11d %7.2f s %7.2f s %7.2f s" m (Graph.resident_bytes gb) bfs
+        t_text t_bin)
     [ 1_000_000; 2_000_000 ];
-  note "the int32 Bigarray backend halves the packed-adjacency bytes and the";
-  note "ftspan.graph.v1 binary format loads it near-zero-copy (Unix.map_file);";
+  note "every graph packs its adjacency into int32 Bigarrays, and the";
+  note "ftspan.graph.v1 binary format maps it near-zero-copy (Unix.map_file);";
   note "the same tier extends to 10^7 edges via ftspan generate -o g.ftsb.";
   note "throughput stays in the ~100k edges/second range across the sweep;";
   note "a commodity core handles 10^4-vertex networks in seconds, which is";
@@ -1012,9 +1002,8 @@ let io_load () =
   let gb, t_bin_load = best_load bin_file in
   row "  text: save %5.2f s, load %5.2f s  (%9d bytes)" t_text_save t_text_load
     (file_bytes text_file);
-  row "  ftsb: save %5.2f s, load %5.2f s  (%9d bytes, %s backend)" t_bin_save
-    t_bin_load (file_bytes bin_file)
-    (Csr.backend_name (Graph.backend gb));
+  row "  ftsb: save %5.2f s, load %5.2f s  (%9d bytes)" t_bin_save t_bin_load
+    (file_bytes bin_file);
   let speedup = t_text_load /. t_bin_load in
   (* Lossless means the canonical text of all three agrees: the original,
      the text-parsed copy, and the binary-loaded copy. *)
@@ -1029,11 +1018,11 @@ let io_load () =
     speedup
     (verdict (speedup >= 10.))
 
-(* Both storage backends must drive the BFS inner loop to identical
-   layers; the entry runs the same sweep twice so the checked-in bfs.*
-   counters pin the equality. *)
+(* A graph built in memory and its copy mapped from a binary file must
+   drive the BFS inner loop to identical layers; the entry runs the same
+   sweep on each so the checked-in bfs.* counters pin the equality. *)
 let bfs_hotpath_int32 () =
-  banner "bfs-hotpath-int32 - BFS sweep: int vs int32 backends, identical layers";
+  banner "bfs-hotpath-int32 - BFS sweep: built vs mapped int32 CSR, identical layers";
   let rng = Rng.create ~seed in
   let n = 20_000 in
   let g = Generators.connected_gnp rng ~n ~p:(10. /. float_of_int n) in
@@ -1050,14 +1039,15 @@ let bfs_hotpath_int32 () =
     done;
     !acc
   in
-  let sum_int, dt_int = time (fun () -> sweep g) in
-  let sum_i32, dt_i32 = time (fun () -> sweep g32) in
-  row "  %-6s backend: %8d adjacency bytes, 50-source sweep %.3f s" "int"
-    (Graph.resident_bytes g) dt_int;
-  row "  %-6s backend: %8d adjacency bytes, 50-source sweep %.3f s" "int32"
-    (Graph.resident_bytes g32) dt_i32;
-  row "  distance checksums %d vs %d: %s" sum_int sum_i32
-    (verdict (sum_int = sum_i32 && Bfs.distances g 0 = Bfs.distances g32 0))
+  let sum_built, dt_built = time (fun () -> sweep g) in
+  let sum_mapped, dt_mapped = time (fun () -> sweep g32) in
+  row "  %-6s: %8d adjacency bytes, 50-source sweep %.3f s" "built"
+    (Graph.resident_bytes g) dt_built;
+  row "  %-6s: %8d adjacency bytes, 50-source sweep %.3f s" "mapped"
+    (Graph.resident_bytes g32) dt_mapped;
+  row "  distance checksums %d vs %d: %s" sum_built sum_mapped
+    (verdict
+       (sum_built = sum_mapped && Bfs.distances g 0 = Bfs.distances g32 0))
 
 (* The dynamic-service gate of the service PR: update throughput on a
    sparse grid, and the repair-locality claim — after a deletion the

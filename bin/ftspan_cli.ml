@@ -210,8 +210,7 @@ let info_cmd =
     Result.map
       (fun g ->
         Printf.printf "%s\n" (Format.asprintf "%a" Stats.pp (Stats.compute g));
-        Printf.printf "storage: %s backend, %d adjacency bytes\n"
-          (Csr.backend_name (Graph.backend g))
+        Printf.printf "storage: int32 CSR, %d adjacency bytes\n"
           (Graph.resident_bytes g);
         Printf.printf "diameter (hops): %d\n" (Stats.diameter g);
         match Girth.girth g with
@@ -709,7 +708,9 @@ let dynamic_cmd =
                 "ftspan dynamic: %s declares n but --graph was given\n" ops_file;
               exit 2
           | Some file, _ -> Result.map (fun g -> (g, items)) (load_graph file)
-          | None, Dyn_n n :: rest -> Ok (Graph.create n, rest)
+          | None, Dyn_n n :: rest -> (
+              try Ok (Graph.create n, rest)
+              with Invalid_argument msg -> Error (`Msg (ops_file ^ ": " ^ msg)))
           | None, _ ->
               Printf.eprintf
                 "ftspan dynamic: no initial graph: pass --graph or start %s \

@@ -33,7 +33,6 @@ type estate = {
 type t = {
   o : opts;
   nv : int;
-  backend : Csr.backend;
   mutable edges : estate array;  (* insertion order; grows, never shrinks *)
   mutable n_edges : int;
   by_pair : (int * int, int) Hashtbl.t;  (* live (u<v) pair -> edge index *)
@@ -84,7 +83,7 @@ let check_vertex t what x =
    the kept ones when [kept_only], plus the ids it gave the kept ones.
    O(live) — never a greedy re-run. *)
 let materialize t ~kept_only =
-  let g = Graph.create ~backend:t.backend t.nv in
+  let g = Graph.create t.nv in
   let kept = ref [] in
   for i = 0 to t.n_edges - 1 do
     let e = t.edges.(i) in
@@ -369,7 +368,6 @@ let create ?(opts = default_opts) g =
     {
       o = opts;
       nv;
-      backend = Graph.backend g;
       edges = Array.make (Graph.m g) no_edge;
       n_edges = 0;
       by_pair = Hashtbl.create 64;

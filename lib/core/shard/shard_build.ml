@@ -66,10 +66,10 @@ let tasks_of g part =
 (* Build one cluster's induced subgraph and run the greedy over it,
    returning the kept parent edge ids (ascending).  [local] is the
    worker's parent-to-local vertex map, restored to -1 before return. *)
-let run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local task =
+let run_cluster ~engine ~mode ~k ~f ~ws ~local task =
   let t0 = Obs.now_s () in
   Array.iteri (fun i v -> local.(v) <- i) task.verts;
-  let sub = Graph.create ~backend (Array.length task.verts) in
+  let sub = Graph.create (Array.length task.verts) in
   let parent_edge = Array.make (Array.length task.edges) (-1) in
   Array.iter
     (fun (u, v, w, pid) ->
@@ -100,7 +100,6 @@ let clusters ?(engine = Polynomial) ?pool ~mode ~k ~f g part =
   check "Shard_build.clusters" ~k ~f;
   let tasks = tasks_of g part in
   let results = Array.make (Array.length tasks) [] in
-  let backend = Graph.backend g in
   let scratch =
     Exec.Worker_local.create ?pool (fun _ ->
         (Lbc.Workspace.create (), Array.make (Graph.n g) (-1)))
@@ -110,7 +109,7 @@ let clusters ?(engine = Polynomial) ?pool ~mode ~k ~f g part =
       let ws, local = Exec.Worker_local.get scratch ~worker in
       for i = lo to hi - 1 do
         results.(i) <-
-          run_cluster ~backend ~engine ~mode ~k ~f ~ws ~local tasks.(i)
+          run_cluster ~engine ~mode ~k ~f ~ws ~local tasks.(i)
       done);
   Array.mapi
     (fun i task -> { partition = task.part; center = task.ctr; kept = results.(i) })

@@ -25,8 +25,8 @@
     the caller's [rng]; cluster work items are fixed before the fan-out
     and workers write their selections {e by item index}; the union runs
     in item order on the caller.  The output is therefore bit-identical
-    at any pool size ({e and} across the int/int32 storage backends), and
-    one seed replays one build.
+    at any pool size ({e and} for a graph built in memory and its
+    binary copy), and one seed replays one build.
 
     Telemetry: {!build} counts [shard.clusters] (work items executed)
     and the force-kept [shard.boundary_edges] (both gated by the bench

@@ -136,11 +136,9 @@ let add_seed ws blocked_vertices x =
    (and hence the extracted path) is identical to the one it builds.
 
    This is the hot path of every LBC call and hence of the whole greedy
-   pipeline.  Its only allocation is the one [Csr.scanner] per search:
-   the storage-backend dispatch and array captures happen once, and the
-   per-vertex scan walks the append-buffer chain first, then the packed
-   slice — the same newest-first order for both backends.  The per-edge
-   callbacks are the workspace's, built once. *)
+   pipeline.  It allocates nothing: each expanded vertex is one
+   [Csr.iter] (append-buffer chain first, then the packed slice, newest
+   first), and the per-edge callbacks are the workspace's, built once. *)
 let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
   let open Workspace in
   restart ws g;
@@ -151,11 +149,10 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
   else if max_hops < 1 then false
   else begin
     let adj = Graph.adjacency g in
-    let scan = Csr.scanner adj in
     with_near ws;
     ws.bv <- blocked_vertices;
     ws.be <- blocked_edges;
-    scan dst ws.mark_near;
+    Csr.iter adj dst ws.mark_near;
     let scanned = ref (Csr.degree adj dst) in
     add_seed ws blocked_vertices src;
     let head = ref 0 in
@@ -171,7 +168,7 @@ let search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops =
       else if ws.depth.(x) < max_hops - 1 then begin
         ws.cur <- x;
         scanned := !scanned + Csr.degree adj x;
-        scan x ws.visit
+        Csr.iter adj x ws.visit
       end
     done;
     (* A per-domain workspace outlives the call: do not pin its masks. *)
@@ -192,7 +189,6 @@ let expand ws ~blocked_vertices ~blocked_edges g ~max_hops ~count =
   let open Workspace in
   if ws.tail > 0 then begin
     let adj = Graph.adjacency g in
-    let scan = Csr.scanner adj in
     ws.bv <- blocked_vertices;
     ws.be <- blocked_edges;
     let head = ref 0 and scanned = ref 0 in
@@ -201,7 +197,7 @@ let expand ws ~blocked_vertices ~blocked_edges g ~max_hops ~count =
       incr head;
       ws.cur <- x;
       scanned := !scanned + Csr.degree adj x;
-      scan x ws.visit
+      Csr.iter adj x ws.visit
     done;
     ws.bv <- [||];
     ws.be <- [||];

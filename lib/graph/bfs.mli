@@ -8,7 +8,8 @@
 
     Two queue loops, both on a reusable {!Workspace.t} with stamp-based
     marks that are never cleared, so neither allocates once the
-    workspace fits the graph.  {!search} is the point-to-point path of
+    workspace fits the graph: each expanded vertex is one {!Csr.iter}
+    over the graph's [int32] adjacency.  {!search} is the point-to-point path of
     {!hop_bounded_path} and every LBC call; {!seeded} is the one level
     expansion from a seed set, behind {!ball}, {!distances},
     {!Components}, {!Girth}, {!Stats.diameter} and the dynamic repair.
@@ -84,8 +85,8 @@ val seeded :
 (** [ball ws ~blocked_vertices ~blocked_edges g ~src ~max_hops] is
     {!seeded} from [src] alone plus the [bfs.*] accounting: afterwards
     {!Workspace.depth} is exact for every vertex at most [max_hops] hops
-    from [src] and [-1] elsewhere.  It allocates nothing but its
-    scanner, once [ws] fits [g]. *)
+    from [src] and [-1] elsewhere.  It allocates nothing once [ws] fits
+    [g]. *)
 val ball :
   Workspace.t ->
   blocked_vertices:bool array ->

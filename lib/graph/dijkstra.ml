@@ -26,7 +26,7 @@ let fit mask len =
 let search ~bv ~be ?admit ?(on_improve = fun _ _ _ -> ()) ?(stop_at = -1)
     ?length ~capacity g seeds =
   let dist = Array.make (Graph.n g) infinity in
-  let scan = Csr.scanner (Graph.adjacency g) in
+  let adj = Graph.adjacency g in
   let heap = Pqueue.create ~capacity in
   List.iter
     (fun (s, key) ->
@@ -64,7 +64,7 @@ let search ~bv ~be ?admit ?(on_improve = fun _ _ _ -> ()) ?(stop_at = -1)
             end
           end
         in
-        scan x relax
+        Csr.iter adj x relax
       end
     end
   done;

@@ -8,7 +8,7 @@
 let shortest_cycle_through ws g src ~limit =
   let module W = Bfs.Workspace in
   let reached = Bfs.seeded ws g [ src ] ~max_hops:limit in
-  let scan = Csr.scanner (Graph.adjacency g) in
+  let adj = Graph.adjacency g in
   let best = ref max_int and dx = ref 0 and px = ref (-1) in
   let check y id =
     if id <> !px && id <> W.parent_edge ws y then begin
@@ -22,7 +22,7 @@ let shortest_cycle_through ws g src ~limit =
       dx := W.depth ws x;
       if !dx < limit && 2 * !dx < !best then begin
         px := W.parent_edge ws x;
-        scan x check;
+        Csr.iter adj x check;
         pass (i + 1)
       end
     end

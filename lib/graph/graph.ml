@@ -16,8 +16,11 @@ type t = {
   adj : Csr.t;  (* flat adjacency; see Csr for the layout *)
 }
 
-let create ?backend n =
+let create n =
   if n < 0 then invalid_arg "Graph.create: negative size";
+  (* First, so its int32 bound rejects an oversize [n] before the edge
+     store below is allocated. *)
+  let adj = Csr.create n in
   let cap = max 8 n in
   {
     size = n;
@@ -25,12 +28,11 @@ let create ?backend n =
     e_u = Array.make cap (-1);
     e_v = Array.make cap (-1);
     e_w = Array.make cap 0.;
-    adj = Csr.create ?backend n;
+    adj;
   }
 
 let n g = g.size
 let m g = g.count
-let backend g = Csr.backend g.adj
 let resident_bytes g = Csr.resident_bytes g.adj
 
 let check_vertex g x name =
@@ -128,9 +130,8 @@ let of_adjacency ?weights adj =
   if n > 0x7fffffff then fail "vertex count exceeds the packing range";
   let uv = Array.make m (-1) in
   let mark = Array.make n (-1) in
-  let scan = Csr.scanner adj in
   for x = 0 to n - 1 do
-    scan x (fun y id ->
+    Csr.iter adj x (fun y id ->
         if id < 0 || id >= m then fail "edge id out of range";
         if x = y then fail "self-loop";
         if mark.(y) = x then fail "parallel edge";

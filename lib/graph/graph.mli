@@ -14,16 +14,13 @@
     Adjacency is stored flat ({!Csr}: packed offset/neighbor/edge-id
     slices plus an append buffer for recent insertions), so traversal
     inner loops stream over contiguous memory rather than chasing cons
-    cells.  The packed slices live in one of two storage
-    {!Csr.backend}s, picked by where the graph comes from: native
-    [int array]s for graphs built from scratch in memory, compact
-    [int32] Bigarrays (half the resident bytes) for {!Graph_binio}
-    binary loads, the parent's layout for derived graphs.  Both
-    backends expose the same iteration order, so every selection and
-    counter is bit-identical whichever one holds the graph.  This module
-    remains the construction and ownership layer: build and mutate
-    through it, read through {!iter_neighbors} (or a {!Csr.scanner} over
-    {!adjacency} in hot loops). *)
+    cells.  The packed slices are [int32] Bigarrays whatever the graph's
+    origin: {!Graph_binio} maps a binary file straight into them, and a
+    graph built in memory packs into the same layout, with the same
+    iteration order, so every selection and counter is bit-identical
+    either way.  This module remains the construction and ownership
+    layer: build and mutate through it, read through {!iter_neighbors}
+    (or {!Csr.iter} over {!adjacency} in hot loops). *)
 
 type edge = private {
   u : int;  (** smaller endpoint *)
@@ -36,12 +33,10 @@ type t
 
 (** {1 Construction} *)
 
-(** [create ?backend n] is the edgeless graph on vertices [0..n-1].
-    [backend] selects the {!Csr} packed storage and defaults to
-    [Csr.Int_array]; a graph derived from another (a subgraph, a
-    rebuild) passes its parent's {!backend} so it stays on the same
-    layout. *)
-val create : ?backend:Csr.backend -> int -> t
+(** [create n] is the edgeless graph on vertices [0..n-1].  Raises
+    [Invalid_argument] when [n] is negative or at least
+    {!Csr.max_half}, before allocating anything. *)
+val create : int -> t
 
 (** [valid_weight w] is the one weight rule: [w] is finite and [> 0].
     {!add_edge}, {!of_adjacency} and the dynamic service's inserts all
@@ -122,18 +117,12 @@ val edge_array : t -> edge array
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
 (** [adjacency g] is the live flat adjacency ({!Csr.t}) of [g], for
-    traversals that scan with a {!Csr.scanner} ({!Bfs}, {!Dijkstra},
-    {!Hop_dp}).  Read-only: the arrays are replaced wholesale by the
-    next {!add_edge}-triggered compaction, so build one scanner per
-    traversal and re-build after any mutation. *)
+    traversals that scan it with {!Csr.iter} ({!Bfs}, {!Dijkstra},
+    {!Hop_dp}).  Read-only: do not mutate [g] during such a scan. *)
 val adjacency : t -> Csr.t
 
-(** [backend g] is the storage backend of [g]'s adjacency. *)
-val backend : t -> Csr.backend
-
 (** [resident_bytes g] is the resident size of [g]'s adjacency storage
-    in bytes (see {!Csr.resident_bytes}; the edge store is excluded —
-    it is backend-independent). *)
+    in bytes (see {!Csr.resident_bytes}; the edge store is excluded). *)
 val resident_bytes : t -> int
 
 (** {1 Aggregates} *)

@@ -24,8 +24,8 @@ let expected_size ~n ~m ~weighted =
 
 let save g file =
   let n = Graph.n g and m = Graph.m g in
-  if 2 * m > Csr.max_half Csr.Int32_bigarray || n >= Csr.max_half Csr.Int32_bigarray
-  then invalid_arg "Graph_binio.save: graph exceeds the int32 index range";
+  if 2 * m > Csr.max_half || n >= Csr.max_half then
+    invalid_arg "Graph_binio.save: graph exceeds the int32 index range";
   let weighted = not (Graph.is_unit_weighted g) in
   let oc = open_out_bin file in
   Fun.protect
@@ -131,7 +131,7 @@ let load file =
       let n64 = Bytes.get_int64_le hdr 8 and m64 = Bytes.get_int64_le hdr 16 in
       let kind = Int32.to_int (Bytes.get_int32_le hdr 24) in
       if kind <> 0 && kind <> 1 then corrupt file "unknown weights kind %d" kind;
-      let limit = Int64.of_int (Csr.max_half Csr.Int32_bigarray) in
+      let limit = Int64.of_int Csr.max_half in
       if Int64.compare n64 0L < 0 || Int64.compare n64 limit >= 0 then
         corrupt file "vertex count out of range";
       if

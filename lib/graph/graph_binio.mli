@@ -3,10 +3,11 @@
 
     Text graphs ({!Graph_io}) parse at a few million edges per second;
     at the 10⁶–10⁷-edge tier the parse dominates every experiment.
-    This format stores the compacted CSR itself, so {!load} maps the
-    packed regions straight into the {!Csr.Int32_bigarray} backend with
-    [Unix.map_file] — near-zero-copy: the only per-edge work is the
-    validation scan and the edge-store rebuild.
+    This format stores the compacted CSR itself, in the [int32] layout
+    every {!Csr.t} packs into, so {!load} maps the packed regions
+    straight into a graph's adjacency with [Unix.map_file] —
+    near-zero-copy: the only per-edge work is the validation scan and
+    the edge-store rebuild.
 
     {b Layout} (all integers little-endian; written byte-swapped on
     big-endian hosts, read through a copy-and-swap fallback there):
@@ -43,16 +44,18 @@
 exception Not_a_graph of string
 exception Corrupt of string
 
-(** [save g file] writes [g] in [ftspan.graph.v1] layout.  Works from
-    either storage backend; the weights array is omitted when [g] is
-    unit-weighted.  Raises [Invalid_argument] if [g] has more edges
-    than the int32 layout can index. *)
+(** [save g file] writes [g] in [ftspan.graph.v1] layout, truncating
+    [file] first: saving over the file a graph was loaded from goes
+    through {!Graph_io.save}, which writes a temporary file and renames
+    it.  The weights array is omitted when [g] is unit-weighted.  Raises
+    [Invalid_argument] if [g] has more edges than the int32 layout can
+    index. *)
 val save : Graph.t -> string -> unit
 
-(** [load file] reads a graph written by {!save} onto the
-    {!Csr.Int32_bigarray} backend, the near-zero-copy path (the mapped
-    file regions become the packed adjacency; the mapping is private, so
-    later mutation of the graph never touches the file).  Raises
+(** [load file] reads a graph written by {!save}, the near-zero-copy
+    path (the mapped file regions become the packed adjacency; the
+    mapping is private, so later mutation of the graph never touches
+    the file).  Raises
     {!Not_a_graph} / {!Corrupt} as described above, or
     [Sys_error]/[Unix.Unix_error] on I/O failure. *)
 val load : string -> Graph.t

@@ -21,7 +21,9 @@ let parse_line ~fail graph line_no line =
     | [ "p"; n; _m ] -> (
         if !graph <> None then fail line_no "duplicate p line";
         match int_of_string_opt n with
-        | Some n when n >= 0 -> graph := Some (Graph.create n)
+        | Some n when n >= 0 -> (
+            try graph := Some (Graph.create n)
+            with Invalid_argument msg -> fail line_no msg)
         | _ -> fail line_no "bad vertex count")
     | "e" :: u :: v :: rest -> (
         match !graph with
@@ -51,17 +53,40 @@ let of_string s =
   | Some g -> g
   | None -> failwith "Graph_io: missing p line"
 
+let save_text g file =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Printf.fprintf oc "p %d %d\n" (Graph.n g) (Graph.m g);
+      Graph.iter_edges g (fun e ->
+          Printf.fprintf oc "e %d %d %.12g\n" e.Graph.u e.Graph.v e.Graph.w))
+
+(* A regular (or absent) target is written beside, then renamed over:
+   [file] may be the private mapping a binary-loaded [g] still reads
+   from, and truncating it in place would fault that read (and a crash
+   mid-write would leave it empty).  The name is unique per process and
+   domain.  [lstat] does not follow links, so anything else (a symlink
+   such as [/dev/stdout], a pipe, a path [lstat] cannot read) is written
+   in place: a rename would replace the link, not the file it names, and
+   [open_out] reports an unreadable path as [Sys_error]. *)
 let save g file =
-  if Filename.check_suffix file binary_suffix then Graph_binio.save g file
-  else begin
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc "p %d %d\n" (Graph.n g) (Graph.m g);
-        Graph.iter_edges g (fun e ->
-            Printf.fprintf oc "e %d %d %.12g\n" e.Graph.u e.Graph.v e.Graph.w))
-  end
+  let write =
+    if Filename.check_suffix file binary_suffix then Graph_binio.save g
+    else save_text g
+  in
+  match (Unix.lstat file).Unix.st_kind with
+  | Unix.S_REG | (exception Unix.Unix_error (Unix.ENOENT, _, _)) ->
+      let tmp =
+        Printf.sprintf "%s.%d-%d.tmp" file (Unix.getpid ())
+          (Domain.self () :> int)
+      in
+      (try write tmp
+       with e ->
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise e);
+      Sys.rename tmp file
+  | _ | (exception Unix.Unix_error _) -> write file
 
 let load file =
   if Filename.check_suffix file binary_suffix then Graph_binio.load file

@@ -20,20 +20,25 @@ val binary_suffix : string
 (** [to_string g] serializes [g] as text. *)
 val to_string : Graph.t -> string
 
-(** [of_string s] parses a text graph onto the native [Csr.Int_array]
-    layout.  Raises [Failure] with a line-numbered message on malformed
-    input. *)
+(** [of_string s] parses a text graph.  Raises [Failure] with a
+    line-numbered message on malformed input, including a vertex count
+    {!Graph.create} rejects. *)
 val of_string : string -> Graph.t
 
 (** [save g file] writes [g] to [file] — text, streamed edge-by-edge
     (peak memory is one line, not the whole serialization), or binary
-    when [file] ends in {!binary_suffix}. *)
+    when [file] ends in {!binary_suffix}.  When [file] is a regular file
+    or absent, it writes a temporary file in [file]'s directory and
+    renames it over [file], so [g] may be saved over the binary file it
+    was loaded from, and a failed save leaves [file] as it was.  Any
+    other [file] — a symlink (such as [/dev/stdout]), a pipe, a device —
+    is written in place, through the link.  Raises [Sys_error] when
+    [file] cannot be written. *)
 val save : Graph.t -> string -> unit
 
-(** [load file] reads [file] — text, streamed line-by-line onto the
-    native [Csr.Int_array] layout, or binary (mapped into
-    [Csr.Int32_bigarray], see {!Graph_binio.load}) when [file] ends in
-    {!binary_suffix}.  Text-parse [Failure] messages are prefixed with
+(** [load file] reads [file] — text, streamed line-by-line, or binary
+    (mapped straight into the adjacency, see {!Graph_binio.load}) when
+    [file] ends in {!binary_suffix}.  Text-parse [Failure] messages are prefixed with
     the file name (["Graph_io: FILE: line N: ..."]). *)
 val load : string -> Graph.t
 

@@ -8,7 +8,7 @@ let min_hop_path ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g ~src
     (* dist.(v): lightest weight reaching [v] within the current hop count;
        rebuilt layer by layer.  parent.(h) records the tree of layer h so a
        witness can be extracted once [dst] first becomes reachable. *)
-    let scan = Csr.scanner (Graph.adjacency g) in
+    let adj = Graph.adjacency g in
     let dist = Array.make n infinity in
     let next = Array.make n infinity in
     let parent_edge = Array.init (max_hops + 1) (fun _ -> [||]) in
@@ -36,7 +36,7 @@ let min_hop_path ?blocked_vertices:(bv = [||]) ?blocked_edges:(be = [||]) g ~src
               end
             end
           in
-          scan x relax
+          Csr.iter adj x relax
         end
       done;
       Array.blit next 0 dist 0 n;

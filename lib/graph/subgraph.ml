@@ -25,7 +25,7 @@ let induced_mask g keep =
   let kept = ref 0 in
   Graph.iter_edges g (fun e ->
       if of_parent.(e.Graph.u) >= 0 && of_parent.(e.Graph.v) >= 0 then incr kept);
-  let sub = Graph.create ~backend:(Graph.backend g) !count in
+  let sub = Graph.create !count in
   let to_parent_edge = Array.make !kept (-1) in
   Graph.iter_edges g (fun e ->
       let su = of_parent.(e.Graph.u) and sv = of_parent.(e.Graph.v) in
@@ -43,7 +43,7 @@ let of_edge_subset g keep =
   let wanted e = e.Graph.id < Array.length keep && keep.(e.Graph.id) in
   let kept = ref 0 in
   Graph.iter_edges g (fun e -> if wanted e then incr kept);
-  let sub = Graph.create ~backend:(Graph.backend g) n in
+  let sub = Graph.create n in
   let to_parent_edge = Array.make !kept (-1) in
   Graph.iter_edges g (fun e ->
       if wanted e then

@@ -17,21 +17,20 @@ fail() { echo "cli_test FAILED: $1" >&2; exit 1; }
   >/dev/null || fail "generate gnp"
 "$BIN" info "$TMP/g.graph" | grep -q "n=60" || fail "info reports n"
 
-# binary container + storage backend: same seed into a .ftsb file, the
-# same spanner out of it, although the file lands on the int32 backend
-# and the text graph on int
+# binary container: same seed into a .ftsb file, the same spanner out of
+# it; the mapped file and the parsed text graph share one int32 layout
 "$BIN" generate --family gnp -n 60 -p 0.15 --connect --seed 11 -o "$TMP/g.ftsb" \
   | grep -q "ftspan.graph.v1" || fail "generate .ftsb"
-"$BIN" info "$TMP/g.ftsb" | grep -q "storage: int32 backend" \
+"$BIN" info "$TMP/g.ftsb" | grep -q "^storage: int32 CSR, [0-9]* adjacency bytes$" \
   || fail "info on .ftsb reports int32 storage"
-"$BIN" info "$TMP/g.graph" | grep -q "storage: int backend" \
-  || fail "info on text reports int storage"
+"$BIN" info "$TMP/g.graph" | grep -q "^storage: int32 CSR, [0-9]* adjacency bytes$" \
+  || fail "info on text reports int32 storage"
 "$BIN" build -k 2 -f 1 "$TMP/g.graph" -o "$TMP/sel-a.txt" >/dev/null \
   || fail "build text"
 "$BIN" build -k 2 -f 1 "$TMP/g.ftsb" -o "$TMP/sel-b.txt" >/dev/null \
   || fail "build .ftsb"
 cmp -s "$TMP/sel-a.txt" "$TMP/sel-b.txt" || fail ".ftsb selection differs"
-# the layout follows the file; no flag picks it
+# one layout; no flag picks it
 "$BIN" build -k 2 -f 1 --backend int32 "$TMP/g.graph" 2>&1 >/dev/null \
   | grep -q "unknown option '--backend'" || fail "build --backend must be unknown"
 "$BENCH" --backend int32 >/dev/null 2>&1
@@ -39,6 +38,34 @@ cmp -s "$TMP/sel-a.txt" "$TMP/sel-b.txt" || fail ".ftsb selection differs"
 printf 'junk\n' > "$TMP/junk.ftsb"
 "$BIN" info "$TMP/junk.ftsb" >/dev/null 2>&1
 [ $? -eq 2 ] || fail "junk .ftsb must exit 2"
+# saves go through a temporary file and a rename, except onto a target
+# that is not a regular file: a pipe, or a symlink (written through, so
+# the link stays a link and the file it names gets the graph)
+"$BIN" generate --family cycle-chords -n 6 -o /dev/stdout | grep -q "^p 6 9$" \
+  || fail "generate -o /dev/stdout must write the graph to the pipe"
+# (appending, so the status line lands after the graph, not over it)
+: > "$TMP/out.graph"
+"$BIN" generate --family cycle-chords -n 6 -o /dev/stdout >> "$TMP/out.graph" \
+  || fail "generate -o /dev/stdout >> file"
+grep -q "^p 6 9$" "$TMP/out.graph" \
+  || fail "generate -o /dev/stdout must write the graph to the redirected file"
+: > "$TMP/real.graph"
+ln -s "$TMP/real.graph" "$TMP/link.graph"
+"$BIN" generate --family cycle-chords -n 6 -o "$TMP/link.graph" >/dev/null \
+  || fail "generate -o symlink"
+[ -L "$TMP/link.graph" ] || fail "saving through a symlink must keep the link"
+grep -q "^p 6 9$" "$TMP/real.graph" \
+  || fail "saving through a symlink must write the file it names"
+# a vertex count past the int32 bound is a format error, rejected before
+# anything is allocated
+for n in 2147483647 4611686018427387903; do
+  printf 'p %s 0\n' "$n" > "$TMP/huge.graph"
+  "$BIN" info "$TMP/huge.graph" >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "p $n must exit 2"
+  printf 'n %s\nquery 0 1\n' "$n" > "$TMP/huge.ops"
+  "$BIN" dynamic -k 2 -f 1 "$TMP/huge.ops" >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "dynamic script n $n must exit 2"
+done
 
 # weighted generation
 "$BIN" generate --family geometric -n 50 -p 0.3 --connect --seed 4 -o "$TMP/w.graph" \

@@ -1,6 +1,7 @@
-(* The int32 layout is picked by where a graph comes from: only a binary
-   load maps into it.  Tests that compare the two layouts get their
-   int32 copy the same way, through a temporary [.ftsb] file. *)
+(* Tests that compare a graph's two origins get the mapped one here: a
+   graph built in memory (its newest edges possibly still in the append
+   buffer) against its copy mapped from a temporary [.ftsb] file
+   (packed only). *)
 
 (* [of_graph g] is [g] saved as binary and loaded back. *)
 let of_graph g =

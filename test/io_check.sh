@@ -2,8 +2,8 @@
 # Binary graph format gate (dune build @io-check; chained into
 # @refactor-check): generate a graph, round-trip it through the
 # ftspan.graph.v1 binary format, and require the spanner the CLI builds
-# from the binary file (int32 backend) to be byte-for-byte the selection
-# built from the text file (int backend).  Then the failure surface:
+# from the binary file (mapped) to be byte-for-byte the selection built
+# from the text file (parsed).  Then the failure surface:
 # not-a-graph files must exit 2, structurally corrupt files must exit 1,
 # matching Graph_binio's two error classes.
 #   $1 = ftspan CLI binary
@@ -21,13 +21,13 @@ GEN="--family gnp -n 300 -p 0.05 --connect --seed 23"
 "$BIN" generate $GEN -o "$TMP/g.ftsb" | grep -q "ftspan.graph.v1" \
   || fail "generate must report the binary format"
 
-# info sees the backend each file landed on
-"$BIN" info "$TMP/g.ftsb" | grep -q "storage: int32 backend" \
-  || fail "binary load must land on the int32 backend"
-"$BIN" info "$TMP/g.graph" | grep -q "storage: int backend" \
-  || fail "text load must land on the int backend"
+# info reports the one storage layout for either file
+"$BIN" info "$TMP/g.ftsb" | grep -q "^storage: int32 CSR, [0-9]* adjacency bytes$" \
+  || fail "binary load must report the int32 storage line"
+"$BIN" info "$TMP/g.graph" | grep -q "^storage: int32 CSR, [0-9]* adjacency bytes$" \
+  || fail "text load must report the int32 storage line"
 
-# selection equality: text/int and binary/int32 must pick the same edges
+# selection equality: the parsed and the mapped graph must pick the same edges
 "$BIN" build -k 2 -f 1 "$TMP/g.graph" -o "$TMP/sel-text.txt" >/dev/null \
   || fail "build from text"
 "$BIN" build -k 2 -f 1 "$TMP/g.ftsb" -o "$TMP/sel-bin.txt" >/dev/null \

@@ -3,8 +3,8 @@
 # the decomposition-sharded build against the sequential build on the
 # same graph — the sharded selection must verify as a valid f-FT
 # spanner, must stay within the O(log n) size factor of the sequential
-# selection, and must be byte-identical at --jobs 1/2/4 and across the
-# int/int32 storage backends (a text graph and its .ftsb copy); dk11
+# selection, and must be byte-identical at --jobs 1/2/4 and across
+# origins (a parsed text graph and its mapped .ftsb copy); dk11
 # must be byte-identical at every jobs count too, and --shard must not
 # change its selection.
 #   $1 = ftspan CLI binary
@@ -43,11 +43,11 @@ for j in 2 4; do
     || fail "sharded selection differs at --jobs $j"
 done
 
-# ---- backend determinism: int (text) vs int32 (.ftsb) ---------------
+# ---- origin determinism: parsed (text) vs mapped (.ftsb) -------------
 "$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/g.ftsb" \
-  -o "$TMP/shard-i32.sel" > /dev/null || fail "sharded build from .ftsb"
-cmp -s "$TMP/shard.sel" "$TMP/shard-i32.sel" \
-  || fail "sharded selection differs across backends"
+  -o "$TMP/shard-mapped.sel" > /dev/null || fail "sharded build from .ftsb"
+cmp -s "$TMP/shard.sel" "$TMP/shard-mapped.sel" \
+  || fail "sharded selection differs across origins"
 
 # ---- dk11: one selection with or without --shard, at every jobs count
 # (on a dense graph, where the reduction's union leaves edges out, so a

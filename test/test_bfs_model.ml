@@ -6,8 +6,9 @@
    below is the plain full-scan BFS (expand every vertex at depth
    < max_hops, stop when [dst] turns up among the neighbours) and the
    list-based Algorithm 2 built on it.  Paths, verdicts, certificates and
-   greedy selections must match it exactly — on both storage backends,
-   with edges still in the append buffer, and under random masks.
+   greedy selections must match it exactly — on graphs built in memory
+   with edges still in the append buffer, on their copies mapped from a
+   binary file, and under random masks.
 
    The second half keeps the private queue loops that [Components],
    [Girth], [Bfs.distances] and the dynamic service's repair region ran
@@ -104,23 +105,19 @@ let model_greedy ~mode ~k ~f g =
 
 (* ------------------------------ inputs -------------------------------- *)
 
-(* A random graph on both backends, each with its newest edges still in
-   the append buffer: a base graph is reloaded from a binary file (which
-   packs it), then a few more edges are added to both copies in the same
-   order. *)
+(* A random graph from both origins: built in memory, with its newest
+   edges still in the append buffer, and its copy mapped from a binary
+   file, packed only. *)
 let graphs r =
   let n = 2 + Rng.int r 30 in
   let p = 0.05 +. Rng.float r 0.4 in
   let g = Generators.gnp r ~n ~p in
-  let g32 = Int32_graph.of_graph g in
   for _ = 1 to Rng.int r 12 do
     let u = Rng.int r n and v = Rng.int r n in
-    if u <> v && not (Graph.mem_edge g u v) then begin
-      ignore (Graph.add_edge_unit g u v);
-      ignore (Graph.add_edge_unit g32 u v)
-    end
+    if u <> v && not (Graph.mem_edge g u v) then
+      ignore (Graph.add_edge_unit g u v)
   done;
-  [ g; g32 ]
+  [ g; Int32_graph.of_graph g ]
 
 let random_mask r len ~p = Array.init len (fun _ -> Rng.float r 1.0 < p)
 
@@ -356,8 +353,7 @@ let model_seeded ?blocked_vertices ?blocked_edges g seeds ~max_hops =
 
 (* ------------------- consolidation inputs and probes ------------------- *)
 
-(* gnp and unit-weight geometric graphs, each on both backends with
-   buffered edges. *)
+(* gnp and unit-weight geometric graphs, each from both origins. *)
 let graphs_and_geometric r =
   let geo =
     let n = 2 + Rng.int r 30 in
@@ -365,15 +361,12 @@ let graphs_and_geometric r =
       Generators.random_geometric r ~n ~radius:(0.1 +. Rng.float r 0.3)
         ~euclidean_weights:false
     in
-    let g32 = Int32_graph.of_graph g in
     for _ = 1 to Rng.int r 6 do
       let u = Rng.int r n and v = Rng.int r n in
-      if u <> v && not (Graph.mem_edge g u v) then begin
-        ignore (Graph.add_edge_unit g u v);
-        ignore (Graph.add_edge_unit g32 u v)
-      end
+      if u <> v && not (Graph.mem_edge g u v) then
+        ignore (Graph.add_edge_unit g u v)
     done;
-    [ g; g32 ]
+    [ g; Int32_graph.of_graph g ]
   in
   graphs r @ geo
 
@@ -545,8 +538,8 @@ let test_zero_hops_adjacent () =
     (Bfs.hop_bounded_path g ~src:0 ~dst:1 ~max_hops:1
     = Some { Path.vertices = [ 0; 1 ]; edges = [ 0 ] })
 
-(* The model must see the append buffer, or the backend properties above
-   would only ever exercise packed adjacency. *)
+(* The model must see the append buffer, or the properties above would
+   only ever exercise packed adjacency. *)
 let test_inputs_reach_the_buffer () =
   let r = seeded 11 in
   let buffered = ref 0 in

@@ -945,10 +945,20 @@ let test_io_rejects_garbage () =
      ignore (Graph_io.of_string "e 0 1\n");
      Alcotest.fail "edge before p should fail"
    with Failure _ -> ());
-  try
-    ignore (Graph_io.of_string "p 2 1\ne 0 5\n");
-    Alcotest.fail "out-of-range vertex should fail"
-  with Failure _ -> ()
+  (try
+     ignore (Graph_io.of_string "p 2 1\ne 0 5\n");
+     Alcotest.fail "out-of-range vertex should fail"
+   with Failure _ -> ());
+  (* A vertex count past the int32 bound is a line error, not an
+     allocation failure. *)
+  List.iter
+    (fun n ->
+      Alcotest.check_raises n
+        (Failure
+           "Graph_io: line 1: Csr.create: vertex count exceeds the int32 \
+            index range")
+        (fun () -> ignore (Graph_io.of_string (Printf.sprintf "p %s 0\n" n))))
+    [ "2147483647"; "4611686018427387903" ]
 
 let test_io_file_round_trip () =
   let g = Generators.cycle 8 in
@@ -979,7 +989,7 @@ let test_io_to_dot () =
      find 0)
 
 (* -------------------------------------------------------------------- *)
-(* Graph_binio + storage backends                                       *)
+(* Graph_binio + storage                                                *)
 
 let with_temp_file suffix fn =
   let file = Filename.temp_file "ftspan_test" suffix in
@@ -998,11 +1008,7 @@ let test_binio_round_trip () =
     Graph_io.save g file;
     let h = Graph_io.load file in
     check Alcotest.string "canonical text identical" (Graph_io.to_string g)
-      (Graph_io.to_string h);
-    checkb "binary load lands on int32" true
-      (Graph.backend h = Csr.Int32_bigarray);
-    checkb "int32 adjacency is smaller" true
-      (Graph.resident_bytes h < Graph.resident_bytes g)
+      (Graph_io.to_string h)
   in
   check_graph (sample_weighted ());
   check_graph (Generators.grid ~rows:6 ~cols:7);
@@ -1099,16 +1105,40 @@ let test_backend_mutation_after_load () =
   let again = Graph_io.load file in
   checki "file unchanged" 6 (Graph.m again)
 
+(* Saving over the file a graph is mapped from must neither fault the
+   mapping nor truncate the file the mapping still reads. *)
+let test_save_over_own_file () =
+  let g = sample_weighted () in
+  with_temp_file ".ftsb" @@ fun file ->
+  Graph_io.save g file;
+  let h = Graph_io.load file in
+  Graph_io.save h file;
+  check Alcotest.string "mapped graph intact" (Graph_io.to_string g)
+    (Graph_io.to_string h);
+  check Alcotest.string "reloaded graph intact" (Graph_io.to_string g)
+    (Graph_io.to_string (Graph_io.load file));
+  let leftover f =
+    String.starts_with ~prefix:(Filename.basename file ^ ".") f
+    && Filename.check_suffix f ".tmp"
+  in
+  checkb "no temporary left" false
+    (Array.exists leftover (Sys.readdir (Filename.dirname file)))
+
 let test_csr_limits () =
   checkb "int32 half-edge limit" true
-    (Csr.max_half Csr.Int32_bigarray = Int32.to_int Int32.max_int);
-  checkb "int limit covers arrays" true
-    (Csr.max_half Csr.Int_array = Sys.max_array_length);
-  Alcotest.check_raises "int32 backend rejects oversize n"
-    (Invalid_argument
-       "Csr.create: vertex count exceeds the int32 backend's index range")
-    (fun () ->
-      ignore (Csr.create ~backend:Csr.Int32_bigarray (Int32.to_int Int32.max_int)))
+    (Csr.max_half = Int32.to_int Int32.max_int);
+  Alcotest.check_raises "csr rejects oversize n"
+    (Invalid_argument "Csr.create: vertex count exceeds the int32 index range")
+    (fun () -> ignore (Csr.create Csr.max_half));
+  (* Rejected before allocating: the second count would not fit any
+     array. *)
+  List.iter
+    (fun n ->
+      Alcotest.check_raises "graph rejects oversize n"
+        (Invalid_argument
+           "Csr.create: vertex count exceeds the int32 index range")
+        (fun () -> ignore (Graph.create n)))
+    [ Csr.max_half; max_int / 2 ]
 
 (* -------------------------------------------------------------------- *)
 (* Rng                                                                  *)
@@ -1307,6 +1337,7 @@ let () =
           Alcotest.test_case "not a graph" `Quick test_binio_not_a_graph;
           Alcotest.test_case "corrupt files" `Quick test_binio_corrupt;
           Alcotest.test_case "corrupt adjacency" `Quick test_binio_corrupt_adjacency;
+          Alcotest.test_case "save over own file" `Quick test_save_over_own_file;
         ] );
       ( "backend",
         [

@@ -5,7 +5,8 @@
      Decomposition floods to (same seed, same clustering, bit for bit);
    - Shard_build must produce valid f-VFT/f-EFT spanners within the
      paper's O(log n) size factor of the sequential build, bit-identical
-     at every pool size, across storage backends, and on seed replay;
+     at every pool size, for a graph built in memory and its mapped
+     binary copy, and on seed replay;
    - Dk11 must be bit-identical at every pool size, and without a pool. *)
 
 let check = Alcotest.check
@@ -168,11 +169,11 @@ let test_build_bit_identical_across_pool_sizes () =
         [ 1; 2; 4 ])
     (graph_families ())
 
-let test_build_bit_identical_across_backends () =
+let test_build_bit_identical_across_origins () =
   let g = Generators.connected_gnp (rng ()) ~n:60 ~p:0.15 in
-  let g32 = Int32_graph.of_graph g in
+  let mapped = Int32_graph.of_graph g in
   let ids g = Selection.ids (shard ~mode:Fault.VFT ~k:2 ~f:1 ~seed:29 g).Shard_build.selection in
-  checkil "int vs int32 selections" (ids g) (ids g32)
+  checkil "built vs mapped selections" (ids g) (ids mapped)
 
 let test_build_replay_determinism () =
   let g = Generators.connected_gnp (rng ()) ~n:60 ~p:0.15 in
@@ -304,8 +305,8 @@ let () =
             test_build_within_log_factor;
           Alcotest.test_case "bit-identical across pool sizes" `Quick
             test_build_bit_identical_across_pool_sizes;
-          Alcotest.test_case "bit-identical across backends" `Quick
-            test_build_bit_identical_across_backends;
+          Alcotest.test_case "bit-identical across origins" `Quick
+            test_build_bit_identical_across_origins;
           Alcotest.test_case "replay determinism" `Quick
             test_build_replay_determinism;
           Alcotest.test_case "exponential engine" `Quick

@@ -401,14 +401,34 @@ let test_pinned_async_wire () =
   check Alcotest.string "async event sequence" pinned_async_events events;
   check Alcotest.string "async fault tally" pinned_async_tally (tally ch)
 
+let g_unacked = Obs.gauge "gauge.reliable.unacked"
+let h_rtt = Obs.histogram_log "reliable.rtt"
+
+(* Starts watching the protocol's shared telemetry; the returned thunk
+   prints what moved since: retransmits and give-ups off the [net.*]
+   counters, the [reliable.rtt] count and sum, and whether the unacked
+   gauge is back at its starting level. *)
+let protocol_delta () =
+  let retries0 = Obs.Counter.value Chaos.retries_counter in
+  let giveups0 = Obs.Counter.value Chaos.giveups_counter in
+  let rtt_n0 = Obs.Histogram.count h_rtt and rtt_sum0 = Obs.Histogram.sum h_rtt in
+  let level0 = Obs.Gauge.value g_unacked in
+  fun () ->
+    Printf.sprintf "retransmits=%d giveups=%d rtt n=%d sum=%g drained=%b"
+      (Obs.Counter.value Chaos.retries_counter - retries0)
+      (Obs.Counter.value Chaos.giveups_counter - giveups0)
+      (Obs.Histogram.count h_rtt - rtt_n0)
+      (Obs.Histogram.sum h_rtt -. rtt_sum0)
+      (Obs.Gauge.value g_unacked = level0)
+
 (* The synchronous Reliable path: a CONGEST FT build under drop, dup,
    reorder and one crash window.  Its event stream runs to thousands of
    lines, so it is pinned by length and digest, next to the protocol's
    reactions (read off the shared [net.*] counters) and the selection. *)
 
 let pinned_reliable_events = (4838, "5ecf39b45ebf3273439832e6ac131d84")
-let pinned_reliable_retransmits = 330
-let pinned_reliable_giveups = 0
+let pinned_reliable_protocol =
+  "retransmits=330 giveups=0 rtt n=425 sum=3155 drained=true"
 let pinned_reliable_selection =
   (* every edge of the 27 but edge 21 *)
   List.filter (fun e -> e <> 21) (List.init 27 Fun.id)
@@ -423,8 +443,7 @@ let test_pinned_reliable_wire () =
     Congest_ft.build (Rng.create ~seed:6) ~c:0.2 ?chaos ~mode:Fault.VFT ~k:2
       ~f:1 g
   in
-  let retries0 = Obs.Counter.value Chaos.retries_counter in
-  let giveups0 = Obs.Counter.value Chaos.giveups_counter in
+  let protocol = protocol_delta () in
   let result = ref None in
   let events = traced (fun () -> result := Some (build ~chaos ())) in
   let lossy = Option.get !result in
@@ -433,10 +452,8 @@ let test_pinned_reliable_wire () =
     Alcotest.(pair int string)
     "reliable event sequence" pinned_reliable_events
     (lines, Digest.to_hex (Digest.string events));
-  checki "retransmits" pinned_reliable_retransmits
-    (Obs.Counter.value Chaos.retries_counter - retries0);
-  checki "giveups" pinned_reliable_giveups
-    (Obs.Counter.value Chaos.giveups_counter - giveups0);
+  check Alcotest.string "protocol reactions" pinned_reliable_protocol
+    (protocol ());
   let ids r = Selection.ids r.Congest_ft.selection in
   check
     (Alcotest.list Alcotest.int)
@@ -444,6 +461,44 @@ let test_pinned_reliable_wire () =
   check
     (Alcotest.list Alcotest.int)
     "selection equals the chaos-free build" (ids (build ())) (ids lossy)
+
+(* The synchronous give-up path: a Congest_bs build where node 2 crashes
+   for good at round 3 and node 5 is down for rounds 1-5, so every
+   packet to node 2 exhausts its retry budget. *)
+
+let pinned_giveup_events = (4464, "3e73f18b82123e2fe3d921c3264c4d38")
+let pinned_giveup_protocol =
+  "retransmits=861 giveups=26 rtt n=198 sum=895 drained=true"
+let pinned_giveup_traffic =
+  "rounds=3180 messages=1360 bits=54736 max_msg=44b max_edge_load=96b \
+   violations=1360"
+
+let test_pinned_reliable_giveups () =
+  let g = Generators.connected_gnp (Rng.create ~seed:7) ~n:16 ~p:0.3 in
+  let chaos =
+    Chaos.plan ~drop:0.15 ~dup:0.1 ~reorder:1
+      ~crashes:[ (2, 3., infinity); (5, 1., 6.) ]
+      ~seed:3 ()
+  in
+  let build ?chaos () = Congest_bs.build (Rng.create ~seed:9) ?chaos ~k:2 g in
+  let protocol = protocol_delta () in
+  let result = ref None in
+  let events = traced (fun () -> result := Some (build ~chaos ())) in
+  let lossy = Option.get !result in
+  let lines = List.length (String.split_on_char '\n' events) in
+  check
+    Alcotest.(pair int string)
+    "give-up event sequence" pinned_giveup_events
+    (lines, Digest.to_hex (Digest.string events));
+  check Alcotest.string "protocol reactions" pinned_giveup_protocol
+    (protocol ());
+  check Alcotest.string "traffic" pinned_giveup_traffic
+    (Format.asprintf "%a" Net.pp_stats lossy.Congest_bs.stats);
+  check
+    (Alcotest.list Alcotest.int)
+    "selection equals the chaos-free build"
+    (Selection.ids (build ()).Congest_bs.selection)
+    (Selection.ids lossy.Congest_bs.selection)
 
 (* The asynchronous Reliable path: a traced synchronizer under drop,
    dup, delay spikes and a crash of two nodes, with times printed
@@ -619,7 +674,27 @@ let test_reliable_same_seed_bit_identical () =
   in
   checkb "same seeds, same run" true (run () = run ())
 
-let g_unacked = Obs.gauge "gauge.reliable.unacked"
+(* A send to a non-adjacent pair is refused before it touches the
+   protocol: the unacked gauge does not move, and the logical round
+   still ends and delivers the rest of its traffic. *)
+let test_reliable_rejects_non_adjacent () =
+  let g = Generators.path 3 in
+  let chaos = Chaos.plan ~drop:0.3 ~seed:5 () in
+  let t = Reliable.create ~chaos ~model:Net.Local ~bits:(fun _ -> 8) g in
+  let level0 = Obs.Gauge.value g_unacked in
+  (match Reliable.send t ~src:0 ~dst:2 "x" with
+  | () -> Alcotest.fail "a non-adjacent send should raise"
+  | exception Invalid_argument _ -> ());
+  checki "gauge untouched" level0 (Obs.Gauge.value g_unacked);
+  Reliable.next_round t;
+  checki "nothing to retransmit" 0 (Reliable.retransmits t);
+  Reliable.send t ~src:0 ~dst:1 "a";
+  Reliable.send t ~src:2 ~dst:1 "b";
+  Reliable.next_round t;
+  check
+    Alcotest.(list (pair int string))
+    "later round delivers" [ (0, "a"); (2, "b") ] (Reliable.inbox t 1);
+  checki "gauge drained" level0 (Obs.Gauge.value g_unacked)
 
 (* A destination down for the whole run: every packet to it exhausts its
    retry budget, the logical round still ends, and the unacked window
@@ -756,6 +831,8 @@ let () =
             test_pinned_async_wire;
           Alcotest.test_case "reliable traced replay" `Quick
             test_pinned_reliable_wire;
+          Alcotest.test_case "reliable give-up replay" `Quick
+            test_pinned_reliable_giveups;
           Alcotest.test_case "synchronizer traced replay" `Quick
             test_pinned_synchronizer_wire;
         ] );
@@ -767,6 +844,8 @@ let () =
           Alcotest.test_case "masks drops" `Quick test_reliable_masks_drops;
           Alcotest.test_case "seeded determinism" `Quick
             test_reliable_same_seed_bit_identical;
+          Alcotest.test_case "rejects a non-adjacent pair" `Quick
+            test_reliable_rejects_non_adjacent;
           Alcotest.test_case "gives up on a dead destination" `Quick
             test_reliable_gives_up_on_dead_destination;
           Alcotest.test_case "unacked gauge sums networks" `Quick

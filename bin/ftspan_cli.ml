@@ -95,6 +95,19 @@ let load_graph file =
       Printf.eprintf "ftspan: %s\n" msg;
       exit 1
 
+(* A crash window on a node the graph does not have would inject
+   nothing; [local] and [congest] refuse it like any other bad spec. *)
+let load_chaos_graph chaos file =
+  Result.bind (load_graph file) (fun g ->
+      let outside (v, _, _) = v >= Graph.n g in
+      match Option.bind chaos (fun p -> List.find_opt outside p.Chaos.crashes) with
+      | Some (v, _, _) ->
+          Error
+            (`Msg
+              (Printf.sprintf "--chaos: crash node %d is not a vertex (n = %d)"
+                 v (Graph.n g)))
+      | None -> Ok g)
+
 (* --------------------------- generate -------------------------------- *)
 
 let family_arg =
@@ -438,7 +451,7 @@ let local_cmd =
           (Bounds.local_size ~k ~f ~n:(Graph.n g));
         Printf.printf "traffic: %s\n"
           (Format.asprintf "%a" Net.pp_stats res.Local_spanner.stats))
-      (load_graph file)
+      (load_chaos_graph chaos file)
   in
   let term =
     Term.(
@@ -477,7 +490,7 @@ let congest_cmd =
           res.Congest_ft.selection.Selection.size (Graph.m g)
           (Bounds.congest_size ~k ~f ~n:(Graph.n g))
           (Bounds.congest_rounds ~k ~f ~n:(Graph.n g)))
-      (load_graph file)
+      (load_chaos_graph chaos file)
   in
   let term =
     Term.(

@@ -9,6 +9,7 @@ type plan = {
 }
 
 let default_seed = 0xC4A05
+let max_reorder = (1 lsl 30) - 2
 
 let check_prob name p =
   if not (p >= 0. && p <= 1.) then
@@ -19,13 +20,21 @@ let plan ?(drop = 0.) ?(dup = 0.) ?(reorder = 0) ?(spike = 0.)
   check_prob "drop" drop;
   check_prob "dup" dup;
   check_prob "spike" spike;
-  if reorder < 0 then invalid_arg "Chaos.plan: reorder must be >= 0";
-  if spike_factor < 1. then invalid_arg "Chaos.plan: spike_factor must be >= 1";
+  (* a lag is drawn by [Rng.int (reorder + 1)], whose bound is < 2^30 *)
+  if reorder < 0 || reorder > max_reorder then
+    invalid_arg
+      (Printf.sprintf "Chaos.plan: reorder must be in [0,%d] (got %d)"
+         max_reorder reorder);
+  if not (spike_factor >= 1. && Float.is_finite spike_factor) then
+    invalid_arg "Chaos.plan: spike_factor must be finite and >= 1";
   List.iter
     (fun (v, from_t, until_t) ->
       if v < 0 then invalid_arg "Chaos.plan: crash node must be >= 0";
-      if from_t < 0. || until_t < from_t then
-        invalid_arg "Chaos.plan: crash window must satisfy 0 <= from <= until")
+      (* [until] may be [infinity] (never recovers), [from] may not *)
+      if not (from_t >= 0. && Float.is_finite from_t && until_t >= from_t) then
+        invalid_arg
+          "Chaos.plan: crash window must satisfy 0 <= from <= until, from \
+           finite")
     crashes;
   { drop; dup; reorder; spike; spike_factor; crashes; seed }
 

@@ -38,8 +38,11 @@ type plan = {
 }
 
 (** [plan ()] is the fault-free plan; every optional argument overrides
-    one field.  Raises [Invalid_argument] on out-of-range values
-    (probabilities outside [[0,1]], [reorder < 0], [spike_factor < 1]). *)
+    one field.  Raises [Invalid_argument] on values no run can use:
+    probabilities outside [[0,1]], [reorder] outside [[0, 2^30 - 2]],
+    [spike_factor] below 1 or not finite, a negative crash node, and a
+    crash window whose [from] is negative or not finite or whose
+    [until] is below [from] or [nan]. *)
 val plan :
   ?drop:float ->
   ?dup:float ->
@@ -61,11 +64,11 @@ val is_silent : plan -> bool
     {v
     drop=P       drop probability            (float in [0,1])
     dup=P        duplication probability     (float in [0,1])
-    reorder=R    max reorder lag in rounds   (int >= 0)
+    reorder=R    max reorder lag in rounds   (int in [0, 2^30-2])
     spike=P      delay-spike probability     (float in [0,1])
-    spikex=F     spike delay multiplier      (float >= 1, default 5)
+    spikex=F     spike delay multiplier      (finite float >= 1, default 5)
     seed=N       fault-stream seed           (int, default 0xC4A05)
-    crash=V@T    crash node V at time T      (repeatable)
+    crash=V@T    crash node V at time T      (finite T >= 0, repeatable)
     recover=V@T  recover node V at time T    (closes V's last crash)
     v}
     Example: [drop=0.2,dup=0.05,reorder=4,seed=7,crash=3@2.5]. *)

@@ -1,19 +1,17 @@
-(* Stop-and-wait-per-packet reliability: every data packet carries a
-   per-directed-slot sequence number, the receiver acks every copy it
-   sees (acks are lossy too), the sender retransmits on timeout with
-   exponential backoff and gives up after [max_attempts].  Slots are
-   {!Wire}'s directed slots, the simulators' load-accounting index.
+(* Stop-and-wait-per-packet reliability: every data packet carries its
+   send number, the receiver acks every copy it sees (acks are lossy
+   too), the sender retransmits on timeout with exponential backoff and
+   gives up after [max_attempts].
 
-   The protocol's per-packet state is flat and indexed, never hashed:
-   the synchronous layer keeps one byte row per directed slot, indexed
-   by sequence number, marking delivered packets; the asynchronous one
-   numbers its sends and keeps one byte per send number, whose bits
-   mark "delivered" and "acked or given up".  The closures a send
-   schedules capture that number. *)
+   Both layers identify a packet by its send number alone, in one
+   [ledger] per network: one flag byte per number, whose bits mark
+   "delivered" (the receiver's first copy) and "closed" (acked or given
+   up), so duplicate suppression and acks are flat and indexed, never
+   hashed. *)
 
-type 'msg packet = Data of { seq : int; payload : 'msg } | Ack of { seq : int }
+type 'msg packet = Data of { num : int; payload : 'msg } | Ack of { num : int }
 
-let header_bits = 32 (* sequence number, chaos mode only *)
+let header_bits = 32 (* send number, chaos mode only *)
 let ack_bits = 32
 let max_attempts = 30
 
@@ -44,67 +42,97 @@ let arm = function
   | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
   | _ -> None
 
-(* Per-network protocol reactions, mirrored into the shared [net.*]
+(* One network's send numbers and the protocol's reactions to them;
+   retransmits and give-ups are mirrored into the shared [net.*]
    counters and the trace. *)
-type tally = { mutable retransmits : int; mutable giveups : int }
+type ledger = {
+  mutable flags : Bytes.t; (* per send number: [delivered], [closed] bits *)
+  mutable sends : int; (* the next send number *)
+  mutable retransmits : int;
+  mutable giveups : int;
+}
 
-let note_retransmit tally ~cid ~src ~dst =
-  tally.retransmits <- tally.retransmits + 1;
+let delivered = 1
+let closed = 2 (* acked or given up *)
+let ledger () = { flags = Bytes.empty; sends = 0; retransmits = 0; giveups = 0 }
+let has l i bit = Char.code (Bytes.get l.flags i) land bit <> 0
+
+let mark l i bit =
+  Bytes.set l.flags i (Char.chr (Char.code (Bytes.get l.flags i) lor bit))
+
+(* Takes number [l.sends] for a send already on the wire: a non-adjacent
+   pair raises in that first transmit, before the window counts it. *)
+let take l =
+  let len = Bytes.length l.flags in
+  if l.sends = len then begin
+    let bigger = Bytes.make (max 16 (2 * len)) '\000' in
+    Bytes.blit l.flags 0 bigger 0 len;
+    l.flags <- bigger
+  end;
+  l.sends <- l.sends + 1;
+  Obs.Gauge.add g_unacked 1
+
+(* The receiver's test: is this copy of send [i] the first? *)
+let first_copy l i ~cid ~src ~dst =
+  let first = not (has l i delivered) in
+  if first then mark l i delivered
+  else trace_protocol "dup_suppress" ~cid ~src ~dst;
+  first
+
+(* Closing an open send ends its window share: a late ack of a closed
+   send must not double-credit the gauge or record a bogus RTT. *)
+let close l i =
+  mark l i closed;
+  Obs.Gauge.add g_unacked (-1)
+
+let ack l i ~rtt ~cid ~src ~dst =
+  close l i;
+  Obs.Histogram.observe h_rtt rtt;
+  trace_protocol "ack" ~cid ~src ~dst
+
+let give_up l i ~cid ~src ~dst =
+  l.giveups <- l.giveups + 1;
+  Obs.Counter.incr Chaos.giveups_counter;
+  trace_protocol "giveup" ~cid ~src ~dst;
+  close l i
+
+let retransmit l ~cid ~src ~dst =
+  l.retransmits <- l.retransmits + 1;
   Obs.Counter.incr Chaos.retries_counter;
   trace_protocol "retransmit" ~cid ~src ~dst
-
-let note_giveup tally ~cid ~src ~dst =
-  tally.giveups <- tally.giveups + 1;
-  Obs.Counter.incr Chaos.giveups_counter;
-  trace_protocol "giveup" ~cid ~src ~dst
-
-(* [b] with room for index [i], doubled (zero-filled) if needed. *)
-let fit_bytes b i =
-  let len = Bytes.length b in
-  if i < len then b
-  else begin
-    let bigger = Bytes.make (max 16 (max (i + 1) (2 * len))) '\000' in
-    Bytes.blit b 0 bigger 0 len;
-    bigger
-  end
 
 type 'msg pending = {
   p_src : int;
   p_dst : int;
-  p_seq : int;
+  p_num : int;
   p_cid : int; (* causal id of the first transmission; reused on re-sends *)
-  p_payload : 'msg;
+  p_data : 'msg packet; (* the [Data] packet, re-sent as is *)
   p_sent : int; (* physical round of the first transmission *)
   mutable p_attempts : int; (* transmissions so far *)
   mutable p_due : int; (* physical round of the next retransmission *)
-  mutable p_retired : bool; (* acked or given up *)
 }
 
 (* The send window holds one logical round's packets.  [window] lists
-   them newest first, the order retransmissions go out in; [by_slot]
-   indexes the same records per directed slot, so an ack finds its
-   packet without a scan.  A retired record stays in both until the
-   round ends, except that [window] drops its retired records once they
-   are the majority. *)
+   them newest first, the order retransmissions go out in; [by_num]
+   holds the same records at [num - base], so an ack finds its packet
+   without a scan.  A closed record stays in both until the round ends,
+   except that [window] drops its closed records once they are the
+   majority. *)
 type 'msg t = {
   g : Graph.t;
   net : 'msg packet Net.t;
   chaos : Chaos.state option; (* [None] = passthrough *)
   rto0 : int;
-  next_seq : int array; (* per directed slot *)
-  seen : Bytes.t array; (* per directed slot, by seq: nonzero = delivered *)
+  ledger : ledger;
   mutable window : 'msg pending list;
   mutable window_len : int;
-  mutable live : int; (* unretired records in [window] *)
-  by_slot : 'msg pending list array; (* newest first *)
-  mutable used_slots : int list; (* slots whose [by_slot] is non-empty *)
-  accum : (int * int * 'msg) list array; (* (sender, seq, payload) per dst *)
+  mutable live : int; (* open records in [window] *)
+  mutable by_num : 'msg pending array;
+  mutable base : int; (* the logical round's first send number *)
+  accum : (int * int * 'msg) list array; (* (sender, num, payload) per dst *)
   inboxes : (int * 'msg) list array; (* previous logical round *)
   mutable clock : int; (* physical rounds completed *)
-  tally : tally;
 }
-
-let slot_of g ~src ~dst = Wire.slot ~who:"Reliable" g ~src ~dst
 
 let create ?(record_history = false) ?chaos ~model ~bits g =
   let chaos = arm chaos in
@@ -122,84 +150,75 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     net = Net.create ~record_history ?chaos ~model ~bits:packet_bits g;
     chaos;
     rto0;
-    next_seq = Array.make (Wire.slots g) 0;
-    seen = Array.make (if lossy then Wire.slots g else 0) Bytes.empty;
+    ledger = ledger ();
     window = [];
     window_len = 0;
     live = 0;
-    by_slot = Array.make (if lossy then Wire.slots g else 0) [];
-    used_slots = [];
+    by_num = [||];
+    base = 0;
     accum = Array.make n [];
     inboxes = Array.make n [];
     clock = 0;
-    tally = { retransmits = 0; giveups = 0 };
   }
 
 let send t ~src ~dst msg =
   match t.chaos with
-  | None -> Net.send t.net ~src ~dst (Data { seq = 0; payload = msg })
+  | None -> Net.send t.net ~src ~dst (Data { num = 0; payload = msg })
   | Some _ ->
-      let slot = slot_of t.g ~src ~dst in
-      let seq = t.next_seq.(slot) in
-      t.next_seq.(slot) <- seq + 1;
-      t.seen.(slot) <- fit_bytes t.seen.(slot) seq;
-      let cid = Net.transmit t.net ~src ~dst (Data { seq; payload = msg }) in
+      let num = t.ledger.sends in
+      let data = Data { num; payload = msg } in
+      let cid = Net.transmit t.net ~src ~dst data in
+      take t.ledger;
       let p =
         {
           p_src = src;
           p_dst = dst;
-          p_seq = seq;
+          p_num = num;
           p_cid = cid;
-          p_payload = msg;
+          p_data = data;
           p_sent = t.clock;
           p_attempts = 1;
           p_due = t.clock + t.rto0;
-          p_retired = false;
         }
       in
       t.window <- p :: t.window;
       t.window_len <- t.window_len + 1;
       t.live <- t.live + 1;
-      if t.by_slot.(slot) = [] then t.used_slots <- slot :: t.used_slots;
-      t.by_slot.(slot) <- p :: t.by_slot.(slot);
-      Obs.Gauge.add g_unacked 1
+      let i = num - t.base in
+      if i = Array.length t.by_num then begin
+        let bigger = Array.make (max 16 (2 * i)) p in
+        Array.blit t.by_num 0 bigger 0 i;
+        t.by_num <- bigger
+      end;
+      t.by_num.(i) <- p
 
 let broadcast t ~src msg =
   Graph.iter_neighbors t.g src (fun dst _ -> send t ~src ~dst msg)
 
-let retire t p =
-  p.p_retired <- true;
-  t.live <- t.live - 1;
-  Obs.Gauge.add g_unacked (-1)
-
 (* Read one physical round's deliveries: ack every data copy (the ack
    itself may be lost — the sender's timeout covers that), accumulate
-   first copies into the logical inbox, and retire acked packets. *)
+   first copies into the logical inbox, and close acked packets. *)
 let harvest t =
   let n = Graph.n t.g in
   for v = 0 to n - 1 do
     List.iter
       (fun (sender, cid, pkt) ->
         match pkt with
-        | Ack { seq } -> (
-            (* [cid] here is the ack packet's own id; the event we emit
-               belongs to the data packet, via the pending record.  An
-               ack for an earlier logical round finds nothing. *)
-            let slot = slot_of t.g ~src:v ~dst:sender in
-            match List.find_opt (fun p -> p.p_seq = seq) t.by_slot.(slot) with
-            | Some p when not p.p_retired ->
-                Obs.Histogram.observe_int h_rtt (t.clock - p.p_sent);
-                trace_protocol "ack" ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
-                retire t p
-            | Some _ | None -> ())
-        | Data { seq; payload } ->
-            Net.send t.net ~src:v ~dst:sender (Ack { seq });
-            let row = t.seen.(slot_of t.g ~src:sender ~dst:v) in
-            if Bytes.get row seq = '\000' then begin
-              Bytes.set row seq '\001';
-              t.accum.(v) <- (sender, seq, payload) :: t.accum.(v)
+        | Ack { num } ->
+            (* [cid] here is the ack packet's own id; the event belongs to
+               the data packet, via the pending record.  Every send of an
+               earlier logical round is closed. *)
+            if not (has t.ledger num closed) then begin
+              let p = t.by_num.(num - t.base) in
+              ack t.ledger num
+                ~rtt:(Float.of_int (t.clock - p.p_sent))
+                ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+              t.live <- t.live - 1
             end
-            else trace_protocol "dup_suppress" ~cid ~src:sender ~dst:v)
+        | Data { num; payload } ->
+            Net.send t.net ~src:v ~dst:sender (Ack { num });
+            if first_copy t.ledger num ~cid ~src:sender ~dst:v then
+              t.accum.(v) <- (sender, num, payload) :: t.accum.(v))
       (Net.inbox_cids t.net v)
   done
 
@@ -210,16 +229,17 @@ let step t =
 
 (* Newest first, as sent: the order the chaos stream is drawn in. *)
 let retransmit_due t =
+  let is_closed p = has t.ledger p.p_num closed in
   if 2 * t.live < t.window_len then begin
-    t.window <- List.filter (fun p -> not p.p_retired) t.window;
+    t.window <- List.filter (fun p -> not (is_closed p)) t.window;
     t.window_len <- t.live
   end;
   List.iter
     (fun p ->
-      if p.p_retired || p.p_due > t.clock then ()
+      if is_closed p || p.p_due > t.clock then ()
       else if p.p_attempts >= max_attempts then begin
-        note_giveup t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
-        retire t p
+        give_up t.ledger p.p_num ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst;
+        t.live <- t.live - 1
       end
       else begin
         (* same causal id: the re-send is another attempt of the same
@@ -227,19 +247,12 @@ let retransmit_due t =
         ignore
           (Net.transmit t.net
              ?cid:(if p.p_cid >= 0 then Some p.p_cid else None)
-             ~src:p.p_src ~dst:p.p_dst
-             (Data { seq = p.p_seq; payload = p.p_payload }));
+             ~src:p.p_src ~dst:p.p_dst p.p_data);
         p.p_attempts <- p.p_attempts + 1;
         p.p_due <- t.clock + (t.rto0 * backoff p.p_attempts);
-        note_retransmit t.tally ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst
+        retransmit t.ledger ~cid:p.p_cid ~src:p.p_src ~dst:p.p_dst
       end)
     t.window
-
-let clear_window t =
-  t.window <- [];
-  t.window_len <- 0;
-  List.iter (fun s -> t.by_slot.(s) <- []) t.used_slots;
-  t.used_slots <- []
 
 let next_round t =
   match t.chaos with
@@ -250,7 +263,9 @@ let next_round t =
         retransmit_due t;
         if t.live > 0 then step t
       done;
-      clear_window t;
+      t.window <- [];
+      t.window_len <- 0;
+      t.base <- t.ledger.sends;
       let n = Graph.n t.g in
       for v = 0 to n - 1 do
         (* canonical order: by sender, then send order — independent of
@@ -278,8 +293,8 @@ let inbox t v =
 
 let stats t = Net.stats t.net
 let history t = Net.history t.net
-let retransmits t = t.tally.retransmits
-let giveups t = t.tally.giveups
+let retransmits t = t.ledger.retransmits
+let giveups t = t.ledger.giveups
 let chaos_counts t = Option.map Chaos.counts t.chaos
 
 (* ------------------------- asynchronous wrapper ---------------------- *)
@@ -289,30 +304,14 @@ module Async = struct
     anet : Async_net.t;
     chaos : Chaos.state option;
     rto0 : float;
-    mutable flags : Bytes.t; (* per send number: [delivered], [acked] bits *)
-    mutable sends : int;
-    tally : tally;
+    ledger : ledger;
   }
-
-  let delivered = 1
-  let acked = 2 (* or given up *)
-  let has t i bit = Char.code (Bytes.get t.flags i) land bit <> 0
-
-  let mark t i bit =
-    Bytes.set t.flags i (Char.chr (Char.code (Bytes.get t.flags i) lor bit))
 
   let create rng ?min_delay ?max_delay ?chaos g =
     let chaos = arm chaos in
     let anet = Async_net.create rng ?min_delay ?max_delay ?chaos g in
-    {
-      anet;
-      chaos;
-      (* a round trip is at most [2 * max_delay]; leave margin for spikes *)
-      rto0 = 3. *. Async_net.max_delay anet;
-      flags = Bytes.empty;
-      sends = 0;
-      tally = { retransmits = 0; giveups = 0 };
-    }
+    (* a round trip is at most [2 * max_delay]; leave margin for spikes *)
+    { anet; chaos; rto0 = 3. *. Async_net.max_delay anet; ledger = ledger () }
 
   let net t = t.anet
 
@@ -320,26 +319,18 @@ module Async = struct
     match t.chaos with
     | None -> Async_net.send t.anet ~src ~dst handler
     | Some _ ->
-        let i = t.sends in
-        t.flags <- fit_bytes t.flags i;
-        t.sends <- i + 1;
+        let i = t.ledger.sends in
         let t0 = Async_net.now t.anet in
         (* the first attempt's causal id, shared by every re-send *)
         let cid = ref (-1) in
         let deliver () =
-          if not (has t i delivered) then begin
-            mark t i delivered;
-            handler ()
-          end
-          else trace_protocol "dup_suppress" ~cid:!cid ~src ~dst;
+          if first_copy t.ledger i ~cid:!cid ~src ~dst then handler ();
           (* ack every copy: an earlier ack may have been dropped *)
           Async_net.send t.anet ~src:dst ~dst:src (fun () ->
-              if not (has t i acked) then begin
-                mark t i acked;
-                Obs.Gauge.add g_unacked (-1);
-                Obs.Histogram.observe h_rtt (Async_net.now t.anet -. t0);
-                trace_protocol "ack" ~cid:!cid ~src ~dst
-              end)
+              if not (has t.ledger i closed) then
+                ack t.ledger i
+                  ~rtt:(Async_net.now t.anet -. t0)
+                  ~cid:!cid ~src ~dst)
         in
         let rec attempt n =
           let c =
@@ -350,25 +341,17 @@ module Async = struct
           if !cid < 0 then cid := c;
           let rto = t.rto0 *. float_of_int (backoff n) in
           Async_net.at t.anet ~time:(Async_net.now t.anet +. rto) (fun () ->
-              if not (has t i acked) then
-                if n >= max_attempts then begin
-                  note_giveup t.tally ~cid:!cid ~src ~dst;
-                  (* close the window: a late ack must not double-credit
-                     the gauge or record a bogus RTT *)
-                  mark t i acked;
-                  Obs.Gauge.add g_unacked (-1)
-                end
+              if not (has t.ledger i closed) then
+                if n >= max_attempts then give_up t.ledger i ~cid:!cid ~src ~dst
                 else begin
-                  note_retransmit t.tally ~cid:!cid ~src ~dst;
+                  retransmit t.ledger ~cid:!cid ~src ~dst;
                   attempt (n + 1)
                 end)
         in
-        (* a non-adjacent pair raises in the first transmit, before the
-           window counts the send *)
         attempt 1;
-        Obs.Gauge.add g_unacked 1
+        take t.ledger
 
-  let retransmits t = t.tally.retransmits
-  let giveups t = t.tally.giveups
+  let retransmits t = t.ledger.retransmits
+  let giveups t = t.ledger.giveups
   let chaos_counts t = Option.map Chaos.counts t.chaos
 end

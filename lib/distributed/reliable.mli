@@ -3,9 +3,14 @@
     The simulators inject faults below the algorithm ({!Chaos}); this
     module masks them above it, so the paper's constructions — written
     against a perfectly reliable lockstep network — run unchanged on a
-    lossy one.  The classic recipe: per-directed-edge sequence numbers,
-    positive acknowledgements, timeout-driven retransmission with
-    exponential backoff, and duplicate suppression at the receiver.
+    lossy one.  The classic recipe: numbered packets, positive
+    acknowledgements, timeout-driven retransmission with exponential
+    backoff, and duplicate suppression at the receiver.  Both wrappers
+    number a network's sends 0, 1, 2, ... in one ledger, and the send
+    number is a packet's only identity: data and ack packets carry it,
+    and one flag byte per number records whether the receiver has
+    delivered the packet and whether the sender has closed it (acked
+    or given up).
 
     The synchronous wrapper mirrors the {!Net} API.  With no chaos plan
     (or a silent one) it is a transparent passthrough — no headers, no
@@ -20,10 +25,11 @@
     computes the very same result.
 
     In chaos mode the send window costs O(1) per packet: a send appends
-    one record, an ack finds its record through a per-directed-slot
-    index, and a physical round visits at most twice as many records as
-    are still unacknowledged (acked and abandoned ones are dropped once
-    they are the majority).
+    one record, an ack finds its record by send number in the logical
+    round's record array (an ack numbered below the round's first send
+    belongs to a closed send), and a physical round visits at most
+    twice as many records as are still unacknowledged (acked and
+    abandoned ones are dropped once they are the majority).
     Retransmissions go out newest send first, so the chaos stream is
     drawn in the same order for every run of the same traffic.
 

@@ -13,13 +13,6 @@ let create ~who ?chaos ~spanner ~other g =
 let chaos w = w.chaos
 let slots g = max 1 (2 * Graph.m g)
 
-let slot ~who g ~src ~dst =
-  match Graph.find_edge g src dst with
-  | Some id -> (2 * id) + if src < dst then 0 else 1
-  | None ->
-      invalid_arg
-        (Printf.sprintf "%s.send: %d and %d are not adjacent" who src dst)
-
 let edge_dir s = (s / 2, s mod 2)
 
 let set_skeleton w mask =
@@ -40,7 +33,13 @@ let copy w ~charge s bits =
       Obs.Counter.add (if mask.(s / 2) then w.spanner else w.other) bits
 
 let transmit w ?cid ~src ~dst ~at ~bits ~charge arrive =
-  let s = slot ~who:w.who w.g ~src ~dst in
+  let s =
+    match Graph.find_edge w.g src dst with
+    | Some id -> (2 * id) + if src < dst then 0 else 1
+    | None ->
+        invalid_arg
+          (Printf.sprintf "%s.send: %d and %d are not adjacent" w.who src dst)
+  in
   let tracing = Obs_trace.enabled () in
   let cid =
     match cid with

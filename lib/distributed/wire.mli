@@ -8,8 +8,8 @@
     once:
 
     - {b directed slots}: wire [src -> dst] over edge [id] is slot
-      [2 * id + dir], [dir = 0] when [src < dst]; {!Reliable} keys its
-      sequence numbers on the same slots;
+      [2 * id + dir], [dir = 0] when [src < dst], the simulators'
+      load-accounting index;
     - {b skeleton attribution}: an optional per-edge mask splits every
       physical copy between a spanner counter and an "other" counter;
     - {b the send prologue}: a causal id is minted unless the caller
@@ -42,11 +42,6 @@ val chaos : t -> Chaos.state option
     least 1). *)
 val slots : Graph.t -> int
 
-(** [slot ~who g ~src ~dst] is the directed slot of wire [src -> dst].
-    Raises [Invalid_argument] ("[who].send: ... not adjacent") when the
-    two are not adjacent. *)
-val slot : who:string -> Graph.t -> src:int -> dst:int -> int
-
 (** [edge_dir s] is [(edge_id, dir)] of slot [s]. *)
 val edge_dir : int -> int * int
 
@@ -57,12 +52,13 @@ val set_skeleton : t -> bool array -> unit
 
 (** [transmit w ?cid ~src ~dst ~at ~bits ~charge arrive] puts one send on
     the wire at simulated time/round [at] and returns its causal id.
-    Every physical copy calls [charge slot] and is attributed [bits] to
-    the skeleton counters; each copy that survives its drop draw calls
-    [arrive ~cid chaos] — the simulator's own step (lag, delay spike,
-    destination crash, enqueue), given the armed chaos state.  Raises
-    [Invalid_argument] for a non-adjacent pair before anything is
-    charged, minted or traced. *)
+    Every physical copy calls [charge s] with its directed slot [s] and
+    is attributed [bits] to the skeleton counters; each copy that
+    survives its drop draw calls [arrive ~cid chaos] — the simulator's
+    own step (lag, delay spike, destination crash, enqueue), given the
+    armed chaos state.  Raises [Invalid_argument] ("[who].send: ... not
+    adjacent") for a non-adjacent pair before anything is charged,
+    minted or traced. *)
 val transmit :
   t ->
   ?cid:int ->

@@ -207,6 +207,16 @@ grep -q "net.drops" "$TMP/congest-chaos-metrics.txt" \
   && fail "chaos spec with drop > 1 accepted"
 "$BIN" congest -k 2 -f 1 --chaos "frobnicate=1" "$TMP/s.graph" >/dev/null 2>&1 \
   && fail "unknown chaos key accepted"
+# specs no run can use exit 2 from both simulators: a lag beyond the
+# fault stream's draw bound, nan/infinite times or spike factors, and a
+# crash node that is not a vertex of the loaded graph
+for spec in reorder=1073741823 crash=3@nan crash=3@1,recover=3@nan \
+  crash=3@inf spikex=nan spikex=inf crash=99@1 crash=3@1,crash=99@1,seed=2; do
+  for cmd in congest local; do
+    "$BIN" $cmd -k 2 -f 1 --chaos "$spec" "$TMP/s.graph" >/dev/null 2>&1
+    [ $? -eq 2 ] || fail "$cmd --chaos $spec must exit 2"
+  done
+done
 
 # dk11 and exponential algorithms through the facade
 "$BIN" build -k 2 -f 1 --algo dk11 "$TMP/s.graph" >/dev/null || fail "build dk11"

@@ -584,6 +584,21 @@ let test_parse_spec () =
   rejects "frobnicate=1";
   rejects "drop";
   rejects "recover=3@9";
+  (* specs no run can use: a lag past [Rng.int]'s bound, a crash that
+     never starts, nan windows, a nan or infinite spike factor *)
+  rejects "reorder=1073741823";
+  rejects "reorder=-1";
+  rejects "crash=3@nan";
+  rejects "crash=3@inf";
+  rejects "crash=3@1,recover=3@nan";
+  rejects "spikex=nan";
+  rejects "spikex=inf";
+  (match Chaos.parse_spec "reorder=1073741822,crash=3@1,recover=3@inf" with
+  | Ok p ->
+      checki "largest reorder" 1073741822 p.Chaos.reorder;
+      checkb "recover=inf never recovers" true
+        (p.Chaos.crashes = [ (3, 1., infinity) ])
+  | Error e -> Alcotest.fail e);
   (* pp round-trips through the parser *)
   match Chaos.parse_spec "drop=0.1,reorder=2,crash=1@0,recover=1@5" with
   | Error e -> Alcotest.fail e
@@ -675,8 +690,9 @@ let test_reliable_same_seed_bit_identical () =
   checkb "same seeds, same run" true (run () = run ())
 
 (* A send to a non-adjacent pair is refused before it touches the
-   protocol: the unacked gauge does not move, and the logical round
-   still ends and delivers the rest of its traffic. *)
+   protocol: the unacked gauge, the window and the send numbering do
+   not move, so the same logical round still ends and delivers the
+   rest of its traffic, and the next one ends too. *)
 let test_reliable_rejects_non_adjacent () =
   let g = Generators.path 3 in
   let chaos = Chaos.plan ~drop:0.3 ~seed:5 () in
@@ -686,15 +702,17 @@ let test_reliable_rejects_non_adjacent () =
   | () -> Alcotest.fail "a non-adjacent send should raise"
   | exception Invalid_argument _ -> ());
   checki "gauge untouched" level0 (Obs.Gauge.value g_unacked);
-  Reliable.next_round t;
-  checki "nothing to retransmit" 0 (Reliable.retransmits t);
   Reliable.send t ~src:0 ~dst:1 "a";
   Reliable.send t ~src:2 ~dst:1 "b";
   Reliable.next_round t;
   check
     Alcotest.(list (pair int string))
-    "later round delivers" [ (0, "a"); (2, "b") ] (Reliable.inbox t 1);
-  checki "gauge drained" level0 (Obs.Gauge.value g_unacked)
+    "same round delivers" [ (0, "a"); (2, "b") ] (Reliable.inbox t 1);
+  checki "gauge drained" level0 (Obs.Gauge.value g_unacked);
+  Reliable.next_round t;
+  check
+    Alcotest.(list (pair int string))
+    "empty round" [] (Reliable.inbox t 1)
 
 (* A destination down for the whole run: every packet to it exhausts its
    retry budget, the logical round still ends, and the unacked window

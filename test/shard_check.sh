@@ -6,7 +6,8 @@
 # selection, and must be byte-identical at --jobs 1/2/4 and across
 # origins (a parsed text graph and its mapped .ftsb copy); dk11
 # must be byte-identical at every jobs count too, and --shard must not
-# change its selection.
+# change its selection.  A weighted geometric leg runs the same jobs,
+# origin and verify checks on the weighted cluster path.
 #   $1 = ftspan CLI binary
 set -u
 BIN="$1"
@@ -48,6 +49,26 @@ done
   -o "$TMP/shard-mapped.sel" > /dev/null || fail "sharded build from .ftsb"
 cmp -s "$TMP/shard.sel" "$TMP/shard-mapped.sel" \
   || fail "sharded selection differs across origins"
+
+# ---- weighted leg: the cluster stage on a weighted geometric graph ---
+"$BIN" generate --family geometric -n 300 -p 0.12 --weights 1,10 --seed 9 \
+  -o "$TMP/w.graph" > /dev/null || fail "weighted graph generation"
+"$BIN" generate --family geometric -n 300 -p 0.12 --weights 1,10 --seed 9 \
+  -o "$TMP/w.ftsb" > /dev/null || fail "weighted binary graph generation"
+"$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/w.graph" -o "$TMP/w.sel" \
+  > /dev/null || fail "weighted sharded build"
+"$BIN" verify -k 2 -f 1 --trials 60 "$TMP/w.graph" "$TMP/w.sel" \
+  > /dev/null || fail "weighted sharded selection does not verify"
+for j in 2 4; do
+  "$BIN" build --seed 7 -k 2 -f 1 --shard -j "$j" "$TMP/w.graph" \
+    -o "$TMP/w-j$j.sel" > /dev/null || fail "weighted sharded build at --jobs $j"
+  cmp -s "$TMP/w.sel" "$TMP/w-j$j.sel" \
+    || fail "weighted sharded selection differs at --jobs $j"
+done
+"$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/w.ftsb" \
+  -o "$TMP/w-mapped.sel" > /dev/null || fail "weighted sharded build from .ftsb"
+cmp -s "$TMP/w.sel" "$TMP/w-mapped.sel" \
+  || fail "weighted sharded selection differs across origins"
 
 # ---- dk11: one selection with or without --shard, at every jobs count
 # (on a dense graph, where the reduction's union leaves edges out, so a

@@ -218,6 +218,71 @@ let test_boundary_edges_force_kept () =
   checki "boundary counter matches uncovered edges" !uncovered
     res.Shard_build.boundary_edges
 
+(* Reference model of the cluster stage: for every cluster with at least
+   two members, the polynomial greedy on the subgraph its members induce,
+   its kept edges lifted to parent ids.  The stage must match it cluster
+   by cluster, in the same order. *)
+let test_clusters_match_model () =
+  let weighted =
+    Generators.with_uniform_weights (Rng.create ~seed:8)
+      (Generators.connected_gnp (Rng.create ~seed:7) ~n:70 ~p:0.12)
+      ~lo:1. ~hi:10.
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun mode ->
+          let part = Shard_partition.run (Rng.create ~seed:19) g in
+          let model =
+            List.concat
+              (Array.to_list
+                 (Array.mapi
+                    (fun p c ->
+                      List.filter_map
+                        (fun (ctr, ms) ->
+                          match ms with
+                          | _ :: _ :: _ ->
+                              let keep = Array.make (Graph.n g) false in
+                              List.iter (fun v -> keep.(v) <- true) ms;
+                              let sub = Subgraph.induced_mask g keep in
+                              let sel =
+                                (Engine.run
+                                   ~decide:
+                                     (Poly_greedy.decider
+                                        ~ws:(Lbc.Workspace.create ()) ~mode ~k:2
+                                        ~f:1)
+                                   sub.Subgraph.graph)
+                                  .Engine.selection
+                              in
+                              Some
+                                ( p,
+                                  ctr,
+                                  List.map
+                                    (fun sid -> sub.Subgraph.to_parent_edge.(sid))
+                                    (Selection.ids sel) )
+                          | _ -> None)
+                        (Shard_partition.members c))
+                    part.Shard_partition.partitions))
+          in
+          let stage =
+            Array.to_list
+              (Array.map
+                 (fun (c : Shard_build.cluster) ->
+                   (c.Shard_build.partition, c.Shard_build.center, c.Shard_build.kept))
+                 (Shard_build.clusters ~mode ~k:2 ~f:1 g part))
+          in
+          checkb (name ^ ": clusters to compare") true (model <> []);
+          checki (name ^ ": cluster count") (List.length model) (List.length stage);
+          List.iter2
+            (fun (p, ctr, kept) (p', ctr', kept') ->
+              let what = Printf.sprintf "%s: partition %d centre %d" name p ctr in
+              checki (what ^ " partition") p p';
+              checki (what ^ " centre") ctr ctr';
+              checkil (what ^ " kept") kept kept')
+            model stage)
+        [ Fault.VFT; Fault.EFT ])
+    [ ("unit", Generators.connected_gnp (rng ()) ~n:80 ~p:0.1); ("weighted", weighted) ]
+
 (* ------------------------- facade and dk11 --------------------------- *)
 
 let test_spanner_facade_shard_option () =
@@ -313,6 +378,8 @@ let () =
             test_build_exponential_engine;
           Alcotest.test_case "boundary edges force-kept" `Quick
             test_boundary_edges_force_kept;
+          Alcotest.test_case "clusters match model" `Quick
+            test_clusters_match_model;
         ] );
       ( "facade",
         [

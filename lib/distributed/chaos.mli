@@ -27,7 +27,12 @@ type plan = {
   dup : float;  (** probability a message is delivered twice *)
   reorder : int;
       (** max extra rounds a synchronous message may lag (uniform in
-          [[0, reorder]]); [0] preserves delivery order *)
+          [[0, reorder]]); [0] preserves delivery order.  At most 254:
+          the synchronous {!Reliable} retransmits a packet after
+          [2 + reorder] physical rounds, backs off up to 8x and gives it
+          up after 30 attempts, so one logical round lasts at most
+          [212 * (2 + reorder)] physical rounds, and the bound keeps
+          that round budget within [212 * 256 = 54,272 < 2^16]. *)
   spike : float;
       (** probability an asynchronous delivery suffers a delay spike *)
   spike_factor : float;  (** delay multiplier applied by a spike, [>= 1] *)
@@ -39,7 +44,7 @@ type plan = {
 
 (** [plan ()] is the fault-free plan; every optional argument overrides
     one field.  Raises [Invalid_argument] on values no run can use:
-    probabilities outside [[0,1]], [reorder] outside [[0, 2^30 - 2]],
+    probabilities outside [[0,1]], [reorder] outside [[0, 254]],
     [spike_factor] below 1 or not finite, a negative crash node, and a
     crash window whose [from] is negative or not finite or whose
     [until] is below [from] or [nan]. *)
@@ -64,7 +69,7 @@ val is_silent : plan -> bool
     {v
     drop=P       drop probability            (float in [0,1])
     dup=P        duplication probability     (float in [0,1])
-    reorder=R    max reorder lag in rounds   (int in [0, 2^30-2])
+    reorder=R    max reorder lag in rounds   (int in [0, 254])
     spike=P      delay-spike probability     (float in [0,1])
     spikex=F     spike delay multiplier      (finite float >= 1, default 5)
     seed=N       fault-stream seed           (int, default 0xC4A05)

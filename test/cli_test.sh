@@ -208,9 +208,9 @@ grep -q "net.drops" "$TMP/congest-chaos-metrics.txt" \
 "$BIN" congest -k 2 -f 1 --chaos "frobnicate=1" "$TMP/s.graph" >/dev/null 2>&1 \
   && fail "unknown chaos key accepted"
 # specs no run can use exit 2 from both simulators: a lag beyond the
-# fault stream's draw bound, nan/infinite times or spike factors, and a
-# crash node that is not a vertex of the loaded graph
-for spec in reorder=1073741823 crash=3@nan crash=3@1,recover=3@nan \
+# round budget, nan/infinite times or spike factors, and a crash node
+# that is not a vertex of the loaded graph
+for spec in reorder=255 crash=3@nan crash=3@1,recover=3@nan \
   crash=3@inf spikex=nan spikex=inf crash=99@1 crash=3@1,crash=99@1,seed=2; do
   for cmd in congest local; do
     "$BIN" $cmd -k 2 -f 1 --chaos "$spec" "$TMP/s.graph" >/dev/null 2>&1
@@ -329,6 +329,14 @@ cmp -s "$TMP/t-s1.stable" "$TMP/t-s3.stable" \
 # never wall time)
 "$BIN" generate --family gnp -n 12 -p 0.5 --connect --seed 7 -o "$TMP/tiny.graph" \
   >/dev/null || fail "generate tiny"
+# the largest reorder stays inside the round budget: both simulators
+# finish, also when every copy is dropped and every packet is given up
+for spec in reorder=254 drop=1,reorder=254; do
+  for cmd in congest local; do
+    timeout 60 "$BIN" $cmd -k 2 -f 1 --chaos "$spec" "$TMP/tiny.graph" >/dev/null \
+      || fail "$cmd --chaos $spec must finish"
+  done
+done
 "$BIN" congest --seed 11 -k 2 -f 1 -c 0.5 --chaos "$CHAOS" \
   --trace "$TMP/ct1.json" --metrics=json "$TMP/tiny.graph" \
   > "$TMP/ct1-metrics.json" || fail "congest --chaos --trace"

@@ -66,20 +66,6 @@ let graph_arg =
   let doc = "Input graph file (see ftspan generate for the format)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
 
-(* The execution/observability flag grammar (--jobs, --chaos,
-   --trace, --metrics-stream, --metrics) is shared with bench/main.exe
-   through Cli_flags, so every front end parses and errors identically. *)
-let jobs_arg = Cli_flags.jobs_arg
-let shard_arg = Cli_flags.shard_arg
-let resolve_jobs = Cli_flags.resolve_jobs
-let with_jobs = Cli_flags.with_jobs
-let metrics_arg = Cli_flags.metrics_arg
-let with_metrics = Cli_flags.with_metrics
-let trace_arg = Cli_flags.trace_arg
-let with_trace = Cli_flags.with_trace
-let stream_arg = Cli_flags.stream_arg
-let with_stream = Cli_flags.with_stream
-let chaos_arg = Cli_flags.chaos_arg
 
 (* Binary-format failures carry their own exit-code contract (exit 2
    when the file is not an ftspan graph at all, exit 1 when it is one
@@ -272,7 +258,7 @@ let save_selection sel file =
 let build_cmd =
   let run seed k f mode algo jobs shard batch metrics trace stream file
       out dot =
-    match (resolve_jobs jobs, batch) with
+    match (Cli_flags.resolve_jobs jobs, batch) with
     | Error _ as e, _ -> e
     | _, Some b when b < 1 ->
         Error (`Msg (Printf.sprintf "--batch must be >= 1 (got %d)" b))
@@ -282,10 +268,10 @@ let build_cmd =
     in
     Result.map
       (fun g ->
-        with_metrics metrics ~id:"build" @@ fun () ->
-        with_stream stream @@ fun () ->
-        with_trace trace @@ fun () ->
-        with_jobs jobs @@ fun pool ->
+        Cli_flags.with_metrics metrics ~id:"build" @@ fun () ->
+        Cli_flags.with_stream stream @@ fun () ->
+        Cli_flags.with_trace trace @@ fun () ->
+        Cli_flags.with_jobs jobs @@ fun pool ->
         let rng = Rng.create ~seed in
         let params = { Spanner.k; f; mode } in
         let options = Spanner.options ~batch ?pool ~shard () in
@@ -321,8 +307,9 @@ let build_cmd =
   let term =
     Term.(
       term_result
-        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ algo_arg $ jobs_arg
-       $ shard_arg $ batch_arg $ metrics_arg $ trace_arg $ stream_arg
+        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ algo_arg
+       $ Cli_flags.jobs_arg $ Cli_flags.shard_arg $ batch_arg
+       $ Cli_flags.metrics_arg $ Cli_flags.trace_arg $ Cli_flags.stream_arg
        $ graph_arg $ spanner_out_arg $ dot_out_arg))
   in
   Cmd.v (Cmd.info "build" ~doc:"Construct a fault-tolerant spanner.") term
@@ -362,14 +349,14 @@ let load_selection g file =
 
 let verify_cmd =
   let run seed k f mode jobs trials exhaustive graph_file sel_file =
-    match (resolve_jobs jobs, load_graph graph_file) with
+    match (Cli_flags.resolve_jobs jobs, load_graph graph_file) with
     | (Error e, _) | (_, Error e) -> Error e
     | Ok jobs, Ok g -> (
         match load_selection g sel_file with
         | Error e -> Error e
         | Ok sel ->
             let outcome =
-              with_jobs jobs @@ fun pool ->
+              Cli_flags.with_jobs jobs @@ fun pool ->
               (* One rng threads through adversarial -> random -> profile, so
                  the whole chain's figures are a function of [seed]. *)
               let rng = Rng.create ~seed in
@@ -420,7 +407,7 @@ let verify_cmd =
   let term =
     Term.(
       term_result
-        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ jobs_arg
+        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ Cli_flags.jobs_arg
        $ trials_arg $ exhaustive_arg $ graph_arg $ selection_arg))
   in
   Cmd.v (Cmd.info "verify" ~doc:"Verify a spanner selection under faults.") term
@@ -431,9 +418,9 @@ let local_cmd =
   let run seed k f mode chaos metrics trace stream file =
     Result.map
       (fun g ->
-        with_metrics metrics ~id:"local" @@ fun () ->
-        with_stream stream @@ fun () ->
-        with_trace trace @@ fun () ->
+        Cli_flags.with_metrics metrics ~id:"local" @@ fun () ->
+        Cli_flags.with_stream stream @@ fun () ->
+        Cli_flags.with_trace trace @@ fun () ->
         let rng = Rng.create ~seed in
         let res = Local_spanner.build rng ?chaos ~mode ~k ~f g in
         let d = res.Local_spanner.decomposition in
@@ -456,8 +443,9 @@ let local_cmd =
   let term =
     Term.(
       term_result
-        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ chaos_arg
-       $ metrics_arg $ trace_arg $ stream_arg $ graph_arg))
+        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ Cli_flags.chaos_arg
+       $ Cli_flags.metrics_arg $ Cli_flags.trace_arg $ Cli_flags.stream_arg
+       $ graph_arg))
   in
   Cmd.v
     (Cmd.info "local" ~doc:"Run the LOCAL-model construction (Theorem 12).")
@@ -475,9 +463,9 @@ let congest_cmd =
   let run seed k f mode c chaos metrics trace stream file =
     Result.map
       (fun g ->
-        with_metrics metrics ~id:"congest" @@ fun () ->
-        with_stream stream @@ fun () ->
-        with_trace trace @@ fun () ->
+        Cli_flags.with_metrics metrics ~id:"congest" @@ fun () ->
+        Cli_flags.with_stream stream @@ fun () ->
+        Cli_flags.with_trace trace @@ fun () ->
         let rng = Rng.create ~seed in
         let res = Congest_ft.build rng ~c ?chaos ~mode ~k ~f g in
         Printf.printf "iterations: %d (word size %d bits)\n" res.Congest_ft.iterations
@@ -495,8 +483,9 @@ let congest_cmd =
   let term =
     Term.(
       term_result
-        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ c_arg $ chaos_arg
-       $ metrics_arg $ trace_arg $ stream_arg $ graph_arg))
+        (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ c_arg
+       $ Cli_flags.chaos_arg $ Cli_flags.metrics_arg $ Cli_flags.trace_arg
+       $ Cli_flags.stream_arg $ graph_arg))
   in
   Cmd.v
     (Cmd.info "congest" ~doc:"Run the CONGEST-model construction (Theorem 15).")
@@ -512,8 +501,8 @@ let oracle_cmd =
   let run seed k queries metrics trace file =
     Result.map
       (fun g ->
-        with_metrics metrics ~id:"oracle" @@ fun () ->
-        with_trace trace @@ fun () ->
+        Cli_flags.with_metrics metrics ~id:"oracle" @@ fun () ->
+        Cli_flags.with_trace trace @@ fun () ->
         let rng = Rng.create ~seed in
         let t0 = Unix.gettimeofday () in
         let oracle = Oracle.build rng ~k g in
@@ -545,8 +534,8 @@ let oracle_cmd =
   let term =
     Term.(
       term_result
-        (const run $ seed_arg $ k_arg $ queries_arg $ metrics_arg $ trace_arg
-       $ graph_arg))
+        (const run $ seed_arg $ k_arg $ queries_arg $ Cli_flags.metrics_arg
+       $ Cli_flags.trace_arg $ graph_arg))
   in
   Cmd.v
     (Cmd.info "oracle" ~doc:"Build a Thorup-Zwick distance oracle and sample queries.")
@@ -710,7 +699,7 @@ let parse_ops_file ~mode file =
 let dynamic_cmd =
   let run k f mode jobs metrics trace stream ops_file graph_file out
       out_graph =
-    match resolve_jobs jobs with
+    match Cli_flags.resolve_jobs jobs with
     | Error _ as e -> e
     | Ok jobs -> (
         let items = parse_ops_file ~mode ops_file in
@@ -734,10 +723,10 @@ let dynamic_cmd =
         match seed_graph with
         | Error e -> Error e
         | Ok (g, items) ->
-            with_metrics metrics ~id:"dynamic" @@ fun () ->
-            with_stream stream @@ fun () ->
-            with_trace trace @@ fun () ->
-            with_jobs jobs @@ fun pool ->
+            Cli_flags.with_metrics metrics ~id:"dynamic" @@ fun () ->
+            Cli_flags.with_stream stream @@ fun () ->
+            Cli_flags.with_trace trace @@ fun () ->
+            Cli_flags.with_jobs jobs @@ fun pool ->
             let d = Dynamic.create ~opts:(Dynamic.opts ~mode ~k ~f ?pool ()) g in
             Printf.printf "seeded: n=%d, %d live edges, spanner %d\n"
               (Dynamic.n d) (Dynamic.live_edges d) (Dynamic.size d);
@@ -832,9 +821,9 @@ let dynamic_cmd =
   let term =
     Term.(
       term_result
-        (const run $ k_arg $ f_arg $ mode_arg $ jobs_arg $ metrics_arg
-       $ trace_arg $ stream_arg $ ops_file_arg $ init_graph_arg
-       $ spanner_out_arg $ out_graph_arg))
+        (const run $ k_arg $ f_arg $ mode_arg $ Cli_flags.jobs_arg
+       $ Cli_flags.metrics_arg $ Cli_flags.trace_arg $ Cli_flags.stream_arg
+       $ ops_file_arg $ init_graph_arg $ spanner_out_arg $ out_graph_arg))
   in
   Cmd.v
     (Cmd.info "dynamic"

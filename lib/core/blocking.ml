@@ -29,8 +29,9 @@ let short_cycles ?(limit = 200_000) sel ~max_len =
   let count = ref 0 in
   let exhausted = ref true in
   let on_path = Array.make n false in
-  (* path: reversed vertex stack; edges: reversed edge-id stack (spanner
-     subgraph ids, translated on emission). *)
+  (* path: reversed vertex stack (the spanner subgraph keeps the parent's
+     vertex numbering); edges: reversed edge-id stack (spanner subgraph
+     ids, translated on emission). *)
   let rec extend s path edges len =
     if !count >= limit then exhausted := false
     else
@@ -39,11 +40,8 @@ let short_cycles ?(limit = 200_000) sel ~max_len =
           if !count < limit then
             if y = s && len >= 3 then begin
               match List.rev path with
-              | _ :: first :: _ when first < x ->
+              | _ :: first :: _ as vertices when first < x ->
                   incr count;
-                  let vertices =
-                    List.rev_map (fun v -> sub.Subgraph.to_parent_vertex.(v)) path
-                  in
                   let edge_ids =
                     List.rev_map
                       (fun e -> sub.Subgraph.to_parent_edge.(e))

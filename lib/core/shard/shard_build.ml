@@ -13,16 +13,10 @@ let m_clusters = Obs.counter "shard.clusters"
 let m_boundary = Obs.counter "shard.boundary_edges"
 let h_cluster_wall = Obs.histogram_log "shard.cluster_wall"
 
-(* One cluster work item: its partition and centre, the parent-id
-   vertex set (ascending) and the interior edges in parent insertion
-   order, pre-extracted so workers never scan the full edge list.
-   [edges] rows are [(parent_u, parent_v, weight, parent_edge_id)]. *)
-type task = {
-  part : int;
-  ctr : int;
-  verts : int array;
-  edges : (int * int * float * int) array;
-}
+(* One cluster work item: its partition and centre, the parent vertex
+   set and the interior parent edge ids, both ascending, pre-extracted
+   so workers never scan the full edge list. *)
+type task = { part : int; ctr : int; verts : int array; edges : int array }
 
 (* All cluster work items, partition by partition, clusters in centre
    order — a fixed sequence, so results indexed by task id are
@@ -46,8 +40,7 @@ let tasks_of g part =
           let cu = c.Shard_partition.center_of.(e.Graph.u) in
           if cu = c.Shard_partition.center_of.(e.Graph.v) then begin
             let i = task_of_center.(cu) in
-            if i >= 0 then
-              bufs.(i) <- (e.Graph.u, e.Graph.v, e.Graph.w, e.Graph.id) :: bufs.(i)
+            if i >= 0 then bufs.(i) <- e.Graph.id :: bufs.(i)
           end);
       List.iteri
         (fun i (ctr, ms) ->
@@ -64,30 +57,22 @@ let tasks_of g part =
   Array.of_list (List.rev !all)
 
 (* Build one cluster's induced subgraph and run the greedy over it,
-   returning the kept parent edge ids (ascending).  [local] is the
-   worker's parent-to-local vertex map, restored to -1 before return. *)
-let run_cluster ~engine ~mode ~k ~f ~ws ~local task =
+   returning the kept parent edge ids (ascending). *)
+let run_cluster ~engine ~mode ~k ~f ~ws g task =
   let t0 = Obs.now_s () in
-  Array.iteri (fun i v -> local.(v) <- i) task.verts;
-  let sub = Graph.create (Array.length task.verts) in
-  let parent_edge = Array.make (Array.length task.edges) (-1) in
-  Array.iter
-    (fun (u, v, w, pid) ->
-      parent_edge.(Graph.add_edge sub local.(u) local.(v) ~w) <- pid)
-    task.edges;
-  Array.iter (fun v -> local.(v) <- -1) task.verts;
+  let sub = Subgraph.of_ids g ~vertices:task.verts task.edges in
   let sel =
     match engine with
-    | Exponential -> Exp_greedy.build ~mode ~k ~f sub
+    | Exponential -> Exp_greedy.build ~mode ~k ~f sub.Subgraph.graph
     | Polynomial ->
         (Engine.run ~caller:"Shard_build.build" ~trace:false
            ~decide:(Poly_greedy.decider ~ws ~mode ~k ~f)
-           sub)
+           sub.Subgraph.graph)
           .Engine.selection
   in
   let kept = ref [] in
-  for sid = Graph.m sub - 1 downto 0 do
-    if sel.Selection.selected.(sid) then kept := parent_edge.(sid) :: !kept
+  for sid = Array.length task.edges - 1 downto 0 do
+    if sel.Selection.selected.(sid) then kept := task.edges.(sid) :: !kept
   done;
   Obs.Histogram.observe h_cluster_wall (Obs.now_s () -. t0);
   !kept
@@ -100,16 +85,12 @@ let clusters ?(engine = Polynomial) ?pool ~mode ~k ~f g part =
   check "Shard_build.clusters" ~k ~f;
   let tasks = tasks_of g part in
   let results = Array.make (Array.length tasks) [] in
-  let scratch =
-    Exec.Worker_local.create ?pool (fun _ ->
-        (Lbc.Workspace.create (), Array.make (Graph.n g) (-1)))
-  in
+  let scratch = Exec.Worker_local.create ?pool (fun _ -> Lbc.Workspace.create ()) in
   Exec.parallel_for ~chunk:1 ?pool ~lo:0 ~hi:(Array.length tasks)
     (fun ~worker lo hi ->
-      let ws, local = Exec.Worker_local.get scratch ~worker in
+      let ws = Exec.Worker_local.get scratch ~worker in
       for i = lo to hi - 1 do
-        results.(i) <-
-          run_cluster ~engine ~mode ~k ~f ~ws ~local tasks.(i)
+        results.(i) <- run_cluster ~engine ~mode ~k ~f ~ws g tasks.(i)
       done);
   Array.mapi
     (fun i task -> { partition = task.part; center = task.ctr; kept = results.(i) })

@@ -4,13 +4,17 @@
     greedy, union — run natively on shared memory, in two stages.
 
     The {e cluster stage} ({!clusters}) takes a decomposition: every
-    cluster with at least two members becomes one work item, and
-    {!Exec.parallel_for} hands each item to a pool worker that builds the
-    cluster's induced subgraph and runs the pluggable greedy over it with
-    a private {!Lbc.Workspace} ({!Poly_greedy.decider} for the polynomial
-    engine).  The LOCAL algorithm ({!Local_spanner}) runs this same stage
-    at its cluster centres, over the decomposition it flooded through the
-    simulator.
+    cluster with at least two members becomes one work item, its member
+    vertices and interior edges held as ascending parent ids, extracted
+    in one edge scan per partition.  {!Exec.parallel_for} hands each item
+    to a pool worker that builds the cluster's induced subgraph with
+    {!Subgraph.of_ids} (the one subgraph builder, which adopts both id
+    arrays as its provenance maps) and runs the pluggable greedy over it
+    with a private {!Lbc.Workspace} ({!Poly_greedy.decider} for the
+    polynomial engine); the kept edges map back through the adopted
+    edge-id array.  The LOCAL algorithm ({!Local_spanner}) runs this
+    same stage at its cluster centres, over the decomposition it flooded
+    through the simulator.
 
     {!build} samples the decomposition with {!Shard_partition}, runs the
     cluster stage, and unions the per-cluster selections with the

@@ -3,18 +3,27 @@
     Algorithms such as the Dinitz-Krauthgamer reduction and the LOCAL
     cluster-greedy run a spanner construction on an induced subgraph and
     then translate the chosen edges back to the parent graph; the maps
-    returned here make that translation explicit. *)
+    returned here make that translation explicit.
+
+    Every subgraph is built by {!of_ids} from ascending parent vertices
+    and ascending parent edge ids.  Subgraph vertex [i] is the [i]-th
+    parent vertex and subgraph edge [i] the [i]-th parent edge id, so
+    both numberings keep the parent's order.  The two arrays are adopted
+    as the provenance maps, not copied: do not mutate them afterwards. *)
 
 type t = {
   graph : Graph.t;  (** the subgraph, with fresh vertex/edge numbering *)
   to_parent_vertex : int array;  (** subgraph vertex -> parent vertex *)
-  of_parent_vertex : int array;  (** parent vertex -> subgraph vertex or -1 *)
   to_parent_edge : int array;  (** subgraph edge id -> parent edge id *)
 }
 
-(** [induced g vertices] is the subgraph of [g] induced by the given vertex
-    set (duplicates ignored). *)
-val induced : Graph.t -> int list -> t
+(** [of_ids g ~vertices edges] is the subgraph of [g] on [vertices]
+    (ascending, distinct parent vertices) with the edges [edges]
+    (ascending, distinct parent edge ids), weights carried.  It adopts
+    [vertices] as [to_parent_vertex] and [edges] as [to_parent_edge].
+    Raises [Invalid_argument] if an edge has an endpoint outside
+    [vertices]. *)
+val of_ids : Graph.t -> vertices:int array -> int array -> t
 
 (** [induced_mask g keep] is the subgraph induced by [{ v | keep.(v) }]. *)
 val induced_mask : Graph.t -> bool array -> t

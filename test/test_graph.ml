@@ -755,9 +755,14 @@ let test_girth_petersen () =
 (* -------------------------------------------------------------------- *)
 (* Subgraph                                                             *)
 
+let mask n vs =
+  let keep = Array.make n false in
+  List.iter (fun v -> keep.(v) <- true) vs;
+  keep
+
 let test_subgraph_induced () =
   let g = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (0, 4) ] in
-  let sub = Subgraph.induced g [ 0; 1; 2 ] in
+  let sub = Subgraph.induced_mask g (mask 5 [ 0; 1; 2 ]) in
   checki "n" 3 (Graph.n sub.Subgraph.graph);
   checki "m (0-1 and 1-2)" 2 (Graph.m sub.Subgraph.graph);
   (* provenance round trip *)
@@ -768,14 +773,73 @@ let test_subgraph_induced () =
       let sv = sub.Subgraph.to_parent_vertex.(e.Graph.v) in
       checkb "endpoints map" true ((su = pu && sv = pv) || (su = pv && sv = pu)))
 
-let test_subgraph_of_parent_inverse () =
+(* [Subgraph.of_ids] against an edge-by-edge [Graph.add_edge] reference:
+   same edges, weights and adjacency order, and both id arrays adopted
+   as the provenance maps. *)
+let test_subgraph_of_ids_matches_reference () =
+  let unit_g = Generators.connected_gnp (Rng.create ~seed:31) ~n:40 ~p:0.2 in
+  let weighted =
+    Generators.with_uniform_weights (Rng.create ~seed:32) unit_g ~lo:1. ~hi:9.
+  in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let r = Rng.create ~seed:33 in
+      let half = List.filter (fun _ -> Rng.bool r) (List.init n Fun.id) in
+      List.iter
+        (fun (set, vs) ->
+          let vertices = Array.of_list vs in
+          let inside = mask n vs in
+          let edges =
+            Array.of_list
+              (List.filter
+                 (fun id ->
+                   let u, v = Graph.endpoints g id in
+                   inside.(u) && inside.(v) && id mod 3 <> 1)
+                 (List.init (Graph.m g) Fun.id))
+          in
+          let what = name ^ "/" ^ set in
+          let local = Array.make n (-1) in
+          Array.iteri (fun i v -> local.(v) <- i) vertices;
+          let reference = Graph.create (Array.length vertices) in
+          Array.iter
+            (fun id ->
+              let e = Graph.edge g id in
+              ignore
+                (Graph.add_edge reference local.(e.Graph.u) local.(e.Graph.v)
+                   ~w:e.Graph.w))
+            edges;
+          let sub = Subgraph.of_ids g ~vertices edges in
+          let h = sub.Subgraph.graph in
+          checkb (what ^ ": vertices adopted") true
+            (sub.Subgraph.to_parent_vertex == vertices);
+          checkb (what ^ ": edges adopted") true (sub.Subgraph.to_parent_edge == edges);
+          checki (what ^ ": n") (Graph.n reference) (Graph.n h);
+          checki (what ^ ": m") (Graph.m reference) (Graph.m h);
+          Graph.iter_edges reference (fun e ->
+              let e' = Graph.edge h e.Graph.id in
+              checki (what ^ ": u") e.Graph.u e'.Graph.u;
+              checki (what ^ ": v") e.Graph.v e'.Graph.v;
+              checkf (what ^ ": w") e.Graph.w e'.Graph.w);
+          for x = 0 to Graph.n h - 1 do
+            let nbrs gr =
+              let acc = ref [] in
+              Graph.iter_neighbors gr x (fun y id -> acc := (y, id) :: !acc);
+              !acc
+            in
+            checkb (what ^ ": adjacency order") true (nbrs reference = nbrs h)
+          done)
+        [
+          ("identity", List.init n Fun.id);
+          ("half", half);
+          ("singleton", [ 7 ]);
+          ("empty", []);
+        ])
+    [ ("unit", unit_g); ("weighted", weighted) ];
   let g = Generators.cycle 6 in
-  let sub = Subgraph.induced g [ 1; 3; 5 ] in
-  for sv = 0 to 2 do
-    let pv = sub.Subgraph.to_parent_vertex.(sv) in
-    checki "inverse" sv sub.Subgraph.of_parent_vertex.(pv)
-  done;
-  checki "absent" (-1) sub.Subgraph.of_parent_vertex.(0)
+  match Subgraph.of_ids g ~vertices:[| 0; 1 |] [| 1 |] with
+  | _ -> Alcotest.fail "an endpoint outside the vertex set must be rejected"
+  | exception Invalid_argument _ -> ()
 
 let test_subgraph_edge_subset () =
   let g = Generators.cycle 5 in
@@ -790,7 +854,7 @@ let test_subgraph_edge_subset () =
 
 let test_subgraph_induced_weights_preserved () =
   let g = Graph.of_weighted_edges 3 [ (0, 1, 2.5); (1, 2, 7.) ] in
-  let sub = Subgraph.induced g [ 0; 1 ] in
+  let sub = Subgraph.induced_mask g (mask 3 [ 0; 1 ]) in
   checki "one edge" 1 (Graph.m sub.Subgraph.graph);
   checkf "weight carried" 2.5 (Graph.weight sub.Subgraph.graph 0)
 
@@ -1295,7 +1359,8 @@ let () =
       ( "subgraph",
         [
           Alcotest.test_case "induced" `Quick test_subgraph_induced;
-          Alcotest.test_case "vertex map inverse" `Quick test_subgraph_of_parent_inverse;
+          Alcotest.test_case "of_ids matches add_edge" `Quick
+            test_subgraph_of_ids_matches_reference;
           Alcotest.test_case "edge subset" `Quick test_subgraph_edge_subset;
           Alcotest.test_case "weights preserved" `Quick test_subgraph_induced_weights_preserved;
         ] );
